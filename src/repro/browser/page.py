@@ -28,6 +28,7 @@ rules the happens-before relation formalizes:
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -40,7 +41,7 @@ from ..html.tokenizer import tokenize_html, StartTag, EndTag, Text as TextToken
 from ..js.builtins import install_builtins
 from ..js.errors import JSSyntaxError, JSThrow
 from ..js.interpreter import BudgetExceeded, Interpreter, to_string
-from ..js.parser import parse as parse_js
+from ..js import parser as js_parser
 from ..dom.node import reset_node_ids
 from ..js.values import (
     JSFunction,
@@ -66,6 +67,24 @@ from ..obs import NULL
 
 #: Virtual milliseconds consumed by parsing one element.
 PARSE_STEP_MS = 0.5
+
+#: Scripts the parse cache holds.  Every run of a page parses its scripts
+#: in the same order, so an LRU smaller than a page's distinct scripts
+#: evicts each one before it comes round again and never hits; the
+#: largest benchmark page has 23.
+PARSE_CACHE_SIZE = 64
+
+#: :func:`repro.js.parser.parse` memoized by source text.  explore and
+#: predict run every page 8-16 times (schedules, replays, witness runs),
+#: and one AST serves them all because nothing mutates AST nodes after
+#: parsing.  Exceptions are not cached: a broken script fails, and is
+#: recorded as a crash, on every run.  Each corpus check, exploration and
+#: prediction empties the cache first, as a new process would, so its
+#: cost does not depend on what ran before it in the process.
+parse_js = functools.lru_cache(maxsize=PARSE_CACHE_SIZE)(js_parser.parse)
+#: Empties the cache.  Bound here so that code which wraps ``parse_js``
+#: (a tracer, a test) still leaves the real cache reachable.
+clear_parse_cache = parse_js.cache_clear
 
 
 class Browser:

@@ -28,7 +28,7 @@ from .interpreter import (
     to_number,
     to_string,
 )
-from .lexer import Lexer, Token, tokenize
+from .lexer import Token, tokenize
 from .parser import Parser, parse, parse_expression
 from .values import (
     NULL,
@@ -69,7 +69,6 @@ __all__ = [
     "JSObject",
     "JSSyntaxError",
     "JSThrow",
-    "Lexer",
     "NULL",
     "NativeFunction",
     "Parser",

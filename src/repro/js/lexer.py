@@ -11,12 +11,18 @@ strict and loose flavours, logical/bitwise/arithmetic operators, ``typeof``,
 Regex literals are deliberately unsupported — none of the paper's examples
 need them and they complicate lexing disproportionately; scripts use string
 methods instead.
+
+:func:`tokenize` matches one compiled master pattern at the current
+position: the pattern skips whitespace and comments and captures one token
+in a named group, and the loop dispatches on that group's name.  A token's
+line and column come from the newlines between it and the previous token;
+only strings with escapes are decoded outside the pattern.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+import re
+from typing import List, NamedTuple, Tuple
 
 from .errors import JSSyntaxError
 
@@ -120,13 +126,7 @@ _STRING_ESCAPES = {
 }
 
 
-def _is_digit(ch: str) -> bool:
-    """ASCII digit test (str.isdigit accepts Unicode digits float() rejects)."""
-    return "0" <= ch <= "9" if ch else False
-
-
-@dataclass
-class Token:
+class Token(NamedTuple):
     """One lexical token.
 
     ``type`` is one of ``"num"``, ``"str"``, ``"ident"``, ``"punct"``,
@@ -148,181 +148,133 @@ class Token:
         return f"Token({self.type!r}, {self.value!r}, {self.line}:{self.column})"
 
 
-class Lexer:
-    """Single-pass tokenizer with line/column tracking."""
+_MASTER = re.compile(
+    # Trivia: whitespace, line comments and closed block comments.
+    r"(?:[ \t\r\n\f\v]+|//[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)*"
+    r"(?:(?P<ident>[A-Za-z_$][\w$]*)"
+    # Digits are ASCII: float() would also read other Unicode digits.
+    r"|(?P<hex>0[xX][0-9a-fA-F]*)"
+    r"|(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]*)?)"
+    r"""|(?P<str>'[^'\\\n]*'|"[^"\\\n]*")"""
+    # A string with escapes, or one that never closes: see _read_string.
+    r"""|(?P<quote>['"])"""
+    # A block comment that never closes.
+    r"|(?P<comment>/\*)"
+    r"|(?P<punct>" + "|".join(map(re.escape, _PUNCTUATORS)) + ")"
+    # \w less digits still takes numerics such as "²" that isalpha()
+    # rejects, so tokenize checks the first character.
+    r"|(?P<uident>[^\W\d][\w$]*)"
+    r"|(?P<eof>\Z)"
+    r"|(?P<bad>[\s\S]))"
+)
 
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
+#: The plain characters of a string literal, per quote.
+_STRING_RUN = {quote: re.compile(rf"[^{quote}\\\n]*") for quote in "'\""}
 
-    def tokenize(self) -> List[Token]:
-        """Tokenize the whole source, appending a final ``eof`` token."""
-        tokens: List[Token] = []
-        while True:
-            self._skip_trivia()
-            if self.pos >= len(self.source):
-                tokens.append(Token("eof", None, self.line, self.column))
-                return tokens
-            tokens.append(self._next_token())
-
-    # ------------------------------------------------------------------
-    # internals
-
-    def _error(self, message: str) -> JSSyntaxError:
-        return JSSyntaxError(message, self.line, self.column)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index < len(self.source):
-            return self.source[index]
-        return ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos >= len(self.source):
-                return
-            if self.source[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
-
-    def _skip_trivia(self) -> None:
-        """Skip whitespace and ``//`` / ``/* */`` comments."""
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n\f\v":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line, start_col = self.line, self.column
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if self.pos >= len(self.source):
-                        raise JSSyntaxError(
-                            "unterminated block comment", start_line, start_col
-                        )
-                    self._advance()
-                self._advance(2)
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        ch = self._peek()
-        if _is_digit(ch) or (ch == "." and _is_digit(self._peek(1))):
-            return self._read_number()
-        if ch in "\"'":
-            return self._read_string()
-        if ch.isalpha() or ch in "_$":
-            return self._read_identifier()
-        return self._read_punctuator()
-
-    def _read_number(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance(2)
-            if not self._is_hex(self._peek()):
-                raise self._error("malformed hex literal")
-            while self._is_hex(self._peek()):
-                self._advance()
-            text = self.source[start : self.pos]
-            return Token("num", float(int(text, 16)), line, column)
-        while _is_digit(self._peek()):
-            self._advance()
-        if self._peek() == ".":
-            self._advance()
-            while _is_digit(self._peek()):
-                self._advance()
-        if self._peek() in ("e", "E"):
-            self._advance()
-            if self._peek() in ("+", "-"):
-                self._advance()
-            if not _is_digit(self._peek()):
-                raise self._error("malformed exponent")
-            while _is_digit(self._peek()):
-                self._advance()
-        text = self.source[start : self.pos]
-        return Token("num", float(text), line, column)
-
-    @staticmethod
-    def _is_hex(ch: str) -> bool:
-        return bool(ch) and ch in "0123456789abcdefABCDEF"
-
-    def _read_string(self) -> Token:
-        line, column = self.line, self.column
-        quote = self._peek()
-        self._advance()
-        parts: List[str] = []
-        while True:
-            ch = self._peek()
-            if not ch:
-                raise JSSyntaxError("unterminated string literal", line, column)
-            if ch == "\n":
-                raise JSSyntaxError("newline in string literal", line, column)
-            if ch == quote:
-                self._advance()
-                return Token("str", "".join(parts), line, column)
-            if ch == "\\":
-                self._advance()
-                esc = self._peek()
-                if esc == "u":
-                    self._advance()
-                    hex_digits = self.source[self.pos : self.pos + 4]
-                    if len(hex_digits) < 4 or not all(
-                        self._is_hex(d) for d in hex_digits
-                    ):
-                        raise self._error("malformed unicode escape")
-                    parts.append(chr(int(hex_digits, 16)))
-                    self._advance(4)
-                elif esc == "x":
-                    self._advance()
-                    hex_digits = self.source[self.pos : self.pos + 2]
-                    if len(hex_digits) < 2 or not all(
-                        self._is_hex(d) for d in hex_digits
-                    ):
-                        raise self._error("malformed hex escape")
-                    parts.append(chr(int(hex_digits, 16)))
-                    self._advance(2)
-                elif esc in _STRING_ESCAPES:
-                    parts.append(_STRING_ESCAPES[esc])
-                    self._advance()
-                else:
-                    # Unknown escapes keep the escaped character, per spec.
-                    parts.append(esc)
-                    self._advance()
-            else:
-                parts.append(ch)
-                self._advance()
-
-    def _read_identifier(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        while True:
-            ch = self._peek()
-            if ch and (ch.isalnum() or ch in "_$"):
-                self._advance()
-            else:
-                break
-        text = self.source[start : self.pos]
-        if text in KEYWORDS:
-            return Token(text, text, line, column)
-        return Token("ident", text, line, column)
-
-    def _read_punctuator(self) -> Token:
-        line, column = self.line, self.column
-        for punct in _PUNCTUATORS:
-            if self.source.startswith(punct, self.pos):
-                self._advance(len(punct))
-                return Token("punct", punct, line, column)
-        raise self._error(f"unexpected character {self._peek()!r}")
+#: ``\u`` and ``\x`` escapes: the hex digits each takes, and its name.
+_HEX_ESCAPES = {
+    "u": (re.compile(r"[0-9a-fA-F]{4}"), "unicode"),
+    "x": (re.compile(r"[0-9a-fA-F]{2}"), "hex"),
+}
 
 
 def tokenize(source: str) -> List[Token]:
-    """Convenience wrapper: tokenize ``source`` into a token list."""
-    return Lexer(source).tokenize()
+    """Tokenize ``source`` into a token list ending in an ``eof`` token."""
+    tokens: List[Token] = []
+    append = tokens.append
+    match = _MASTER.match
+    pos = 0
+    # ``line`` and ``line_start`` (the index of its first character) hold
+    # at ``mark``, the previous token's start.  A string with escaped line
+    # breaks is the one token that spans newlines; counting from its start
+    # takes them in.
+    line, line_start, mark = 1, 0, 0
+    while True:
+        found = match(source, pos)
+        kind = found.lastgroup
+        start, pos = found.span(kind)
+        newlines = source.count("\n", mark, start)
+        if newlines:
+            line += newlines
+            line_start = source.rfind("\n", mark, start) + 1
+        mark = start
+        column = start - line_start + 1
+        if kind == "ident":
+            text = source[start:pos]
+            append(Token(text if text in KEYWORDS else "ident", text, line, column))
+        elif kind == "punct":
+            append(Token("punct", source[start:pos], line, column))
+        elif kind == "str":
+            append(Token("str", source[start + 1 : pos - 1], line, column))
+        elif kind == "num":
+            try:
+                value = float(source[start:pos])
+            except ValueError:  # an exponent without digits
+                raise JSSyntaxError(
+                    "malformed exponent", line, column + pos - start
+                ) from None
+            append(Token("num", value, line, column))
+        elif kind == "quote":
+            value, pos = _read_string(source, start, line, column)
+            append(Token("str", value, line, column))
+        elif kind == "hex":
+            if pos - start == 2:
+                raise JSSyntaxError("malformed hex literal", line, column + 2)
+            append(Token("num", float(int(source[start:pos], 16)), line, column))
+        elif kind == "eof":
+            append(Token("eof", None, line, column))
+            return tokens
+        elif kind == "uident" and source[start].isalpha():
+            append(Token("ident", source[start:pos], line, column))
+        elif kind == "comment":
+            raise JSSyntaxError("unterminated block comment", line, column)
+        else:
+            raise JSSyntaxError(
+                f"unexpected character {source[start]!r}", line, column
+            )
+
+
+def _read_string(
+    source: str, start: int, line: int, column: int
+) -> Tuple[str, int]:
+    """Decode the string literal whose quote is at ``start``.
+
+    Returns the value and the index past the closing quote.  A string that
+    never closes, or that meets a raw line break, is reported at its quote
+    (``line``, ``column``); a malformed ``\\u``/``\\x`` escape at its first
+    digit.
+    """
+    quote = source[start]
+    run = _STRING_RUN[quote].match
+    parts: List[str] = []
+    pos = start + 1
+    while True:
+        end = run(source, pos).end()
+        parts.append(source[pos:end])
+        char = source[end : end + 1]
+        if char == quote:
+            return "".join(parts), end + 1
+        if char == "\n":
+            raise JSSyntaxError("newline in string literal", line, column)
+        # A backslash, or the end of the input.
+        escape = source[end + 1 : end + 2]
+        if not escape:
+            raise JSSyntaxError("unterminated string literal", line, column)
+        pos = end + 2
+        if escape in _HEX_ESCAPES:
+            digits, name = _HEX_ESCAPES[escape]
+            found = digits.match(source, pos)
+            if found is None:
+                raise JSSyntaxError(
+                    f"malformed {name} escape", *_position(source, pos)
+                )
+            parts.append(chr(int(found.group(), 16)))
+            pos = found.end()
+        else:
+            # Unknown escapes keep the escaped character, per spec.
+            parts.append(_STRING_ESCAPES.get(escape, escape))
+
+
+def _position(source: str, index: int) -> Tuple[int, int]:
+    """The 1-based line and column of ``source[index]``."""
+    return source.count("\n", 0, index) + 1, index - source.rfind("\n", 0, index)

@@ -9,11 +9,13 @@ supported in the pragmatic form real pages rely on: a statement may end at a
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, TypeVar
 
 from . import ast
 from .errors import JSSyntaxError
 from .lexer import Token, tokenize
+
+T = TypeVar("T")
 
 #: Binary operator precedence, higher binds tighter.  Mirrors ECMA-262.
 _BINARY_PRECEDENCE = {
@@ -55,14 +57,19 @@ class Parser:
         self.pos = 0
         #: When parsing a ``for (init ...`` head, the ``in`` operator must
         #: not be consumed as a binary operator; this flag suppresses it.
+        #: Brackets, literals, argument lists and function bodies nested
+        #: in the head allow ``in`` again (see :meth:`_with_in`).
         self._no_in = False
 
     # ------------------------------------------------------------------
     # token helpers
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        # The list ends in ``eof`` and _next never moves past it, so only
+        # lookahead needs the clamp.
+        if offset:
+            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def _next(self) -> Token:
         token = self._peek()
@@ -121,6 +128,15 @@ class Parser:
         if self._line_break_before():
             return
         raise self._error(f"expected ';', found {token.value!r}")
+
+    def _with_in(self, allowed: bool, parse: Callable[[], T]) -> T:
+        """Run ``parse`` with the ``in`` operator allowed or not, then
+        restore the enclosing setting."""
+        saved, self._no_in = self._no_in, not allowed
+        try:
+            return parse()
+        finally:
+            self._no_in = saved
 
     # ------------------------------------------------------------------
     # program & statements
@@ -209,7 +225,7 @@ class Parser:
                 if not self._eat_punct(","):
                     break
         self._expect_punct(")")
-        block = self._parse_block()
+        block = self._with_in(True, self._parse_block)
         return params, block.body
 
     def _parse_if(self) -> ast.IfStatement:
@@ -263,11 +279,7 @@ class Parser:
                 return ast.ForInStatement(
                     line=start.line, name=name, declares=True, object=obj, body=body
                 )
-            self._no_in = True
-            try:
-                declarations = self._parse_var_declarations()
-            finally:
-                self._no_in = False
+            declarations = self._with_in(False, self._parse_var_declarations)
             init: Optional[ast.Node] = ast.VariableDeclaration(
                 line=start.line, declarations=declarations
             )
@@ -283,11 +295,7 @@ class Parser:
                 return ast.ForInStatement(
                     line=start.line, name=name, declares=False, object=obj, body=body
                 )
-            self._no_in = True
-            try:
-                expr = self.parse_expression()
-            finally:
-                self._no_in = False
+            expr = self._with_in(False, self.parse_expression)
             init = ast.ExpressionStatement(line=start.line, expression=expr)
 
         self._expect_punct(";")
@@ -424,7 +432,7 @@ class Parser:
         if not self._at_punct("?"):
             return test
         self._next()
-        consequent = self.parse_assignment()
+        consequent = self._with_in(True, self.parse_assignment)
         self._expect_punct(":")
         alternate = self.parse_assignment()
         return ast.ConditionalExpression(
@@ -540,7 +548,7 @@ class Parser:
                 )
             elif token.is_punct("["):
                 self._next()
-                index = self.parse_expression()
+                index = self._with_in(True, self.parse_expression)
                 self._expect_punct("]")
                 expression = ast.MemberExpression(
                     line=token.line, object=expression, property=index, computed=True
@@ -562,7 +570,7 @@ class Parser:
                 )
             elif token.is_punct("["):
                 self._next()
-                index = self.parse_expression()
+                index = self._with_in(True, self.parse_expression)
                 self._expect_punct("]")
                 expression = ast.MemberExpression(
                     line=token.line, object=expression, property=index, computed=True
@@ -617,7 +625,7 @@ class Parser:
         arguments: List[ast.Node] = []
         if not self._at_punct(")"):
             while True:
-                arguments.append(self.parse_assignment())
+                arguments.append(self._with_in(True, self.parse_assignment))
                 if not self._eat_punct(","):
                     break
         self._expect_punct(")")
@@ -650,7 +658,7 @@ class Parser:
             return self._parse_function_expression()
         if token.is_punct("("):
             self._next()
-            expression = self.parse_expression()
+            expression = self._with_in(True, self.parse_expression)
             self._expect_punct(")")
             return expression
         if token.is_punct("["):
@@ -678,7 +686,7 @@ class Parser:
                 self._next()
                 elements.append(ast.UndefinedLiteral(line=start.line))
                 continue
-            elements.append(self.parse_assignment())
+            elements.append(self._with_in(True, self.parse_assignment))
             if not self._eat_punct(","):
                 break
         self._expect_punct("]")
@@ -706,7 +714,7 @@ class Parser:
             else:
                 raise self._error(f"invalid property key {token.value!r}")
             self._expect_punct(":")
-            value = self.parse_assignment()
+            value = self._with_in(True, self.parse_assignment)
             properties.append((key, value))
             if not self._eat_punct(","):
                 break

@@ -37,6 +37,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from .browser.page import clear_parse_cache
 from .browser.scheduler import RecordingScheduler, derive_page_seed
 from .core.hb.shb import (
     STATUS_CONDITIONAL,
@@ -372,6 +373,7 @@ def predict_pages(
     obs=None,
 ) -> List[PredictReport]:
     """Run the prediction pipeline over several pages, sequentially."""
+    clear_parse_cache()  # start cold, as a CLI run does
     return [
         predict_page(
             page,

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .browser.event_loop import ScheduleDivergence
-from .browser.page import Browser
+from .browser.page import Browser, clear_parse_cache
 from .browser.scheduler import (
     DivergenceScheduler,
     RecordingScheduler,
@@ -516,6 +516,7 @@ def explore_pages(
     from .corpus_runner import _pool_context, resolve_jobs
 
     obs = obs if obs is not None else NULL
+    clear_parse_cache()  # start cold, as a CLI run does
     specs = schedule_matrix(schedules, seed=seed)
     cells: List[Tuple[PageInput, ScheduleSpec]] = [
         (page, spec) for page in pages for spec in specs

@@ -29,7 +29,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Union
 
-from .browser.page import Browser, Page
+from .browser.page import Browser, Page, clear_parse_cache
 from .browser.scheduler import (
     Scheduler,
     SeededRandomScheduler,
@@ -607,6 +607,7 @@ class WebRacer:
         and the run continues.
         """
         report = CorpusReport()
+        clear_parse_cache()  # start cold, as a CLI run does
         for index, site in enumerate(sites):
             site_seed = (self.seed if seed is None else seed) + index * 101
             report.reports.append(

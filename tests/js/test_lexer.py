@@ -1,9 +1,39 @@
 """Tests for the JavaScript lexer."""
 
-import pytest
+import os
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.html.tokenizer import StartTag, Text, tokenize_html
 from repro.js.errors import JSSyntaxError
 from repro.js.lexer import Token, tokenize
+from repro.schedule_runner import load_page_inputs
+from repro.sites import build_corpus
+
+from .lexer_oracle import tokenize as reference_tokenize
+
+EXAMPLE_PAGES = os.path.join(
+    os.path.dirname(__file__), os.pardir, os.pardir, "examples", "pages"
+)
+
+#: What generated sources are made of: the characters and prefixes where
+#: the lexer's rules meet.
+FRAGMENTS = [
+    # identifiers: "é" is a letter; "²" and "٣" are digits isalpha()
+    # rejects; "\xa0" is a space the lexer does not skip
+    "a", "x1", "_", "$", "in", "var", "é", "²", "٣", "\xa0",
+    # numbers, whole and cut short
+    "0", "7", ".", "0x", "0xF", "1e+", "2E", "e", "-",
+    # strings and escapes, a backslash before a line break among them
+    "'", '"', "\\", "\\\n", "\\u", "\\u00e9", "\\x4", "\\n",
+    # comments, closed or not
+    "/*", "*/", "//", "/", "*",
+    # whitespace
+    " ", "\t", "\r", "\n", "\f", "\v",
+    # punctuators, and a character no rule takes
+    "=", ">>>=", "!==", "(", "}", ";", "@",
+]
 
 
 def types(source):
@@ -12,6 +42,42 @@ def types(source):
 
 def values(source):
     return [token.value for token in tokenize(source)[:-1]]
+
+
+def lexed(lex, source):
+    """``lex``'s tokens with their value types, or its error's text and
+    position."""
+    try:
+        return [(*token, type(token.value)) for token in lex(source)]
+    except JSSyntaxError as error:
+        return str(error), error.line, error.column
+
+
+def page_scripts():
+    """Every script of the corpus and the example pages: ``.js``
+    resources, inline ``<script>`` bodies and ``on*`` attributes."""
+    pages = [(site.html, site.resources) for site in build_corpus(0)]
+    pages += [(page.html, page.resources) for page in load_page_inputs(EXAMPLE_PAGES)]
+    scripts = set()
+    for html, resources in pages:
+        documents = [html]
+        for name, text in resources.items():
+            if name.endswith(".js"):
+                scripts.add(text)
+            elif name.endswith(".html"):
+                documents.append(text)
+        for document in documents:
+            tokens = tokenize_html(document)
+            for token, following in zip(tokens, tokens[1:] + [None]):
+                if isinstance(token, StartTag):
+                    scripts.update(
+                        value
+                        for name, value in token.attributes.items()
+                        if name.startswith("on")
+                    )
+                    if token.name == "script" and isinstance(following, Text):
+                        scripts.add(following.data)
+    return sorted(scripts)
 
 
 class TestBasicTokens:
@@ -49,6 +115,14 @@ class TestBasicTokens:
     def test_keyword_prefix_is_still_identifier(self):
         tokens = tokenize("variable functional iffy")
         assert all(token.type == "ident" for token in tokens[:-1])
+
+    def test_non_ascii_identifiers(self):
+        assert values("été x² a٣") == ["été", "x²", "a٣"]
+
+    @pytest.mark.parametrize("source", ["²", "٣", "\xa0"])
+    def test_only_letters_start_identifiers(self, source):
+        with pytest.raises(JSSyntaxError, match="unexpected character"):
+            tokenize(source)
 
 
 class TestNumbers:
@@ -165,3 +239,39 @@ class TestPositions:
         assert token.is_punct("{")
         assert not token.is_punct("}")
         assert not Token("ident", "{", 1, 1).is_punct("{")
+
+    def test_escaped_line_break_in_a_string(self):
+        tokens = tokenize("'a\\\nb' c")
+        assert tokens[0].value == "a\nb"
+        assert (tokens[1].line, tokens[1].column) == (2, 4)
+
+    def test_string_errors_after_an_escaped_line_break(self):
+        """An unterminated string is reported where it starts; a bad
+        escape where its digits start."""
+        with pytest.raises(JSSyntaxError) as exc_info:
+            tokenize("x = 'a\\\nb")
+        assert (exc_info.value.line, exc_info.value.column) == (1, 5)
+        with pytest.raises(JSSyntaxError) as exc_info:
+            tokenize("'\\\n\\u12'")
+        assert (exc_info.value.line, exc_info.value.column) == (2, 3)
+
+
+class TestAgainstReferenceLexer:
+    """The master-pattern lexer against the character-at-a-time one it
+    replaced (``lexer_oracle``): the same tokens, or the same error."""
+
+    @given(
+        st.one_of(
+            st.lists(st.sampled_from(FRAGMENTS), max_size=40).map("".join),
+            st.text(max_size=40),
+        )
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_generated_sources(self, source):
+        assert lexed(tokenize, source) == lexed(reference_tokenize, source)
+
+    def test_every_page_script(self):
+        scripts = page_scripts()
+        assert len(scripts) > 100
+        for source in scripts:
+            assert lexed(tokenize, source) == lexed(reference_tokenize, source)

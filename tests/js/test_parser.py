@@ -297,3 +297,71 @@ class TestExpressions:
         assert isinstance(parse_expression("undefined"), ast.UndefinedLiteral)
         assert parse_expression("true").value is True
         assert parse_expression("false").value is False
+
+
+class TestInOperatorInForHeads:
+    """``in`` is banned only at the top level of a for-loop initializer,
+    where it would read as a for-in; the brackets, literals, argument
+    lists and function bodies nested there allow it again."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "for (var x = ('a' in o); x; ) {}",
+            "for (var f = function () { return 'a' in o; }; f; ) {}",
+            "for (x = [('a' in o)]; x; ) {}",
+            "for (var i = g('a' in o); i; ) {}",
+            "for (var x = {k: 'a' in o}; x; ) {}",
+            "for (var x = o['a' in p]; x; ) {}",
+            "for (var x = c ? 'a' in o : 0; x; ) {}",
+        ],
+    )
+    def test_in_inside_nested_constructs(self, source):
+        loop = stmt(source)
+        assert isinstance(loop, ast.ForStatement)
+        assert "operator='in'" in repr(loop.init)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "for (var x = 'a' in o; x; ) {}",
+            # A loop nested in the head restores the ban on its way out.
+            "for (var f = function () { for (var i = 0; ; ) {} }, y = 'a' in o; ; ) {}",
+        ],
+    )
+    def test_in_at_the_top_of_an_initializer_is_an_error(self, source):
+        with pytest.raises(JSSyntaxError):
+            parse(source)
+
+    def test_for_in_and_three_clause_loops_keep_their_asts(self):
+        assert stmt("for (var k in o) f(k);") == ast.ForInStatement(
+            name="k",
+            declares=True,
+            object=ast.Identifier(name="o"),
+            body=ast.ExpressionStatement(
+                expression=ast.CallExpression(
+                    callee=ast.Identifier(name="f"),
+                    arguments=[ast.Identifier(name="k")],
+                )
+            ),
+        )
+        assert stmt("for (var i = 0; i < n; i++) s += i;") == ast.ForStatement(
+            init=ast.VariableDeclaration(
+                declarations=[("i", ast.NumberLiteral(value=0.0))]
+            ),
+            test=ast.BinaryExpression(
+                operator="<",
+                left=ast.Identifier(name="i"),
+                right=ast.Identifier(name="n"),
+            ),
+            update=ast.UpdateExpression(
+                operator="++", operand=ast.Identifier(name="i"), prefix=False
+            ),
+            body=ast.ExpressionStatement(
+                expression=ast.AssignmentExpression(
+                    operator="+=",
+                    target=ast.Identifier(name="s"),
+                    value=ast.Identifier(name="i"),
+                )
+            ),
+        )
