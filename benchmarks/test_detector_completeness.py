@@ -14,6 +14,8 @@ from repro.core.detector import RaceDetector
 from repro.core.full_detector import FullHistoryDetector
 from repro.core.hb.graph import HBGraph
 from repro.core.locations import VarLocation
+from repro.core.trace import Trace
+from tests.core.trace_rows import feed, record
 
 LOC = VarLocation(cell_id=1, name="e")
 
@@ -52,11 +54,13 @@ def random_workload(rng, operations=12, accesses=40, edge_density=0.2):
 
 
 def run_both(graph, schedule):
-    constant = RaceDetector(graph)
-    full = FullHistoryDetector(graph, dedup_per_location=True)
+    trace = Trace()
+    constant = RaceDetector(trace, graph)
+    full = FullHistoryDetector(trace, graph, dedup_per_location=True)
     for access in schedule:
-        constant.on_access(access)
-        full.on_access(access)
+        row = record(trace, access).seq
+        constant.on_access(row)
+        full.on_access(row)
     return constant, full
 
 
@@ -116,10 +120,11 @@ def test_detector_memory_is_constant_per_location(benchmark):
         graph = HBGraph()
         for op in range(1, 202):
             graph.add_operation(op)
-        detector = RaceDetector(graph)
+        detector = RaceDetector(Trace(), graph)
         for op in range(1, 201):
-            detector.on_access(
-                Access(kind=WRITE if op % 2 else READ, op_id=op, location=LOC)
+            feed(
+                detector,
+                Access(kind=WRITE if op % 2 else READ, op_id=op, location=LOC),
             )
         return detector
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..core.access import READ, WRITE, Access
+from ..core.access import READ, WRITE
 from ..core.detector import RaceDetector
 from ..core.full_detector import FullHistoryDetector
 from ..core.hb.backend import make_backend
@@ -31,13 +31,14 @@ from ..core.locations import (
     CollectionLocation,
     DomPropLocation,
     ElementKey,
+    HandlerLocation,
     HElemLocation,
-    Location,
     PropLocation,
+    TimerSlotLocation,
     VarLocation,
 )
 from ..core.operations import Operation
-from ..core.trace import Trace
+from ..core.trace import CALL, FUNCTION_DECL, LocationKey, Trace
 from ..dom.document import Document, DomInstrumentation
 from ..dom.element import Element
 from ..dom.node import Node
@@ -64,6 +65,7 @@ class Monitor:
         self.graph = make_backend(hb_backend, obs=self.obs)
         self.rules = RuleEngine(self.graph)
         self.detector = RaceDetector(
+            self.trace,
             self.graph,
             report_all_per_location=report_all_per_location,
             obs=self.obs,
@@ -71,13 +73,15 @@ class Monitor:
         self.trace.subscribe(self.detector.on_access)
         self.full_detector: Optional[FullHistoryDetector] = None
         if full_history:
-            self.full_detector = FullHistoryDetector(self.graph, obs=self.obs)
+            self.full_detector = FullHistoryDetector(
+                self.trace, self.graph, obs=self.obs
+            )
             self.trace.subscribe(self.full_detector.on_access)
         self._op_stack: List[Operation] = []
         #: element node_id -> create(E) operation id (Section 3.2 create()).
         self.create_ops: Dict[int, int] = {}
-        #: (op_id, location) pairs read, for read-before-write details.
-        self._op_reads: Set[Tuple[int, Location]] = set()
+        #: (op_id, location id) pairs read, for read-before-write details.
+        self._op_reads: Set[Tuple[int, int]] = set()
         self.js_hooks = _JsHooks(self)
 
     # ------------------------------------------------------------------
@@ -135,45 +139,43 @@ class Monitor:
         self._op_stack[-1] = operation
         return previous
 
-    def operation_meta(self, key: str) -> Any:
-        """Read a meta key from the current operation (or None)."""
-        operation = self.current
-        return operation.meta.get(key) if operation is not None else None
-
     # ------------------------------------------------------------------
     # generic access recording
 
     def record(
         self,
         kind: str,
-        location: Location,
-        is_call: bool = False,
-        is_function_decl: bool = False,
+        key: LocationKey,
+        bits: int = 0,
         detail: Optional[dict] = None,
-    ) -> Optional[Access]:
-        """Record one logical access by the current operation."""
+    ) -> Optional[int]:
+        """Record one access to location ``key`` by the current operation.
+
+        ``key`` is ``(LocationClass, *fields)``; ``bits`` holds the
+        trace's ``CALL``/``FUNCTION_DECL`` flags.  Returns the trace row,
+        or None when nothing was recorded.
+        """
         if not self.enabled or not self._op_stack:
             return None
-        op_id = self.current_id()
+        operation = self._op_stack[-1]
+        op_id = operation.op_id
+        is_read = kind == READ
         if self.obs.enabled:
-            self.obs.count("access.read" if kind == READ else "access.write")
-        detail = dict(detail) if detail else {}
-        if kind == READ:
-            self._op_reads.add((op_id, location))
+            self.obs.count("access.read" if is_read else "access.write")
+        trace = self.trace
+        loc = trace.intern(key)
+        if is_read:
+            self._op_reads.add((op_id, loc))
         else:
-            if (op_id, location) in self._op_reads:
-                detail.setdefault("read_before_write", True)
-            if self.operation_meta("delayed_script"):
-                detail.setdefault("deliberate_delay", True)
-        access = Access(
-            kind=kind,
-            op_id=op_id,
-            location=location,
-            is_call=is_call,
-            is_function_decl=is_function_decl,
-            detail=detail,
-        )
-        return self.trace.record(access)
+            guarded = (op_id, loc) in self._op_reads
+            delayed = operation.meta.get("delayed_script")
+            if guarded or delayed:
+                detail = dict(detail) if detail else {}
+                if guarded:
+                    detail.setdefault("read_before_write", True)
+                if delayed:
+                    detail.setdefault("deliberate_delay", True)
+        return trace.record(op_id, loc, is_read, bits, detail)
 
     def record_crash(self, error: Any, where: str = "") -> None:
         """Record a hidden script crash for the current operation."""
@@ -197,36 +199,28 @@ class Monitor:
         removal: bool = False,
     ) -> None:
         """Eloc write: a handler was installed/removed (Section 4.3)."""
-        from ..core.locations import HandlerLocation
-
         detail = {"removal": True} if removal else None
         self.record(
-            WRITE, HandlerLocation(target_key, event, handler_key), detail=detail
+            WRITE, (HandlerLocation, target_key, event, handler_key), detail=detail
         )
 
     def handler_read(
         self, target_key: ElementKey, event: str, handler_key: str = ATTR_SLOT
     ) -> None:
         """Eloc read: a handler slot inspected/executed (Section 4.3)."""
-        from ..core.locations import HandlerLocation
-
-        self.record(READ, HandlerLocation(target_key, event, handler_key))
+        self.record(READ, (HandlerLocation, target_key, event, handler_key))
 
     # ------------------------------------------------------------------
     # timer slots (Section 7 extension)
 
     def timer_slot_write(self, timer_id: int, clearing: bool = False) -> None:
         """Timer created or cleared (the Section 7 extension)."""
-        from ..core.locations import TimerSlotLocation
-
         detail = {"clearing": True} if clearing else None
-        self.record(WRITE, TimerSlotLocation(timer_id), detail=detail)
+        self.record(WRITE, (TimerSlotLocation, timer_id), detail=detail)
 
     def timer_slot_read(self, timer_id: int) -> None:
         """Timer fired: the slot is read by the callback operation."""
-        from ..core.locations import TimerSlotLocation
-
-        self.record(READ, TimerSlotLocation(timer_id))
+        self.record(READ, (TimerSlotLocation, timer_id))
 
     # ------------------------------------------------------------------
     # DOM property accesses (Section 4.1 "Additional Cases")
@@ -238,13 +232,13 @@ class Monitor:
         detail = {"user_input": True} if user_input else None
         self.record(
             WRITE,
-            DomPropLocation(element.element_key, name, tag=element.tag),
+            (DomPropLocation, element.element_key, name, element.tag),
             detail=detail,
         )
 
     def dom_prop_read(self, element: Element, name: str) -> None:
         """DOM-property read (form values etc., Section 4.1)."""
-        self.record(READ, DomPropLocation(element.element_key, name, tag=element.tag))
+        self.record(READ, (DomPropLocation, element.element_key, name, element.tag))
 
     # ------------------------------------------------------------------
     # structural DOM instrumentation (Section 4.2)
@@ -283,7 +277,9 @@ class _JsHooks(AccessHooks):
 
     def var_read(self, cell_id: int, name: str, is_call: bool = False) -> None:
         """Closure-cell read -> VarLocation access."""
-        self.monitor.record(READ, VarLocation(cell_id, name), is_call=is_call)
+        self.monitor.record(
+            READ, (VarLocation, cell_id, name), CALL if is_call else 0
+        )
 
     def var_write(
         self,
@@ -296,14 +292,16 @@ class _JsHooks(AccessHooks):
         detail = {"writes_function": True} if writes_function else None
         self.monitor.record(
             WRITE,
-            VarLocation(cell_id, name),
-            is_function_decl=is_function_decl,
-            detail=detail,
+            (VarLocation, cell_id, name),
+            FUNCTION_DECL if is_function_decl else 0,
+            detail,
         )
 
     def prop_read(self, object_id: int, name: str, is_call: bool = False) -> None:
         """Object-property read -> PropLocation access."""
-        self.monitor.record(READ, PropLocation(object_id, name), is_call=is_call)
+        self.monitor.record(
+            READ, (PropLocation, object_id, name), CALL if is_call else 0
+        )
 
     def prop_write(
         self,
@@ -316,9 +314,9 @@ class _JsHooks(AccessHooks):
         detail = {"writes_function": True} if writes_function else None
         self.monitor.record(
             WRITE,
-            PropLocation(object_id, name),
-            is_function_decl=is_function_decl,
-            detail=detail,
+            (PropLocation, object_id, name),
+            FUNCTION_DECL if is_function_decl else 0,
+            detail,
         )
 
 
@@ -328,19 +326,26 @@ class _DomHooks(DomInstrumentation):
     def __init__(self, monitor: Monitor):
         self.monitor = monitor
 
-    def element_inserted(self, element: Element, parent: Node, index: int) -> None:
+    def element_inserted(self, element: Element, parent: Node) -> None:
         """HElem + structural writes for an insertion (Section 4.2)."""
+        self.monitor.note_created(element)
+        self._structural_writes(element, parent)
+
+    def element_removed(self, element: Element, parent: Node) -> None:
+        """HElem + structural writes for a removal (Section 4.2)."""
+        self._structural_writes(element, parent)
+
+    def _structural_writes(self, element: Element, parent: Node) -> None:
         monitor = self.monitor
-        monitor.note_created(element)
         # Write the element's own logical location (Section 4.2).
-        monitor.record(WRITE, HElemLocation(element.element_key))
-        # Write the collection buckets it joins.
+        monitor.record(WRITE, (HElemLocation, element.element_key))
+        # Write the collection buckets it joins or leaves.
         document = element.home_document
         if document is not None:
             for bucket in Document.categories_of(element):
                 kind, _sep, key = bucket.partition(":")
                 monitor.record(
-                    WRITE, CollectionLocation(document.doc_id, kind, key)
+                    WRITE, (CollectionLocation, document.doc_id, kind, key)
                 )
         # Structural JS-heap writes (Section 4.1): childNodes on the parent,
         # parentNode on the child.  (The paper indexes childNodes[i]; we use
@@ -349,32 +354,11 @@ class _DomHooks(DomInstrumentation):
         if isinstance(parent, Element):
             monitor.record(
                 WRITE,
-                DomPropLocation(parent.element_key, "childNodes", tag=parent.tag),
+                (DomPropLocation, parent.element_key, "childNodes", parent.tag),
             )
         monitor.record(
             WRITE,
-            DomPropLocation(element.element_key, "parentNode", tag=element.tag),
-        )
-
-    def element_removed(self, element: Element, parent: Node) -> None:
-        """HElem + structural writes for a removal (Section 4.2)."""
-        monitor = self.monitor
-        monitor.record(WRITE, HElemLocation(element.element_key))
-        document = element.home_document
-        if document is not None:
-            for bucket in Document.categories_of(element):
-                kind, _sep, key = bucket.partition(":")
-                monitor.record(
-                    WRITE, CollectionLocation(document.doc_id, kind, key)
-                )
-        if isinstance(parent, Element):
-            monitor.record(
-                WRITE,
-                DomPropLocation(parent.element_key, "childNodes", tag=parent.tag),
-            )
-        monitor.record(
-            WRITE,
-            DomPropLocation(element.element_key, "parentNode", tag=element.tag),
+            (DomPropLocation, element.element_key, "parentNode", element.tag),
         )
 
     def element_read(
@@ -382,9 +366,9 @@ class _DomHooks(DomInstrumentation):
     ) -> None:
         """HElem read from a query API (hits and misses)."""
         self.monitor.record(
-            READ, HElemLocation(key), detail={"found": found, "via": via}
+            READ, (HElemLocation, key), detail={"found": found, "via": via}
         )
 
     def collection_read(self, document: Document, kind: str, key: str) -> None:
         """Read of a document-level element collection."""
-        self.monitor.record(READ, CollectionLocation(document.doc_id, kind, key))
+        self.monitor.record(READ, (CollectionLocation, document.doc_id, kind, key))

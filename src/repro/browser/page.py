@@ -63,7 +63,7 @@ from .scheduler import Scheduler, make_scheduler
 from .timers import TimerEntry, TimerRegistry
 from .window import Window, reset_window_ids
 from .xhr import XhrBinding, make_xhr_constructor
-from ..obs import NULL
+from ..obs import NULL as NULL_OBS
 
 #: Virtual milliseconds consumed by parsing one element.
 PARSE_STEP_MS = 0.5
@@ -120,7 +120,7 @@ class Browser:
         reset_node_ids()
         reset_window_ids()
         self.seed = seed
-        self.obs = obs if obs is not None else NULL
+        self.obs = obs if obs is not None else NULL_OBS
         self.clock = VirtualClock()
         if isinstance(scheduler, str):
             # `schedule_seed` decouples the scheduler's randomness from

@@ -14,6 +14,11 @@ The paper notes (and we reproduce in ``full_detector``/E10) that keeping
 only the most recent access per slot can miss races.  Like the paper's
 tool, at most one race is reported per location per run (footnote 13);
 ``report_all_per_location=True`` lifts that for experiments.
+
+The detector works on trace rows (:mod:`repro.core.trace`): both cells map
+a location id to a row, and the two racing
+:class:`~repro.core.access.Access` records are built only when a race is
+reported.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from typing import Dict, List, Optional, Set
 from .access import Access
 from .hb.backend import HBBackend
 from .locations import Location
+from .trace import Trace
 from ..obs import NULL
 
 READ_WRITE = "read-write"
@@ -69,76 +75,89 @@ class Race:
 
 
 class RaceDetector:
-    """The constant-memory LastRead/LastWrite detector."""
+    """The constant-memory LastRead/LastWrite detector over a trace's rows."""
 
     def __init__(
         self,
+        trace: Trace,
         hb: HBBackend,
         report_all_per_location: bool = False,
         obs=None,
     ):
+        self.trace = trace
         self.hb = hb
         self.report_all_per_location = report_all_per_location
         self.obs = obs if obs is not None else NULL
-        self.last_read: Dict[Location, Access] = {}
-        self.last_write: Dict[Location, Access] = {}
+        #: location id -> row of the last read / last write there.
+        self.last_read: Dict[int, int] = {}
+        self.last_write: Dict[int, int] = {}
         self.races: List[Race] = []
-        self._reported_locations: Set[Location] = set()
+        self._reported_locations: Set[int] = set()
         #: Number of CHC queries issued — the cost metric for E9.
         self.chc_queries = 0
 
     # ------------------------------------------------------------------
 
-    def _chc(self, prior: Optional[Access], current: Access) -> bool:
-        """CHC with ⊥ handling: an empty slot can never race."""
+    def _chc(self, prior: Optional[int], op_id: int) -> bool:
+        """CHC of row ``prior``'s operation with ``op_id``; ⊥ never races."""
         if prior is None:
             return False
-        if prior.op_id == current.op_id:
+        prior_op = self.trace.ops[prior]
+        if prior_op == op_id:
             # Same-operation pairs are settled without consulting the HB
             # relation, so they must not count toward the E9 query metric.
             return False
         self.chc_queries += 1
-        concurrent = self.hb.concurrent(prior.op_id, current.op_id)
+        concurrent = self.hb.concurrent(prior_op, op_id)
         if self.obs.enabled:
             self.obs.count(CHC_QUERY_COUNTER)
             self.obs.count("chc.hit" if concurrent else "chc.miss")
         return concurrent
 
-    def _report(self, prior: Access, current: Access, kind: str) -> None:
-        if (
-            not self.report_all_per_location
-            and current.location in self._reported_locations
-        ):
+    def _report(self, prior: int, row: int, loc: int, kind: str) -> None:
+        if not self.report_all_per_location and loc in self._reported_locations:
             return
-        self._reported_locations.add(current.location)
+        self._reported_locations.add(loc)
+        trace = self.trace
+        location = trace.location_table[loc]
         if self.obs.enabled:
             self.obs.count("race.reported")
-            self.obs.instant(
-                "race", kind=kind, location=current.location.describe()
-            )
+            self.obs.instant("race", kind=kind, location=location.describe())
         self.races.append(
-            Race(location=current.location, prior=prior, current=current, kind=kind)
+            Race(
+                location=location,
+                prior=trace.access(prior),
+                current=trace.access(row),
+                kind=kind,
+            )
         )
 
-    def on_access(self, access: Access) -> None:
-        """Process one access (subscribe this to the trace)."""
-        location = access.location
-        if access.is_read:
-            prior_write = self.last_write.get(location)
-            if self._chc(prior_write, access):
-                self._report(prior_write, access, READ_WRITE)
-            self.last_read[location] = access
+    def on_access(self, row: int) -> None:
+        """Process one trace row (subscribe this to the trace)."""
+        trace = self.trace
+        loc = trace.locs[row]
+        op_id = trace.ops[row]
+        prior_write = self.last_write.get(loc)
+        if trace.reads[row]:
+            if self._chc(prior_write, op_id):
+                self._report(prior_write, row, loc, READ_WRITE)
+            self.last_read[loc] = row
             return
         # write
-        prior_write = self.last_write.get(location)
-        prior_read = self.last_read.get(location)
-        write_races = self._chc(prior_write, access)
-        read_races = self._chc(prior_read, access)
+        prior_read = self.last_read.get(loc)
+        write_races = self._chc(prior_write, op_id)
+        read_races = self._chc(prior_read, op_id)
         if write_races:
-            self._report(prior_write, access, WRITE_WRITE)
+            self._report(prior_write, row, loc, WRITE_WRITE)
         if read_races and (not write_races or self.report_all_per_location):
-            self._report(prior_read, access, READ_WRITE)
-        self.last_write[location] = access
+            self._report(prior_read, row, loc, READ_WRITE)
+        self.last_write[loc] = row
+
+    def replay(self) -> "RaceDetector":
+        """Feed every row already in the trace through :meth:`on_access`."""
+        for row in range(len(self.trace)):
+            self.on_access(row)
+        return self
 
     # ------------------------------------------------------------------
 

@@ -66,18 +66,22 @@ def form_race_filter(race: Race, race_type: str, trace: Trace) -> bool:
 def _read_preceded_write(write: Access, trace: Trace) -> bool:
     """Did ``write``'s operation read the same location before writing?
 
-    Answered from the trace's per-``(op_id, location)`` access index by
-    ``seq`` comparison — O(1) per race instead of a full trace rescan, and
-    immune to traces whose seqs are not contiguous list indices.
+    Answered from the location's accesses by ``seq`` (row) comparison.
     """
     if write.detail.get("read_before_write"):
         return True
-    return trace.access_index().read_before(write.op_id, write.location, write.seq)
+    return any(
+        access.is_read and access.op_id == write.op_id and access.seq < write.seq
+        for access in trace.accesses_to(write.location)
+    )
 
 
 def _write_follows_read(read: Access, trace: Trace) -> bool:
     """Does ``read``'s operation write the same location later on?"""
-    return trace.access_index().write_after(read.op_id, read.location, read.seq)
+    return any(
+        access.is_write and access.op_id == read.op_id and access.seq > read.seq
+        for access in trace.accesses_to(read.location)
+    )
 
 
 def single_dispatch_filter(race: Race, race_type: str, trace: Trace) -> bool:
@@ -105,11 +109,6 @@ class FilterChain:
         """Run every filter over ``races``; returns the survivors."""
         self.removed = {}
         with self.obs.span("filters", cat="pipeline", races=len(races)):
-            # Build the access index once up front; the per-race helpers then
-            # answer from it in O(1) (quadratic rescans otherwise dominate on
-            # race-heavy pages).
-            with self.obs.span("filters.access_index", cat="pipeline"):
-                trace.access_index()
             kept: List[Race] = []
             for race in races:
                 race_type = classify_race(race)

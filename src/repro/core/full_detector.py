@@ -17,55 +17,82 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from .access import Access
 from .detector import READ_WRITE, WRITE_WRITE, Race
 from .hb.backend import HBBackend
 from .locations import Location
+from .trace import Trace
 from ..obs import NULL
 
 
 class FullHistoryDetector:
-    """Race detector that remembers every access per location."""
+    """Race detector that remembers every access row per location."""
 
-    def __init__(self, hb: HBBackend, dedup_per_location: bool = False, obs=None):
+    def __init__(
+        self,
+        trace: Trace,
+        hb: HBBackend,
+        dedup_per_location: bool = False,
+        obs=None,
+    ):
+        self.trace = trace
         self.hb = hb
         self.dedup_per_location = dedup_per_location
         self.obs = obs if obs is not None else NULL
-        self.history: Dict[Location, List[Access]] = {}
+        #: location id -> every row at that location, in trace order.
+        self.history: Dict[int, List[int]] = {}
         self.races: List[Race] = []
-        self._seen_pairs: Set[Tuple[Location, int, int]] = set()
-        self._reported_locations: Set[Location] = set()
+        #: (location id, low op, high op) of every reported pair.
+        self._seen_pairs: Set[Tuple[int, int, int]] = set()
+        self._reported_locations: Set[int] = set()
         self.chc_queries = 0
 
-    def on_access(self, access: Access) -> None:
-        """Check the access against every prior access at its location."""
-        location = access.location
-        history = self.history.setdefault(location, [])
+    def on_access(self, row: int) -> None:
+        """Check one row against every prior row at its location."""
+        trace = self.trace
+        ops, reads = trace.ops, trace.reads
+        loc = trace.locs[row]
+        op_id = ops[row]
+        is_read = reads[row]
+        history = self.history.setdefault(loc, [])
         for prior in history:
-            if prior.op_id == access.op_id:
+            prior_op = ops[prior]
+            if prior_op == op_id:
                 continue
-            if not (prior.is_write or access.is_write):
+            if is_read and reads[prior]:
                 continue
             self.chc_queries += 1
             if self.obs.enabled:
                 self.obs.count("chc.query.full_history")
-            if not self.hb.concurrent(prior.op_id, access.op_id):
+            if not self.hb.concurrent(prior_op, op_id):
                 continue
-            self._report(prior, access)
-        history.append(access)
+            self._report(prior, row, loc)
+        history.append(row)
 
-    def _report(self, prior: Access, current: Access) -> None:
-        location = current.location
-        if self.dedup_per_location and location in self._reported_locations:
+    def replay(self) -> "FullHistoryDetector":
+        """Feed every row already in the trace through :meth:`on_access`."""
+        for row in range(len(self.trace)):
+            self.on_access(row)
+        return self
+
+    def _report(self, prior: int, row: int, loc: int) -> None:
+        if self.dedup_per_location and loc in self._reported_locations:
             return
-        kind = WRITE_WRITE if (prior.is_write and current.is_write) else READ_WRITE
-        race = Race(location=location, prior=prior, current=current, kind=kind)
-        pair_key = race.pair_key()
+        trace = self.trace
+        a, b = trace.ops[prior], trace.ops[row]
+        pair_key = (loc, min(a, b), max(a, b))
         if pair_key in self._seen_pairs:
             return
         self._seen_pairs.add(pair_key)
-        self._reported_locations.add(location)
-        self.races.append(race)
+        self._reported_locations.add(loc)
+        both_write = not (trace.reads[prior] or trace.reads[row])
+        self.races.append(
+            Race(
+                location=trace.location_table[loc],
+                prior=trace.access(prior),
+                current=trace.access(row),
+                kind=WRITE_WRITE if both_write else READ_WRITE,
+            )
+        )
 
     # ------------------------------------------------------------------
 

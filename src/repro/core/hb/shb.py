@@ -140,29 +140,29 @@ def reads_from_edges(trace: Trace, hb: HBBackend) -> List[ReadsFromEdge]:
     its location in trace order.  Deduplicated per ``(src, dst,
     location)``; same-operation pairs carry no scheduling constraint and
     are skipped."""
-    last_write: Dict[object, int] = {}
-    seen: Set[Tuple[int, int, object]] = set()
+    # location id -> op id of the last write there.
+    last_write: Dict[int, int] = {}
+    seen: Set[Tuple[int, int, int]] = set()
     edges: List[ReadsFromEdge] = []
-    for access in trace.accesses:
-        location = access.location
-        if access.is_read:
-            src = last_write.get(location)
-            if src is None or src == access.op_id:
-                continue
-            key = (src, access.op_id, location)
-            if key in seen:
-                continue
-            seen.add(key)
-            edges.append(
-                ReadsFromEdge(
-                    src=src,
-                    dst=access.op_id,
-                    location=location,
-                    racy=hb.concurrent(src, access.op_id),
-                )
+    for op_id, loc, is_read in zip(trace.ops, trace.locs, trace.reads):
+        if not is_read:
+            last_write[loc] = op_id
+            continue
+        src = last_write.get(loc)
+        if src is None or src == op_id:
+            continue
+        key = (src, op_id, loc)
+        if key in seen:
+            continue
+        seen.add(key)
+        edges.append(
+            ReadsFromEdge(
+                src=src,
+                dst=op_id,
+                location=trace.location_table[loc],
+                racy=hb.concurrent(src, op_id),
             )
-        else:
-            last_write[location] = access.op_id
+        )
     return edges
 
 
@@ -251,10 +251,7 @@ def observed_races(trace: Trace, hb: HBBackend) -> List[Race]:
     This is the baseline "what the paper's tool reports in this
     schedule"; predictions are defined relative to it.
     """
-    detector = RaceDetector(hb)
-    for access in trace.accesses:
-        detector.on_access(access)
-    return detector.races
+    return RaceDetector(trace, hb).replay().races
 
 
 def predict_races(
@@ -272,9 +269,7 @@ def predict_races(
     """
     if observed is None:
         observed = observed_races(trace, hb)
-    sweep = FullHistoryDetector(hb)
-    for access in trace.accesses:
-        sweep.on_access(access)
+    sweep = FullHistoryDetector(trace, hb).replay()
     shb, rf_edges = build_shb(trace, hb)
     observed_keys = {
         race.pair_key()

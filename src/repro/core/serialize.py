@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
-from .access import Access
+from .access import READ
 from .detector import RaceDetector
 from .filters import FilterChain
 from .full_detector import FullHistoryDetector
@@ -36,18 +36,9 @@ from .locations import (
     VarLocation,
 )
 from .report import RaceReport, build_report
-from .trace import Trace
+from .trace import CALL, FUNCTION_DECL, LocationKey, Trace
 
 FORMAT_VERSION = 1
-
-_LOCATION_TYPES = {
-    "var": VarLocation,
-    "prop": PropLocation,
-    "domprop": DomPropLocation,
-    "helem": HElemLocation,
-    "collection": CollectionLocation,
-    "handler": HandlerLocation,
-}
 
 
 def _location_to_json(location: Location) -> Dict[str, Any]:
@@ -83,31 +74,34 @@ def _location_to_json(location: Location) -> Dict[str, Any]:
     raise TypeError(f"cannot serialize location {location!r}")
 
 
-def _location_from_json(data: Dict[str, Any]) -> Location:
+def _location_key_from_json(data: Dict[str, Any]) -> LocationKey:
+    """The interning key (``(LocationClass, *fields)``) of a JSON location."""
     kind = data["t"]
     if kind == "var":
-        return VarLocation(cell_id=data["cell_id"], name=data["name"])
+        return (VarLocation, data["cell_id"], data["name"])
     if kind == "prop":
-        return PropLocation(object_id=data["object_id"], name=data["name"])
+        return (PropLocation, data["object_id"], data["name"])
     if kind == "domprop":
-        return DomPropLocation(
-            element=tuple(data["element"]), name=data["name"], tag=data["tag"]
-        )
+        return (DomPropLocation, tuple(data["element"]), data["name"], data["tag"])
     if kind == "helem":
-        return HElemLocation(element=tuple(data["element"]))
+        return (HElemLocation, tuple(data["element"]))
     if kind == "collection":
-        return CollectionLocation(
-            document_id=data["document_id"], kind=data["kind"], key=data["key"]
-        )
+        return (CollectionLocation, data["document_id"], data["kind"], data["key"])
     if kind == "handler":
-        return HandlerLocation(
-            element=tuple(data["element"]),
-            event=data["event"],
-            handler=data["handler"],
+        return (
+            HandlerLocation,
+            tuple(data["element"]),
+            data["event"],
+            data["handler"],
         )
     if kind == "timer":
-        return TimerSlotLocation(timer_id=data["timer_id"])
+        return (TimerSlotLocation, data["timer_id"])
     raise ValueError(f"unknown location type {kind!r}")
+
+
+def _location_from_json(data: Dict[str, Any]) -> Location:
+    key = _location_key_from_json(data)
+    return key[0](*key[1:])
 
 
 def trace_to_dict(trace: Trace, graph: HBGraph) -> Dict[str, Any]:
@@ -173,14 +167,9 @@ class LoadedTrace:
 
     def detect(self, full_history: bool = False):
         """Replay all accesses through a fresh detector; returns it."""
-        detector: Any
         if full_history:
-            detector = FullHistoryDetector(self.graph)
-        else:
-            detector = RaceDetector(self.graph)
-        for access in self.trace.accesses:
-            detector.on_access(access)
-        return detector
+            return FullHistoryDetector(self.trace, self.graph).replay()
+        return RaceDetector(self.trace, self.graph).replay()
 
     def report(self, apply_filters: bool = True) -> RaceReport:
         """Full offline pipeline: detect, filter, classify, judge."""
@@ -242,14 +231,12 @@ def trace_from_dict(data: Dict[str, Any], hb_backend: str = "graph") -> LoadedTr
     graph.finalize_all()
     for access_data in data["accesses"]:
         trace.record(
-            Access(
-                kind=access_data["kind"],
-                op_id=access_data["op_id"],
-                location=_location_from_json(access_data["location"]),
-                is_call=access_data["is_call"],
-                is_function_decl=access_data["is_function_decl"],
-                detail=dict(access_data["detail"]),
-            )
+            access_data["op_id"],
+            trace.intern(_location_key_from_json(access_data["location"])),
+            access_data["kind"] == READ,
+            (CALL if access_data["is_call"] else 0)
+            | (FUNCTION_DECL if access_data["is_function_decl"] else 0),
+            dict(access_data["detail"]),
         )
     for crash_data in data["crashes"]:
         trace.record_crash(_LoadedCrash(crash_data))

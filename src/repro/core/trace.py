@@ -8,50 +8,57 @@ instrumentation communicating directly with the detector rather than
 generating a separate event trace — Section 5.2.1), but the trace is kept
 anyway: the full-history detector, the filters, and the experiment harness
 all consume it after the fact.
+
+Accesses are stored as columns of plain integers, one *row* per access:
+operation id, location id, read flag and call/declaration bits, plus a
+detail dict for the few rows that carry one.  Each location is interned
+once, by its key ``(LocationClass, *fields)`` — exactly the frozen
+dataclass's equality — and its :class:`~repro.core.locations.Location`
+object is built on its first access.  :class:`~repro.core.access.Access`
+records are built on demand (``trace.accesses``, ``trace.access(row)``);
+``Access.seq`` is the row index.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from collections.abc import Sequence
+from dataclasses import fields
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .access import Access
+from .access import READ, WRITE, Access
 from .locations import Location
 from .operations import Operation, OperationFactory
 
+#: Bits of a row's ``bits`` column.
+CALL = 1
+FUNCTION_DECL = 2
 
-class AccessIndex:
-    """Per-``(op_id, location)`` access index over one trace.
+#: ``(LocationClass, *field values)``: equal keys <=> equal locations.
+LocationKey = Tuple
 
-    Built in one pass; answers the filters' "did this operation read the
-    location before/write it after seq N?" questions in O(1) instead of
-    rescanning the whole trace per race.  Lookups compare recorded ``seq``
-    values, never list positions, so traces whose seqs are non-contiguous
-    (reconstructed, sliced, or merged traces) are handled correctly.
-    """
 
-    def __init__(self, accesses: List[Access]):
-        self.count = len(accesses)
-        #: (op_id, location) -> sorted seqs of that operation's reads there.
-        self._reads: Dict[Tuple[int, Location], List[int]] = {}
-        #: (op_id, location) -> sorted seqs of that operation's writes there.
-        self._writes: Dict[Tuple[int, Location], List[int]] = {}
-        for access in accesses:
-            bucket = self._reads if access.is_read else self._writes
-            bucket.setdefault((access.op_id, access.location), []).append(access.seq)
-        for seqs in self._reads.values():
-            seqs.sort()
-        for seqs in self._writes.values():
-            seqs.sort()
+def location_key(location: Location) -> LocationKey:
+    """The interning key of a location object."""
+    return (type(location), *(getattr(location, f.name) for f in fields(location)))
 
-    def read_before(self, op_id: int, location: Location, seq: int) -> bool:
-        """Did ``op_id`` read ``location`` at a seq strictly before ``seq``?"""
-        seqs = self._reads.get((op_id, location))
-        return bool(seqs) and seqs[0] < seq
 
-    def write_after(self, op_id: int, location: Location, seq: int) -> bool:
-        """Did ``op_id`` write ``location`` at a seq strictly after ``seq``?"""
-        seqs = self._writes.get((op_id, location))
-        return bool(seqs) and seqs[-1] > seq
+class AccessView(Sequence):
+    """Read-only sequence of a trace's accesses, built row by row on demand."""
+
+    def __init__(self, trace: "Trace"):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace.ops)
+
+    def __getitem__(self, index):
+        rows = range(len(self._trace.ops))
+        if isinstance(index, slice):
+            return [self._trace.access(row) for row in rows[index]]
+        return self._trace.access(rows[index])
+
+    def __iter__(self) -> Iterator[Access]:
+        return map(self._trace.access, range(len(self._trace.ops)))
 
 
 class Trace:
@@ -59,25 +66,56 @@ class Trace:
 
     def __init__(self, operations: Optional[OperationFactory] = None):
         self.operations = operations if operations is not None else OperationFactory()
-        self.accesses: List[Access] = []
+        # One column per field, indexed by row.
+        self.ops: List[int] = []
+        self.locs: List[int] = []
+        self.reads: List[bool] = []
+        self.bits: List[int] = []
+        #: row -> detail dict, only for rows that have one.
+        self.details: Dict[int, dict] = {}
+        #: location id -> Location.
+        self.location_table: List[Location] = []
+        self._location_ids: Dict[LocationKey, int] = {}
+        #: location id -> [rows scanned, rows at the location].
+        self._location_rows: Dict[int, list] = {}
+        self.accesses = AccessView(self)
         self.crashes: List = []  # repro.js.errors.ScriptCrash values
-        self._listeners: List[Callable[[Access], None]] = []
-        self._access_index: Optional[AccessIndex] = None
+        self._listeners: List[Callable[[int], None]] = []
 
     # ------------------------------------------------------------------
     # recording
 
-    def subscribe(self, listener: Callable[[Access], None]) -> None:
-        """Register an online consumer (e.g. the race detector)."""
+    def subscribe(self, listener: Callable[[int], None]) -> None:
+        """Register an online consumer of rows (e.g. the race detector)."""
         self._listeners.append(listener)
 
-    def record(self, access: Access) -> Access:
-        """Append an access, stamping its sequence index, and fan out."""
-        access.seq = len(self.accesses)
-        self.accesses.append(access)
+    def intern(self, key: LocationKey) -> int:
+        """The dense id of location ``key``, building it on first sight."""
+        loc = self._location_ids.get(key)
+        if loc is None:
+            loc = self._location_ids[key] = len(self.location_table)
+            self.location_table.append(key[0](*key[1:]))
+        return loc
+
+    def record(
+        self,
+        op_id: int,
+        loc: int,
+        is_read: bool,
+        bits: int = 0,
+        detail: Optional[dict] = None,
+    ) -> int:
+        """Append one access row, fan it out, and return its index."""
+        row = len(self.ops)
+        self.ops.append(op_id)
+        self.locs.append(loc)
+        self.reads.append(is_read)
+        self.bits.append(bits)
+        if detail:
+            self.details[row] = detail
         for listener in self._listeners:
-            listener(access)
-        return access
+            listener(row)
+        return row
 
     def record_crash(self, crash) -> None:
         """Append a hidden-crash record."""
@@ -86,17 +124,43 @@ class Trace:
     # ------------------------------------------------------------------
     # queries
 
-    def access_index(self) -> AccessIndex:
-        """The per-``(op_id, location)`` index, built lazily and cached.
+    def access(self, row: int) -> Access:
+        """The :class:`Access` record of one row (built fresh)."""
+        bits = self.bits[row]
+        return Access(
+            kind=READ if self.reads[row] else WRITE,
+            op_id=self.ops[row],
+            location=self.location_table[self.locs[row]],
+            seq=row,
+            is_call=bool(bits & CALL),
+            is_function_decl=bool(bits & FUNCTION_DECL),
+            detail=self.details.get(row, {}),
+        )
 
-        Rebuilt automatically when the access list has grown (or was
-        reconstructed in place) since the last build.
+    def rows_of(self, location: Location) -> List[int]:
+        """Rows accessing ``location``, in trace order.
+
+        Built on the first request for a location and extended by the rows
+        recorded since, so only the locations asked about are indexed.
         """
-        index = self._access_index
-        if index is None or index.count != len(self.accesses):
-            index = AccessIndex(self.accesses)
-            self._access_index = index
-        return index
+        loc = self._location_ids.get(location_key(location))
+        if loc is None:
+            return []
+        entry = self._location_rows.get(loc)
+        if entry is None:
+            entry = self._location_rows[loc] = [0, []]
+        scanned, rows = entry
+        locs = self.locs
+        if scanned < len(locs):
+            row = scanned - 1
+            try:
+                while True:
+                    row = locs.index(loc, row + 1)
+                    rows.append(row)
+            except ValueError:
+                pass
+            entry[0] = len(locs)
+        return rows
 
     def operation(self, op_id: int) -> Operation:
         """Look up an operation by id."""
@@ -104,25 +168,22 @@ class Trace:
 
     def accesses_to(self, location: Location) -> List[Access]:
         """All accesses to one location, in order."""
-        return [access for access in self.accesses if access.location == location]
+        return [self.access(row) for row in self.rows_of(location)]
 
     def locations(self) -> List[Location]:
         """Distinct locations accessed, in first-touch order."""
-        seen: Dict[Location, None] = {}
-        for access in self.accesses:
-            seen.setdefault(access.location)
-        return list(seen.keys())
+        return list(self.location_table)
 
     def accesses_by_operation(self, op_id: int) -> List[Access]:
         """All accesses performed by one operation."""
-        return [access for access in self.accesses if access.op_id == op_id]
+        return [self.access(row) for row, op in enumerate(self.ops) if op == op_id]
 
     def __len__(self) -> int:
-        return len(self.accesses)
+        return len(self.ops)
 
     def summary(self) -> str:
         """One-line trace statistics."""
         return (
             f"Trace: {len(self.operations)} operations, "
-            f"{len(self.accesses)} accesses, {len(self.crashes)} hidden crashes"
+            f"{len(self.ops)} accesses, {len(self.crashes)} hidden crashes"
         )

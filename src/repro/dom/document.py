@@ -24,7 +24,7 @@ from .node import Node
 class DomInstrumentation:
     """Sink for the Document's logical memory accesses; defaults to no-op."""
 
-    def element_inserted(self, element: Element, parent: Node, index: int) -> None:
+    def element_inserted(self, element: Element, parent: Node) -> None:
         """Element written into the document (parse or dynamic insert)."""
 
     def element_removed(self, element: Element, parent: Node) -> None:
@@ -105,9 +105,7 @@ class Document(Node):
             if isinstance(node, Element):
                 self._index(node)
                 node.inserted = True
-                node_parent = node.parent
-                index = node_parent.child_index(node) if node_parent else 0
-                self.instrumentation.element_inserted(node, node_parent, index)
+                self.instrumentation.element_inserted(node, node.parent)
         return element
 
     def remove(self, element: Element) -> Element:

@@ -168,9 +168,7 @@ def _access_dict(race: Race, role: str) -> Dict[str, Any]:
 
 def _timeline(trace: Trace, race: Race, seq: int) -> List[Dict[str, Any]]:
     """Accesses to the racing location nearest to ``seq``, in order."""
-    touches = trace.accesses_to(race.location)
-    touches.sort(key=lambda a: abs(a.seq - seq))
-    window = sorted(touches[:TIMELINE_WINDOW], key=lambda a: a.seq)
+    nearest = sorted(trace.rows_of(race.location), key=lambda row: abs(row - seq))
     racing = {race.prior.seq, race.current.seq}
     return [
         {
@@ -179,7 +177,7 @@ def _timeline(trace: Trace, race: Race, seq: int) -> List[Dict[str, Any]]:
             "kind": access.kind,
             "racing": access.seq in racing,
         }
-        for access in window
+        for access in map(trace.access, sorted(nearest[:TIMELINE_WINDOW]))
     ]
 
 

@@ -10,6 +10,7 @@ JavaScript containing ``<`` doesn't confuse the tokenizer).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Union
 
@@ -21,6 +22,14 @@ VOID_TAGS = frozenset(
 
 #: Tags whose content is raw text up to the matching end tag.
 RAW_TEXT_TAGS = frozenset(["script", "style"])
+
+#: End-tag search per raw-text tag.  End-tag names match ASCII
+#: case-insensitively, and the search runs on the source itself: offsets
+#: found in a ``lower()``-ed copy drift wherever lowering lengthens a
+#: character (``"İ".lower()`` is two code points).
+_RAW_TEXT_END = {
+    tag: re.compile("</" + tag, re.IGNORECASE | re.ASCII) for tag in RAW_TEXT_TAGS
+}
 
 
 @dataclass
@@ -189,13 +198,12 @@ class HtmlTokenizer:
 
     def _read_raw_text(self, tag: str):
         """Raw content until ``</tag>``; returns (text, EndTag-or-None)."""
-        close = f"</{tag}"
-        lower = self.source.lower()
-        index = lower.find(close, self.pos)
-        if index == -1:
+        match = _RAW_TEXT_END[tag].search(self.source, self.pos)
+        if match is None:
             data = self.source[self.pos :]
             self.pos = len(self.source)
             return data, None
+        index = match.start()
         data = self.source[self.pos : index]
         end = self.source.find(">", index)
         self.pos = len(self.source) if end == -1 else end + 1

@@ -15,6 +15,8 @@ from repro.core.locations import (
 from repro.core.operations import EXE, PARSE, SEGMENT
 from repro.dom.document import Document
 
+from ..core.trace_rows import monitor_record
+
 
 @pytest.fixture
 def monitor():
@@ -65,50 +67,50 @@ class TestOperationStack:
 
 class TestRecording:
     def test_access_outside_operation_ignored(self, monitor):
-        result = monitor.record(READ, VarLocation(1, "x"))
+        result = monitor_record(monitor, READ, VarLocation(1, "x"))
         assert result is None
         assert len(monitor.trace) == 0
 
     def test_access_attributed_to_current_op(self, monitor):
         op = begin_op(monitor)
-        access = monitor.record(WRITE, VarLocation(1, "x"))
+        access = monitor_record(monitor, WRITE, VarLocation(1, "x"))
         assert access.op_id == op.op_id
 
     def test_disabled_monitor_records_nothing(self):
         monitor = Monitor(enabled=False)
         begin_op(monitor)
-        assert monitor.record(WRITE, VarLocation(1, "x")) is None
+        assert monitor_record(monitor, WRITE, VarLocation(1, "x")) is None
 
     def test_read_before_write_detail(self, monitor):
         begin_op(monitor)
         location = DomPropLocation(id_key(1, "f"), "value", tag="input")
-        monitor.record(READ, location)
-        write = monitor.record(WRITE, location)
+        monitor_record(monitor, READ, location)
+        write = monitor_record(monitor, WRITE, location)
         assert write.detail.get("read_before_write") is True
 
     def test_no_read_before_write_across_operations(self, monitor):
         location = DomPropLocation(id_key(1, "f"), "value", tag="input")
         first = begin_op(monitor)
-        monitor.record(READ, location)
+        monitor_record(monitor, READ, location)
         monitor.end_operation(first)
         begin_op(monitor)
-        write = monitor.record(WRITE, location)
+        write = monitor_record(monitor, WRITE, location)
         assert "read_before_write" not in write.detail
 
     def test_delayed_script_marks_writes(self, monitor):
         op = monitor.new_operation(EXE, meta={"delayed_script": True})
         monitor.begin_operation(op)
-        write = monitor.record(
-            WRITE, HandlerLocation(id_key(1, "img"), "load")
+        write = monitor_record(
+            monitor, WRITE, HandlerLocation(id_key(1, "img"), "load")
         )
         assert write.detail.get("deliberate_delay") is True
 
     def test_detector_wired_to_trace(self, monitor):
         op1 = begin_op(monitor)
-        monitor.record(WRITE, VarLocation(1, "x"))
+        monitor_record(monitor, WRITE, VarLocation(1, "x"))
         monitor.end_operation(op1)
         op2 = begin_op(monitor)
-        monitor.record(WRITE, VarLocation(1, "x"))
+        monitor_record(monitor, WRITE, VarLocation(1, "x"))
         monitor.end_operation(op2)
         # No HB edges between the two ops -> race.
         assert len(monitor.races) == 1
@@ -117,7 +119,7 @@ class TestRecording:
         monitor = Monitor(full_history=True)
         assert monitor.full_detector is not None
         op = begin_op(monitor)
-        monitor.record(WRITE, VarLocation(1, "x"))
+        monitor_record(monitor, WRITE, VarLocation(1, "x"))
         assert len(monitor.full_detector.history) == 1
 
 

@@ -321,3 +321,15 @@ class TestTimers:
     def test_interval_capped(self):
         page = load("<script>setInterval(function() { }, 1);</script>")
         assert page.loaded()  # the cap keeps the loop finite
+
+
+class TestGetHelper:
+    def test_get_of_missing_id_returns_js_null(self):
+        page = load(
+            "<div id='here'></div>"
+            "<script>missing = $get('nope') === null;"
+            " found = $get('here') === null;</script>"
+        )
+        globals_ = page.interpreter.global_object
+        assert globals_.get_own("missing") is True
+        assert globals_.get_own("found") is False

@@ -9,6 +9,8 @@ from repro.core.hb.graph import HBGraph
 from repro.core.locations import VarLocation
 from repro.core.trace import Trace
 
+from .trace_rows import record
+
 LOC = VarLocation(cell_id=1, name="counter")
 
 
@@ -21,7 +23,7 @@ def build(edges, accesses):
     for src, dst in edges:
         graph.add_edge(src, dst)
     for kind, op in accesses:
-        trace.record(Access(kind=kind, op_id=op, location=LOC))
+        record(trace, Access(kind=kind, op_id=op, location=LOC))
     return trace, graph
 
 

@@ -4,6 +4,7 @@ from repro.core.access import READ, WRITE, Access
 from repro.core.detector import Race, READ_WRITE, WRITE_WRITE
 from repro.core.filters import (
     FilterChain,
+    _read_preceded_write,
     apply_default_filters,
     form_race_filter,
     single_dispatch_filter,
@@ -18,6 +19,8 @@ from repro.core.locations import (
     node_key,
 )
 from repro.core.trace import Trace
+
+from .trace_rows import record
 
 
 def make_race(location, prior_kind=WRITE, current_kind=WRITE, prior_op=2, current_op=3,
@@ -62,10 +65,8 @@ class TestFormFilter:
 
     def test_drops_guarded_write_via_trace_scan(self):
         trace = Trace()
-        guard_read = Access(kind=READ, op_id=3, location=FORM_VALUE)
-        trace.record(guard_read)
-        write = Access(kind=WRITE, op_id=3, location=FORM_VALUE)
-        trace.record(write)
+        guard_read = record(trace, Access(kind=READ, op_id=3, location=FORM_VALUE))
+        write = record(trace, Access(kind=WRITE, op_id=3, location=FORM_VALUE))
         race = Race(
             location=FORM_VALUE,
             prior=Access(kind=WRITE, op_id=2, location=FORM_VALUE),
@@ -76,9 +77,8 @@ class TestFormFilter:
 
     def test_drops_guard_read_racing_with_user_write(self):
         trace = Trace()
-        read = Access(kind=READ, op_id=3, location=FORM_VALUE)
-        trace.record(read)
-        trace.record(Access(kind=WRITE, op_id=3, location=FORM_VALUE))
+        read = record(trace, Access(kind=READ, op_id=3, location=FORM_VALUE))
+        record(trace, Access(kind=WRITE, op_id=3, location=FORM_VALUE))
         race = Race(
             location=FORM_VALUE,
             prior=Access(kind=WRITE, op_id=2, location=FORM_VALUE,
@@ -90,19 +90,25 @@ class TestFormFilter:
 
 
 class TestReconstructedTraces:
-    """Filters must key off ``seq`` values, not list positions.
-
-    A trace that was sliced, merged, or reconstructed offline can have
-    non-contiguous seqs; the old list-slicing helpers silently missed
-    guards there (``accesses[seq + 1:]`` walked past the end)."""
+    """Filters must find the guard by row comparison, however far apart
+    the guard read and the guarded write sit: other rows, including other
+    operations' accesses to the same field, separate them."""
 
     @staticmethod
-    def sparse_trace():
+    def pad(trace, rows):
+        """Rows of another operation, on the field and on a global."""
+        for index in range(rows):
+            location = FORM_VALUE if index % 2 else PLAIN_GLOBAL
+            record(trace, Access(kind=READ, op_id=9, location=location))
+
+    @classmethod
+    def sparse_trace(cls):
         trace = Trace()
-        read = Access(kind=READ, op_id=3, location=FORM_VALUE, seq=5)
-        write = Access(kind=WRITE, op_id=3, location=FORM_VALUE, seq=7)
-        # Bypass record(): reconstructed traces keep their original seqs.
-        trace.accesses.extend([read, write])
+        cls.pad(trace, 5)
+        read = record(trace, Access(kind=READ, op_id=3, location=FORM_VALUE))
+        cls.pad(trace, 1)
+        write = record(trace, Access(kind=WRITE, op_id=3, location=FORM_VALUE))
+        assert (read.seq, write.seq) == (5, 7)
         return trace, read, write
 
     def test_guard_read_found_despite_sparse_seqs(self):
@@ -130,8 +136,9 @@ class TestReconstructedTraces:
 
     def test_unguarded_sparse_trace_keeps_race(self):
         trace = Trace()
-        write = Access(kind=WRITE, op_id=3, location=FORM_VALUE, seq=11)
-        trace.accesses.append(write)
+        self.pad(trace, 11)
+        write = record(trace, Access(kind=WRITE, op_id=3, location=FORM_VALUE))
+        assert write.seq == 11
         race = Race(
             location=FORM_VALUE,
             prior=Access(kind=WRITE, op_id=2, location=FORM_VALUE, seq=4),
@@ -142,13 +149,13 @@ class TestReconstructedTraces:
 
     def test_index_rebuilds_when_trace_grows(self):
         trace = Trace()
-        write = Access(kind=WRITE, op_id=3, location=FORM_VALUE)
-        trace.record(write)
-        assert not trace.access_index().read_before(3, FORM_VALUE, write.seq)
-        trace.record(Access(kind=READ, op_id=3, location=FORM_VALUE))
-        later_write = Access(kind=WRITE, op_id=3, location=FORM_VALUE)
-        trace.record(later_write)
-        assert trace.access_index().read_before(3, FORM_VALUE, later_write.seq)
+        write = record(trace, Access(kind=WRITE, op_id=3, location=FORM_VALUE))
+        assert trace.rows_of(FORM_VALUE) == [write.seq]
+        assert not _read_preceded_write(write, trace)
+        read = record(trace, Access(kind=READ, op_id=3, location=FORM_VALUE))
+        later_write = record(trace, Access(kind=WRITE, op_id=3, location=FORM_VALUE))
+        assert trace.rows_of(FORM_VALUE) == [write.seq, read.seq, later_write.seq]
+        assert _read_preceded_write(later_write, trace)
 
 
 class TestSingleDispatchFilter:

@@ -32,6 +32,8 @@ from repro.core.hb.shb import (
 from repro.core.locations import VarLocation
 from repro.core.trace import Trace
 
+from .trace_rows import record
+
 LOC = VarLocation(cell_id=1, name="x")
 LOC2 = VarLocation(cell_id=2, name="y")
 LOC3 = VarLocation(cell_id=3, name="z")
@@ -49,7 +51,7 @@ def make_trace(n_ops, edges, accesses):
     for src, dst in edges:
         graph.add_edge(src, dst, "1a:static-order")
     for kind, op_id, location in accesses:
-        trace.record(Access(kind=kind, op_id=op_id, location=location))
+        record(trace, Access(kind=kind, op_id=op_id, location=location))
     return trace, graph
 
 
@@ -264,11 +266,11 @@ class TestPredictionSoundness:
         n_ops, edges, accesses = shape
         trace, graph = make_trace(n_ops, edges, accesses)
 
-        exact = RaceDetector(graph)
-        sweep = FullHistoryDetector(graph)
-        for access in trace.accesses:
-            exact.on_access(access)
-            sweep.on_access(access)
+        exact = RaceDetector(trace, graph)
+        sweep = FullHistoryDetector(trace, graph)
+        for row in range(len(trace)):
+            exact.on_access(row)
+            sweep.on_access(row)
 
         analysis = predict_races(trace, graph)
         observed_keys = _race_keys(analysis.observed)

@@ -14,6 +14,8 @@ from repro.core.operations import (
 )
 from repro.core.trace import Trace
 
+from .trace_rows import record
+
 
 class TestOperationFactory:
     def test_ids_start_at_one(self):
@@ -59,42 +61,42 @@ class TestTrace:
     def test_record_stamps_sequence(self):
         trace = Trace()
         location = VarLocation(1, "x")
-        first = trace.record(Access(kind=WRITE, op_id=1, location=location))
-        second = trace.record(Access(kind=READ, op_id=2, location=location))
+        first = record(trace, Access(kind=WRITE, op_id=1, location=location))
+        second = record(trace, Access(kind=READ, op_id=2, location=location))
         assert (first.seq, second.seq) == (0, 1)
 
     def test_listeners_called_in_order(self):
         trace = Trace()
         seen = []
-        trace.subscribe(lambda access: seen.append(access.seq))
-        trace.record(Access(kind=WRITE, op_id=1, location=VarLocation(1, "x")))
+        trace.subscribe(seen.append)
+        record(trace, Access(kind=WRITE, op_id=1, location=VarLocation(1, "x")))
         assert seen == [0]
 
     def test_accesses_to(self):
         trace = Trace()
         x = VarLocation(1, "x")
         y = VarLocation(2, "y")
-        trace.record(Access(kind=WRITE, op_id=1, location=x))
-        trace.record(Access(kind=WRITE, op_id=1, location=y))
-        trace.record(Access(kind=READ, op_id=2, location=x))
+        record(trace, Access(kind=WRITE, op_id=1, location=x))
+        record(trace, Access(kind=WRITE, op_id=1, location=y))
+        record(trace, Access(kind=READ, op_id=2, location=x))
         assert len(trace.accesses_to(x)) == 2
         assert len(trace.accesses_to(y)) == 1
 
     def test_locations_deduplicated_in_order(self):
         trace = Trace()
         x = VarLocation(1, "x")
-        trace.record(Access(kind=WRITE, op_id=1, location=x))
-        trace.record(Access(kind=READ, op_id=2, location=x))
+        record(trace, Access(kind=WRITE, op_id=1, location=x))
+        record(trace, Access(kind=READ, op_id=2, location=x))
         assert trace.locations() == [x]
 
     def test_accesses_by_operation(self):
         trace = Trace()
         x = VarLocation(1, "x")
-        trace.record(Access(kind=WRITE, op_id=1, location=x))
-        trace.record(Access(kind=WRITE, op_id=2, location=x))
+        record(trace, Access(kind=WRITE, op_id=1, location=x))
+        record(trace, Access(kind=WRITE, op_id=2, location=x))
         assert len(trace.accesses_by_operation(2)) == 1
 
     def test_summary_counts(self):
         trace = Trace()
-        trace.record(Access(kind=WRITE, op_id=1, location=VarLocation(1, "x")))
+        record(trace, Access(kind=WRITE, op_id=1, location=VarLocation(1, "x")))
         assert "1 accesses" in trace.summary()

@@ -154,6 +154,8 @@ class TestDisjointComponents:
         from repro.core.report import build_report
         from repro.core.trace import Trace
 
+        from ..core.trace_rows import feed
+
         trace = Trace()
         for _ in range(4):
             trace.operations.create("dispatch")
@@ -161,12 +163,12 @@ class TestDisjointComponents:
         hb.add_edge(1, 2, "8:target-created-before-dispatch")
         hb.add_edge(3, 4, "8:target-created-before-dispatch")
         location = VarLocation(cell_id=1, name="x")
-        detector = RaceDetector(hb)
+        detector = RaceDetector(trace, hb)
         for access in (
             Access(kind=WRITE, op_id=2, location=location),
             Access(kind=READ, op_id=4, location=location),
         ):
-            detector.on_access(trace.record(access))
+            feed(detector, access)
         assert len(detector.races) == 1
         report = build_report(detector.races, trace)
         return report.races[0], trace, hb

@@ -1,13 +1,19 @@
 """Tests for the HTML tokenizer."""
 
+from pathlib import Path
+
 from repro.html.tokenizer import (
     Comment,
     Doctype,
     EndTag,
+    HtmlTokenizer,
     StartTag,
     Text,
     tokenize_html,
 )
+from repro.sites import build_corpus
+
+PAGES = Path(__file__).resolve().parents[2] / "examples" / "pages"
 
 
 class TestTags:
@@ -102,6 +108,24 @@ class TestScriptsRawText:
         tokens = tokenize_html("<style>a > b { color: red }</style>")
         assert "a > b" in tokens[1].data
 
+    def test_end_tag_matches_ascii_case_insensitively(self):
+        tokens = tokenize_html("<script>x = 1;</ScRiPt ><style>a</STYLE>")
+        assert [token.data for token in tokens if isinstance(token, Text)] == [
+            "x = 1;",
+            "a",
+        ]
+        assert [token.name for token in tokens if isinstance(token, EndTag)] == [
+            "script",
+            "style",
+        ]
+
+    def test_script_intact_after_text_that_lengthens_when_lowered(self):
+        """``"İ".lower()`` is two code points: an end tag found in a
+        lowered copy would cut the script short of its last characters."""
+        tokens = tokenize_html("<p>İİİİ</p><script>var a = 1;</script>")
+        assert tokens[4].data == "var a = 1;"
+        assert tokens[5] == EndTag("script")
+
 
 class TestCommentsAndDoctype:
     def test_comment(self):
@@ -131,3 +155,38 @@ class TestText:
         tokens = tokenize_html("<p>1 < 2</p>")
         text = "".join(t.data for t in tokens if isinstance(t, Text))
         assert "<" in text
+
+
+class LoweredCopyTokenizer(HtmlTokenizer):
+    """The earlier end-tag search: ``</tag`` found in a lowered copy."""
+
+    def _read_raw_text(self, tag):
+        index = self.source.lower().find(f"</{tag}", self.pos)
+        if index == -1:
+            data = self.source[self.pos :]
+            self.pos = len(self.source)
+            return data, None
+        data = self.source[self.pos : index]
+        end = self.source.find(">", index)
+        self.pos = len(self.source) if end == -1 else end + 1
+        return data, EndTag(tag)
+
+
+def _shipped_pages():
+    for site in build_corpus(master_seed=0):
+        yield site.name, site.html
+        for name, body in site.resources.items():
+            if name.endswith((".html", ".htm")):
+                yield f"{site.name}/{name}", body
+    for path in sorted(PAGES.glob("*.html")):
+        yield path.name, path.read_text()
+
+
+def test_tokens_unchanged_on_shipped_pages():
+    """On the corpus and example pages, where lowering keeps every
+    offset, the direct search yields the earlier tokens exactly."""
+    pages = list(_shipped_pages())
+    assert len(pages) > 100
+    for name, source in pages:
+        expected = LoweredCopyTokenizer(source).tokenize()
+        assert tokenize_html(source) == expected, name
