@@ -113,10 +113,11 @@ import json
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from . import WebRacer
 from .browser.scheduler import SCHEDULER_POLICIES
+from .config import RunConfig
 from .core.hb.backend import HB_BACKENDS
 from .core.render import render_crashes, render_race_report, render_table1, render_table2
 from .core.report import RACE_TYPES
@@ -155,15 +156,69 @@ def _output_path_error(path: str) -> Optional[str]:
     return None
 
 
-def _validate_output_paths(args) -> Optional[str]:
-    """First problem among the requested output paths, or ``None``."""
+#: Count flags: ``(dest, strict, bound)`` reads "must be > bound" when
+#: strict, else "must be >= bound".  Unset (``None``) flags are skipped.
+COUNT_FLAGS = (
+    ("sites", False, 0),
+    ("jobs", False, 0),
+    ("schedules", False, 1),
+    ("budget", False, 1),
+    ("last", False, 1),
+    ("site_timeout", True, 0),
+    ("fail_on_regression", True, 0),
+)
+
+
+def _check_flags(args) -> Optional[str]:
+    """First problem among the output paths and count flags, or ``None``."""
     for flag in OUTPUT_PATH_FLAGS:
         path = getattr(args, flag, None)
-        if path:
-            error = _output_path_error(path)
-            if error:
-                return error
+        error = _output_path_error(path) if path else None
+        if error:
+            return error
+    for dest, strict, bound in COUNT_FLAGS:
+        value = getattr(args, dest, None)
+        if value is not None and (value <= bound if strict else value < bound):
+            flag = "--" + dest.replace("_", "-")
+            return f"{flag} must be {'>' if strict else '>='} {bound}, got {value}"
     return None
+
+
+def _directory_error(flag: str, path: str) -> Optional[str]:
+    """Why ``path`` cannot be the directory ``flag`` writes into, or
+    ``None`` once it exists and is writable."""
+    if os.path.isfile(path):
+        return f"{flag} {path!r} is a file"
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        return f"cannot create {flag} {path!r}: {exc.strerror or exc}"
+    if not os.access(path, os.W_OK):
+        return f"{flag} {path!r} is not writable"
+    return None
+
+
+def _preflight(args) -> Tuple[Optional[RunConfig], Optional[str]]:
+    """Everything a run command can check before it runs.
+
+    Returns ``(config, error)``.  Output paths, the run config, count
+    flags, then the directories the run writes into — so a bad flag
+    exits 2 before any work, and never after a directory was created.
+    """
+    error = _check_flags(args)
+    if error:
+        return None, error
+    config, error = RunConfig.from_args(args)
+    if error:
+        return None, error
+    for flag, path in (
+        ("--traces-dir", getattr(args, "traces_dir", None)),
+        ("--ledger", args.ledger),
+    ):
+        error = _directory_error(flag, path) if path else None
+        if error:
+            return None, error
+    return config, None
 
 
 def _write_output(path: str, writer) -> Optional[str]:
@@ -173,100 +228,6 @@ def _write_output(path: str, writer) -> Optional[str]:
         return None
     except OSError as exc:
         return f"cannot write {path!r}: {exc.strerror or exc}"
-
-
-def _scheduler_args_error(args) -> Optional[str]:
-    """Why the scheduler flags are inconsistent, or ``None``.
-
-    ``--schedule-seed`` only means something under the random policy;
-    silently ignoring it would let a user believe they varied a FIFO or
-    adversarial run.
-    """
-    if getattr(args, "schedule_seed", None) is not None:
-        if getattr(args, "scheduler", "fifo") != "random":
-            return "--schedule-seed requires --scheduler random"
-    return None
-
-
-def _network_args_error(args) -> Optional[str]:
-    """Why the network flags are inconsistent, or ``None``.
-
-    The tuning knobs only mean something under the connection model;
-    silently ignoring them would let a user believe a uniform run was
-    bandwidth-shaped.
-    """
-    if getattr(args, "network", "uniform") == "uniform":
-        for flag, name in (
-            ("bandwidth", "--bandwidth"),
-            ("rtt", "--rtt"),
-            ("connections_per_origin", "--connections-per-origin"),
-        ):
-            if getattr(args, flag, None) is not None:
-                return f"{name} requires --network connection"
-        return None
-    if args.bandwidth is not None and args.bandwidth <= 0:
-        return f"--bandwidth must be > 0, got {args.bandwidth:g}"
-    if args.rtt is not None and args.rtt <= 0:
-        return f"--rtt must be > 0, got {args.rtt:g}"
-    if args.connections_per_origin is not None and args.connections_per_origin < 1:
-        return (
-            f"--connections-per-origin must be >= 1, "
-            f"got {args.connections_per_origin}"
-        )
-    return None
-
-
-def _network_kwargs(args) -> dict:
-    """WebRacer constructor kwargs for the network flags."""
-    return {
-        "network": getattr(args, "network", "uniform"),
-        "bandwidth": getattr(args, "bandwidth", None),
-        "rtt": getattr(args, "rtt", None),
-        "connections_per_origin": getattr(args, "connections_per_origin", None),
-    }
-
-
-def _network_config(args) -> dict:
-    """Ledger config additions for the connection network model.
-
-    Uniform runs add nothing, so ledgers written before the connection
-    model existed keep their config digests and still baseline against
-    new uniform runs.
-    """
-    if getattr(args, "network", "uniform") == "uniform":
-        return {}
-    from .browser.network import (
-        DEFAULT_BANDWIDTH,
-        DEFAULT_CONNECTIONS_PER_ORIGIN,
-        DEFAULT_RTT,
-    )
-
-    bandwidth = getattr(args, "bandwidth", None)
-    rtt = getattr(args, "rtt", None)
-    connections = getattr(args, "connections_per_origin", None)
-    return {
-        "network": args.network,
-        "bandwidth": bandwidth if bandwidth is not None else DEFAULT_BANDWIDTH,
-        "rtt": rtt if rtt is not None else DEFAULT_RTT,
-        "connections_per_origin": (
-            connections
-            if connections is not None
-            else DEFAULT_CONNECTIONS_PER_ORIGIN
-        ),
-    }
-
-
-def _page_network(args) -> dict:
-    """The :class:`~repro.schedule_runner.PageInput` network config the
-    flags describe (``{}`` = uniform, the PageInput default)."""
-    if getattr(args, "network", "uniform") == "uniform":
-        return {}
-    return {
-        "model": args.network,
-        "bandwidth": getattr(args, "bandwidth", None),
-        "rtt": getattr(args, "rtt", None),
-        "connections_per_origin": getattr(args, "connections_per_origin", None),
-    }
 
 
 def _parse_resources(mappings) -> tuple:
@@ -337,20 +298,6 @@ def _make_obs(args) -> Optional[Instrumentation]:
     return None
 
 
-def _ledger_dir_error(path: str) -> Optional[str]:
-    """Why ``path`` cannot hold a ledger, or ``None`` (validated up front,
-    like every output path, so a bad ledger fails before the run)."""
-    if os.path.isfile(path):
-        return f"--ledger {path!r} is a file"
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        return f"cannot create --ledger {path!r}: {exc.strerror or exc}"
-    if not os.access(path, os.W_OK):
-        return f"--ledger {path!r} is not writable"
-    return None
-
-
 def _append_ledger(args, command, config, races, totals, obs, started) -> Optional[str]:
     """Append exactly one run record when ``--ledger`` is set.
 
@@ -377,6 +324,27 @@ def _append_ledger(args, command, config, races, totals, obs, started) -> Option
         return f"cannot append to ledger {args.ledger!r}: {exc}"
     print(f"run {record['run_id']} appended to {ledger.path}")
     return None
+
+
+def _ledger_races(found: Iterable[tuple]) -> List[dict]:
+    """Ledger race entries from ``(page, fingerprint, verdict, info)``
+    tuples, where ``info`` maps ``race_type``, ``harmful``, ``location``
+    and ``description``.  The first entry per page and fingerprint wins."""
+    entries = {}
+    for page, fingerprint, verdict, info in found:
+        entries.setdefault(
+            (page, fingerprint),
+            {
+                "fingerprint": fingerprint,
+                "verdict": verdict,
+                "race_type": info["race_type"],
+                "harmful": bool(info["harmful"]),
+                "location": info["location"],
+                "description": info["description"],
+                "page": page,
+            },
+        )
+    return list(entries.values())
 
 
 def _emit_document(args, document) -> Optional[str]:
@@ -470,19 +438,9 @@ def _emit_profile(args, obs: Optional[Instrumentation], extra=None) -> Optional[
 
 def cmd_check(args) -> int:
     """Run WebRacer on a local HTML file (the `check` subcommand)."""
-    path_error = _validate_output_paths(args)
-    if path_error:
-        return _fail(path_error)
-    scheduler_error = _scheduler_args_error(args)
-    if scheduler_error:
-        return _fail(scheduler_error)
-    network_error = _network_args_error(args)
-    if network_error:
-        return _fail(network_error)
-    if args.ledger:
-        ledger_error = _ledger_dir_error(args.ledger)
-        if ledger_error:
-            return _fail(ledger_error)
+    config, error = _preflight(args)
+    if error:
+        return _fail(error)
     started = time.perf_counter()
     sizes = None
     har_resources = {}
@@ -506,15 +464,7 @@ def cmd_check(args) -> int:
         return _fail(resource_error)
     resources = {**har_resources, **resources}
     obs = _make_obs(args)
-    racer = WebRacer(
-        seed=args.seed,
-        scheduler=args.scheduler,
-        schedule_seed=args.schedule_seed,
-        hb_backend=args.hb_backend,
-        obs=obs,
-        **_network_kwargs(args),
-    )
-    report = racer.check_page(
+    report = WebRacer(config, obs=obs).check_page(
         html, resources=resources, url=args.page, sizes=sizes
     )
     status = _print_report(report)
@@ -547,15 +497,11 @@ def cmd_check(args) -> int:
     error = _append_ledger(
         args,
         "check",
-        config={
-            "page": args.page,
-            "seed": args.seed,
-            "scheduler": args.scheduler,
-            "schedule_seed": args.schedule_seed,
-            "hb_backend": args.hb_backend,
-            **_network_config(args),
-        },
-        races=_check_ledger_races(args.page, report),
+        config={"page": args.page, **config.ledger_fields()},
+        races=_ledger_races(
+            (args.page, fingerprint, "observed", info)
+            for fingerprint, info in report.races_by_fingerprint().items()
+        ),
         totals={
             "races_raw": len(report.raw_races),
             "races_filtered": len(report.filtered_races),
@@ -568,26 +514,6 @@ def cmd_check(args) -> int:
     if error:
         return _fail(error)
     return status
-
-
-def _check_ledger_races(page_url: str, report) -> List[dict]:
-    """Ledger race entries for one ``check`` run (verdict ``observed``)."""
-    from .explain import race_fingerprint
-
-    entries = {}
-    for race, classified in zip(report.filtered_races, report.classified.races):
-        fingerprint = race_fingerprint(race, report.trace)
-        if fingerprint not in entries:
-            entries[fingerprint] = {
-                "fingerprint": fingerprint,
-                "verdict": "observed",
-                "race_type": classified.race_type,
-                "harmful": classified.harmful,
-                "location": str(classified.location),
-                "description": classified.describe(),
-                "page": page_url,
-            }
-    return list(entries.values())
 
 
 def _corpus_tables_dict(corpus_report, full_run: bool):
@@ -670,21 +596,9 @@ def cmd_corpus(args) -> int:
     """Run the Fortune-100 evaluation (the `corpus` subcommand)."""
     from .sites import PAPER_TABLE1, PAPER_TABLE2_TOTALS, build_corpus
 
-    path_error = _validate_output_paths(args)
-    if path_error:
-        return _fail(path_error)
-    scheduler_error = _scheduler_args_error(args)
-    if scheduler_error:
-        return _fail(scheduler_error)
-    network_error = _network_args_error(args)
-    if network_error:
-        return _fail(network_error)
-    if args.jobs < 0:
-        return _fail(f"--jobs must be >= 0, got {args.jobs}")
-    if args.ledger:
-        ledger_error = _ledger_dir_error(args.ledger)
-        if ledger_error:
-            return _fail(ledger_error)
+    config, error = _preflight(args)
+    if error:
+        return _fail(error)
     started = time.perf_counter()
     from .corpus_runner import resolve_jobs
 
@@ -692,30 +606,22 @@ def cmd_corpus(args) -> int:
     # The ledger needs fingerprints on the serialized site races, and
     # those only exist when evidence is collected.
     collect_evidence = bool(args.report_json or args.report_html or args.ledger)
-    timeout = args.site_timeout if args.site_timeout else None
     obs = _make_obs(args)
-    racer = WebRacer(
-        seed=args.seed,
-        scheduler=args.scheduler,
-        schedule_seed=args.schedule_seed,
-        hb_backend=args.hb_backend,
-        obs=obs,
-        **_network_kwargs(args),
-    )
+    racer = WebRacer(config, obs=obs)
     if jobs == 1:
-        sites = build_corpus(master_seed=args.seed, limit=args.sites)
+        sites = build_corpus(master_seed=config.seed, limit=args.sites)
         corpus_report = racer.check_corpus(
             sites,
-            timeout=timeout,
+            timeout=args.site_timeout,
             collect_evidence=collect_evidence,
             keep_pages=False,
         )
     else:
         corpus_report = racer.check_corpus_parallel(
-            master_seed=args.seed,
+            master_seed=config.seed,
             limit=args.sites,
             jobs=jobs,
-            timeout=timeout,
+            timeout=args.site_timeout,
             collect_evidence=collect_evidence,
         )
 
@@ -763,18 +669,17 @@ def cmd_corpus(args) -> int:
     error = _append_ledger(
         args,
         "corpus",
-        config={
-            "sites": args.sites,
-            "seed": args.seed,
-            "scheduler": args.scheduler,
-            "schedule_seed": args.schedule_seed,
-            "hb_backend": args.hb_backend,
-            # --jobs is an execution strategy, not a semantic input:
-            # sharded and sequential runs are byte-identical by design,
-            # so they share a config digest and diff against each other.
-            **_network_config(args),
-        },
-        races=_corpus_ledger_races(corpus_report),
+        # --jobs is an execution strategy, not a semantic input: sharded
+        # and sequential runs are byte-identical by design, so they share
+        # a config digest and diff against each other.
+        config={"sites": args.sites, **config.ledger_fields()},
+        races=_ledger_races(
+            (result.url, race["fingerprint"], "observed",
+             dict(race, race_type=race["type"]))
+            for result in corpus_report.reports
+            for race in result.races
+            if "fingerprint" in race
+        ),
         totals={
             "sites_checked": len(corpus_report.reports),
             "sites_failed": len(corpus_report.failed()),
@@ -796,29 +701,6 @@ def cmd_corpus(args) -> int:
     return 0
 
 
-def _corpus_ledger_races(corpus_report) -> List[dict]:
-    """Ledger race entries for one ``corpus`` run, one per distinct
-    ``(fingerprint, site)`` (verdict ``observed``)."""
-    entries = {}
-    for result in corpus_report.reports:
-        for race in result.races:
-            fingerprint = race.get("fingerprint")
-            if fingerprint is None:
-                continue
-            key = (fingerprint, result.url)
-            if key not in entries:
-                entries[key] = {
-                    "fingerprint": fingerprint,
-                    "verdict": "observed",
-                    "race_type": race["type"],
-                    "harmful": bool(race["harmful"]),
-                    "location": race["location"],
-                    "description": race.get("description", ""),
-                    "page": result.url,
-                }
-    return list(entries.values())
-
-
 def cmd_explore(args) -> int:
     """Multi-schedule race exploration (the `explore` subcommand)."""
     from .explain.schedule_report import (
@@ -833,30 +715,9 @@ def cmd_explore(args) -> int:
         minimize_schedule,
     )
 
-    path_error = _validate_output_paths(args)
-    if path_error:
-        return _fail(path_error)
-    if args.schedules < 1:
-        return _fail(f"--schedules must be >= 1, got {args.schedules}")
-    if args.jobs < 0:
-        return _fail(f"--jobs must be >= 0, got {args.jobs}")
-    network_error = _network_args_error(args)
-    if network_error:
-        return _fail(network_error)
-    if args.traces_dir:
-        if os.path.isfile(args.traces_dir):
-            return _fail(f"--traces-dir {args.traces_dir!r} is a file")
-        try:
-            os.makedirs(args.traces_dir, exist_ok=True)
-        except OSError as exc:
-            return _fail(
-                f"cannot create --traces-dir {args.traces_dir!r}: "
-                f"{exc.strerror or exc}"
-            )
-    if args.ledger:
-        ledger_error = _ledger_dir_error(args.ledger)
-        if ledger_error:
-            return _fail(ledger_error)
+    config, error = _preflight(args)
+    if error:
+        return _fail(error)
     started = time.perf_counter()
     from .har import HarError
 
@@ -866,18 +727,9 @@ def cmd_explore(args) -> int:
         return _fail(f"bad HAR under {args.path!r}: {exc}")
     except OSError as exc:
         return _fail(str(exc))
-    page_network = _page_network(args)
-    if page_network:
-        for page in pages:
-            page.network = dict(page_network)
     obs = _make_obs(args)
     report = explore_pages(
-        pages,
-        schedules=args.schedules,
-        seed=args.seed,
-        jobs=args.jobs,
-        hb_backend=args.hb_backend,
-        obs=obs,
+        pages, schedules=args.schedules, jobs=args.jobs, config=config, obs=obs
     )
     minimizations = []
     if args.minimize is not None:
@@ -904,8 +756,7 @@ def cmd_explore(args) -> int:
                         for fp in run.fingerprints
                         if fp == args.minimize or fp.startswith(args.minimize)
                     ),
-                    seed=args.seed,
-                    hb_backend=args.hb_backend,
+                    config,
                     obs=obs,
                 )
             )
@@ -961,11 +812,14 @@ def cmd_explore(args) -> int:
         config={
             "path": args.path,
             "schedules": args.schedules,
-            "seed": args.seed,
-            "hb_backend": args.hb_backend,
-            **_network_config(args),
+            **config.ledger_fields(scheduler=False),
         },
-        races=_explore_ledger_races(document),
+        races=_ledger_races(
+            (page["url"], race["fingerprint"],
+             "stable" if race["stable"] else "schedule-sensitive", race)
+            for page in document["pages"]
+            for race in page["races"]
+        ),
         totals=document["totals"],
         obs=obs,
         started=started,
@@ -973,28 +827,6 @@ def cmd_explore(args) -> int:
     if error:
         return _fail(error)
     return 0
-
-
-def _explore_ledger_races(document) -> List[dict]:
-    """Ledger race entries from the explore document (verdict ``stable``
-    or ``schedule-sensitive`` — the matrix's own classification)."""
-    entries = []
-    for page in document["pages"]:
-        for race in page["races"]:
-            entries.append(
-                {
-                    "fingerprint": race["fingerprint"],
-                    "verdict": (
-                        "stable" if race["stable"] else "schedule-sensitive"
-                    ),
-                    "race_type": race.get("race_type", ""),
-                    "harmful": bool(race.get("harmful", False)),
-                    "location": race.get("location", ""),
-                    "description": race.get("description", ""),
-                    "page": page["url"],
-                }
-            )
-    return entries
 
 
 def cmd_predict(args) -> int:
@@ -1007,18 +839,9 @@ def cmd_predict(args) -> int:
     from .predict import predict_pages
     from .schedule_runner import load_page_inputs
 
-    path_error = _validate_output_paths(args)
-    if path_error:
-        return _fail(path_error)
-    if args.budget < 1:
-        return _fail(f"--budget must be >= 1, got {args.budget}")
-    network_error = _network_args_error(args)
-    if network_error:
-        return _fail(network_error)
-    if args.ledger:
-        ledger_error = _ledger_dir_error(args.ledger)
-        if ledger_error:
-            return _fail(ledger_error)
+    config, error = _preflight(args)
+    if error:
+        return _fail(error)
     started = time.perf_counter()
     resources, resource_error = _parse_resources(args.resource)
     if resource_error:
@@ -1031,18 +854,9 @@ def cmd_predict(args) -> int:
         return _fail(f"bad HAR under {args.path!r}: {exc}")
     except OSError as exc:
         return _fail(str(exc))
-    page_network = _page_network(args)
-    if page_network:
-        for page in pages:
-            page.network = dict(page_network)
     obs = _make_obs(args)
     reports = predict_pages(
-        pages,
-        seed=args.seed,
-        hb_backend=args.hb_backend,
-        budget=args.budget,
-        minimize=args.minimize,
-        obs=obs,
+        pages, budget=args.budget, minimize=args.minimize, config=config, obs=obs
     )
     document = assemble_predict_document(
         reports, with_evidence=not args.no_evidence
@@ -1064,18 +878,27 @@ def cmd_predict(args) -> int:
             f"{len(failed)} of {len(reports)} page(s) failed: "
             f"{failed[0].page}: {failed[0].error}"
         )
+
+    def found():
+        for page in document["pages"]:
+            if page["error"] is not None:
+                continue
+            for fingerprint, info in sorted(page["observed"]["races"].items()):
+                yield page["url"], fingerprint, "observed", info
+            for prediction in page["predictions"]:
+                yield (page["url"], prediction["fingerprint"],
+                       prediction["outcome"], prediction)
+
     error = _append_ledger(
         args,
         "predict",
         config={
             "path": args.path,
-            "seed": args.seed,
             "budget": args.budget,
             "minimize": bool(args.minimize),
-            "hb_backend": args.hb_backend,
-            **_network_config(args),
+            **config.ledger_fields(scheduler=False),
         },
-        races=_predict_ledger_races(document),
+        races=_ledger_races(found()),
         totals=document["totals"],
         obs=obs,
         started=started,
@@ -1083,44 +906,6 @@ def cmd_predict(args) -> int:
     if error:
         return _fail(error)
     return 0
-
-
-def _predict_ledger_races(document) -> List[dict]:
-    """Ledger race entries from the predict document: the base run's
-    observed races plus every prediction, with its confirmation verdict."""
-    entries = []
-    for page in document["pages"]:
-        if page["error"] is not None:
-            continue
-        for fingerprint, info in sorted(page["observed"]["races"].items()):
-            entries.append(
-                {
-                    "fingerprint": fingerprint,
-                    "verdict": "observed",
-                    "race_type": info.get("race_type", ""),
-                    "harmful": bool(info.get("harmful", False)),
-                    "location": info.get("location", ""),
-                    "description": info.get("description", ""),
-                    "page": page["url"],
-                }
-            )
-        for prediction in page["predictions"]:
-            entries.append(
-                {
-                    "fingerprint": prediction["fingerprint"],
-                    "verdict": (
-                        "predicted+confirmed"
-                        if prediction["confirmed"]
-                        else "predicted-only"
-                    ),
-                    "race_type": prediction.get("race_type", ""),
-                    "harmful": bool(prediction.get("harmful", False)),
-                    "location": prediction.get("location", ""),
-                    "description": prediction.get("description", ""),
-                    "page": page["url"],
-                }
-            )
-    return entries
 
 
 def cmd_analyze(args) -> int:
@@ -1175,9 +960,9 @@ def cmd_history(args) -> int:
     )
     from .obs.ledger import Ledger, LedgerError
 
-    path_error = _validate_output_paths(args)
-    if path_error:
-        return _fail(path_error)
+    error = _check_flags(args)
+    if error:
+        return _fail(error)
     ledger = Ledger(args.ledger)
     try:
         records = ledger.records()
@@ -1215,17 +1000,13 @@ def cmd_diff(args) -> int:
     from .obs.ledger import Ledger, LedgerError
     from .obs.regress import diff_records, perf_regressions, render_diff_text
 
-    path_error = _validate_output_paths(args)
-    if path_error:
-        return _fail(path_error)
+    error = _check_flags(args)
+    if error:
+        return _fail(error)
     if args.against is not None and args.runs:
         return _fail("give either RUN_A RUN_B or --against, not both")
     if args.against is None and len(args.runs) != 2:
         return _fail("diff needs two run references (or --against last)")
-    if args.fail_on_regression is not None and args.fail_on_regression <= 0:
-        return _fail(
-            f"--fail-on-regression must be > 0, got {args.fail_on_regression}"
-        )
     ledger = Ledger(args.ledger)
     try:
         if args.against is not None:
@@ -1268,41 +1049,51 @@ def cmd_diff(args) -> int:
 
 
 def _add_hb_backend(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--hb-backend", choices=HB_BACKENDS, default="graph",
+    parser.add_argument("--hb-backend", choices=HB_BACKENDS,
+                        default=RunConfig.hb_backend,
                         help="graph: the paper's detector; shb: also run "
                              "the SHB prediction sweep")
 
 
-def _add_scheduler(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scheduler", choices=SCHEDULER_POLICIES,
-                        default="fifo",
-                        help="event-loop task scheduling policy")
-    parser.add_argument("--schedule-seed", type=int, default=None,
-                        metavar="N",
-                        help="seed for --scheduler random; per-page seeds "
-                             "derive position-independently from it")
+def _add_run_config(
+    parser: argparse.ArgumentParser, scheduler: bool = True
+) -> None:
+    """The :class:`~repro.config.RunConfig` flags, defaults read from it.
 
-
-def _add_network(parser: argparse.ArgumentParser) -> None:
+    ``explore`` and ``predict`` choose their own schedules, so they take
+    no scheduler flags.  Tuning flags default to unset, so
+    ``RunConfig.from_args`` can reject them outside the connection model.
+    """
     from .browser.network import NETWORK_MODELS
 
+    parser.add_argument("--seed", type=int, default=RunConfig.seed)
     parser.add_argument("--network", choices=NETWORK_MODELS,
-                        default="uniform",
+                        default=RunConfig.network,
                         help="network model: uniform (one seeded latency "
                              "per resource) or connection (per-origin "
                              "connection pools, slow-start ramp, shared "
                              "bandwidth)")
-    parser.add_argument("--bandwidth", type=float, default=None,
-                        metavar="KBPS",
-                        help="shared downlink in kilobytes/second "
-                             "(default 1500; requires --network connection)")
-    parser.add_argument("--rtt", type=float, default=None, metavar="MS",
-                        help="round-trip time in virtual ms (default 40; "
-                             "requires --network connection)")
-    parser.add_argument("--connections-per-origin", type=int, default=None,
-                        metavar="N",
-                        help="parallel connections per origin (default 6; "
-                             "requires --network connection)")
+    parser.add_argument("--bandwidth", type=float, metavar="KBPS",
+                        help="shared downlink in kilobytes/second (default "
+                             f"{RunConfig.bandwidth:g}; requires --network "
+                             "connection)")
+    parser.add_argument("--rtt", type=float, metavar="MS",
+                        help="round-trip time in virtual ms (default "
+                             f"{RunConfig.rtt:g}; requires --network "
+                             "connection)")
+    parser.add_argument("--connections-per-origin", type=int, metavar="N",
+                        help="parallel connections per origin (default "
+                             f"{RunConfig.connections_per_origin}; requires "
+                             "--network connection)")
+    if scheduler:
+        parser.add_argument("--scheduler", choices=SCHEDULER_POLICIES,
+                            default=RunConfig.scheduler,
+                            help="event-loop task scheduling policy")
+        parser.add_argument("--schedule-seed", type=int, metavar="N",
+                            help="seed for --scheduler random; per-page "
+                                 "seeds derive position-independently "
+                                 "from it")
+    _add_hb_backend(parser)
 
 
 def _add_profiling(parser: argparse.ArgumentParser) -> None:
@@ -1342,11 +1133,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("page", help="path to the HTML file or .har capture")
     check.add_argument("--resource", action="append", metavar="URL=PATH",
                        help="map a sub-resource URL to a local file")
-    check.add_argument("--seed", type=int, default=0)
     check.add_argument("--json", help="dump the trace to this file")
-    _add_network(check)
-    _add_scheduler(check)
-    _add_hb_backend(check)
+    _add_run_config(check)
     _add_profiling(check)
     _add_reports(check)
     _add_ledger(check)
@@ -1354,7 +1142,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     corpus = sub.add_parser("corpus", help="run the Fortune-100 evaluation")
     corpus.add_argument("--sites", type=int, default=100)
-    corpus.add_argument("--seed", type=int, default=0)
     corpus.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for the corpus run "
                              "(0 = one per CPU; default 1, sequential)")
@@ -1364,9 +1151,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "site records an error and the run continues")
     corpus.add_argument("--json", metavar="FILE",
                         help="write Table 1 / Table 2 / totals as JSON")
-    _add_network(corpus)
-    _add_scheduler(corpus)
-    _add_hb_backend(corpus)
+    _add_run_config(corpus)
     _add_profiling(corpus)
     _add_reports(corpus)
     _add_ledger(corpus)
@@ -1380,7 +1165,6 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--schedules", type=int, default=8, metavar="N",
                          help="matrix width: fifo + adversarial + N-2 "
                               "seeded-random schedules (default 8)")
-    explore.add_argument("--seed", type=int, default=0)
     explore.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="worker processes for the page×schedule "
                               "matrix (0 = one per CPU; default 1)")
@@ -1392,8 +1176,7 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--minimize", metavar="FINGERPRINT",
                          help="ddmin-minimize a witnessed fingerprint's "
                               "schedule (prefix match allowed)")
-    _add_network(explore)
-    _add_hb_backend(explore)
+    _add_run_config(explore, scheduler=False)
     _add_profiling(explore)
     _add_ledger(explore)
     explore.set_defaults(func=cmd_explore)
@@ -1407,7 +1190,6 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--resource", action="append", metavar="URL=PATH",
                          help="map a sub-resource URL to a local file "
                               "(file mode; directories auto-map siblings)")
-    predict.add_argument("--seed", type=int, default=0)
     predict.add_argument("--budget", type=int, default=6, metavar="N",
                          help="witness schedules tried per page: "
                               "adversarial + N-1 seeded-random (default 6)")
@@ -1418,8 +1200,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the predict report as JSON")
     predict.add_argument("--no-evidence", action="store_true",
                          help="omit per-prediction HB evidence from --json")
-    _add_network(predict)
-    _add_hb_backend(predict)
+    _add_run_config(predict, scheduler=False)
     _add_profiling(predict)
     _add_ledger(predict)
     predict.set_defaults(func=cmd_predict)

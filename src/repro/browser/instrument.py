@@ -6,7 +6,7 @@ execution, event dispatch and DOM mutation all report to the race detector
 through one object, the :class:`Monitor`:
 
 * it owns the execution :class:`~repro.core.trace.Trace`, the happens-before
-  :class:`~repro.core.hb.rules.RuleEngine`, and the race detector(s);
+  :class:`~repro.core.hb.rules.RuleEngine`, and the race detector;
 * it tracks the *current operation* (operations are atomic; a stack is still
   needed because inline event dispatch nests handler execution inside a
   script — Appendix A);
@@ -23,7 +23,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.access import READ, WRITE
 from ..core.detector import RaceDetector
-from ..core.full_detector import FullHistoryDetector
 from ..core.hb.backend import make_backend
 from ..core.hb.rules import RuleEngine
 from ..core.locations import (
@@ -50,33 +49,15 @@ from ..obs import NULL
 class Monitor:
     """Central instrumentation hub for one browser/page run."""
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        full_history: bool = False,
-        report_all_per_location: bool = False,
-        hb_backend: str = "graph",
-        obs=None,
-    ):
+    def __init__(self, enabled: bool = True, hb_backend: str = "graph", obs=None):
         self.enabled = enabled
         self.obs = obs if obs is not None else NULL
         self.trace = Trace()
         self.hb_backend = hb_backend
         self.graph = make_backend(hb_backend, obs=self.obs)
         self.rules = RuleEngine(self.graph)
-        self.detector = RaceDetector(
-            self.trace,
-            self.graph,
-            report_all_per_location=report_all_per_location,
-            obs=self.obs,
-        )
+        self.detector = RaceDetector(self.trace, self.graph, obs=self.obs)
         self.trace.subscribe(self.detector.on_access)
-        self.full_detector: Optional[FullHistoryDetector] = None
-        if full_history:
-            self.full_detector = FullHistoryDetector(
-                self.trace, self.graph, obs=self.obs
-            )
-            self.trace.subscribe(self.full_detector.on_access)
         self._op_stack: List[Operation] = []
         #: element node_id -> create(E) operation id (Section 3.2 create()).
         self.create_ops: Dict[int, int] = {}

@@ -507,29 +507,21 @@ def make_network(
     model: str = "uniform",
     resources: Optional[Dict[str, str]] = None,
     seed: int = 0,
-    min_latency: float = 5.0,
-    max_latency: float = 120.0,
     latencies: Optional[Dict[str, float]] = None,
     sizes: Optional[Dict[str, float]] = None,
-    bandwidth: Optional[float] = None,
-    rtt: Optional[float] = None,
-    connections_per_origin: Optional[int] = None,
+    **tuning,
 ):
     """Build the network simulator ``model`` names.
 
     The uniform model keeps its per-URL latency pins; the connection
     model replaces them with physics (sizes, pools, bandwidth), so
     ``latencies`` is ignored there and ``sizes`` is ignored by uniform.
-    ``None`` tuning values mean the model defaults.
+    ``tuning`` (``bandwidth``, ``rtt``, ``connections_per_origin``) goes
+    to :class:`ConnectionNetworkSimulator`, which holds their defaults.
     """
     if model == "uniform":
         return NetworkSimulator(
-            loop,
-            resources=resources,
-            seed=seed,
-            min_latency=min_latency,
-            max_latency=max_latency,
-            latencies=latencies,
+            loop, resources=resources, seed=seed, latencies=latencies
         )
     if model == "connection":
         return ConnectionNetworkSimulator(
@@ -537,13 +529,7 @@ def make_network(
             resources=resources,
             sizes=sizes,
             seed=seed,
-            bandwidth=bandwidth if bandwidth is not None else DEFAULT_BANDWIDTH,
-            rtt=rtt if rtt is not None else DEFAULT_RTT,
-            connections_per_origin=(
-                connections_per_origin
-                if connections_per_origin is not None
-                else DEFAULT_CONNECTIONS_PER_ORIGIN
-            ),
+            **tuning,
         )
     raise ValueError(
         f"unknown network model {model!r}; expected one of "

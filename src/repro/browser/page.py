@@ -58,7 +58,14 @@ from .dispatcher import Dispatcher
 from .event_loop import EventLoop
 from .exploration import AutoExplorer
 from .instrument import Monitor
-from .network import FetchResult, NetworkSimulator, make_network
+from .network import (
+    DEFAULT_BANDWIDTH,
+    DEFAULT_CONNECTIONS_PER_ORIGIN,
+    DEFAULT_RTT,
+    FetchResult,
+    NetworkSimulator,
+    make_network,
+)
 from .scheduler import Scheduler, make_scheduler
 from .timers import TimerEntry, TimerRegistry
 from .window import Window, reset_window_ids
@@ -94,21 +101,16 @@ class Browser:
         self,
         seed: int = 0,
         scheduler: Any = "fifo",
-        schedule_seed: Optional[int] = None,
         resources: Optional[Dict[str, str]] = None,
         latencies: Optional[Dict[str, float]] = None,
-        min_latency: float = 5.0,
-        max_latency: float = 120.0,
         instrument: bool = True,
-        full_history: bool = False,
-        report_all_per_location: bool = False,
         tie_window: Optional[float] = None,
         hb_backend: str = "graph",
         network: str = "uniform",
         sizes: Optional[Dict[str, float]] = None,
-        bandwidth: Optional[float] = None,
-        rtt: Optional[float] = None,
-        connections_per_origin: Optional[int] = None,
+        bandwidth: float = DEFAULT_BANDWIDTH,
+        rtt: float = DEFAULT_RTT,
+        connections_per_origin: int = DEFAULT_CONNECTIONS_PER_ORIGIN,
         obs=None,
     ):
         # One Browser is one page-load experiment: restart the allocation
@@ -123,12 +125,7 @@ class Browser:
         self.obs = obs if obs is not None else NULL_OBS
         self.clock = VirtualClock()
         if isinstance(scheduler, str):
-            # `schedule_seed` decouples the scheduler's randomness from
-            # the latency seed; it defaults to the browser seed.
-            scheduler = make_scheduler(
-                scheduler,
-                seed=schedule_seed if schedule_seed is not None else seed,
-            )
+            scheduler = make_scheduler(scheduler, seed=seed)
         if not isinstance(scheduler, Scheduler):
             raise TypeError(f"not a scheduler: {scheduler!r}")
         if tie_window is None:
@@ -142,8 +139,6 @@ class Browser:
             model=network,
             resources=resources,
             seed=seed,
-            min_latency=min_latency,
-            max_latency=max_latency,
             latencies=latencies,
             sizes=sizes,
             bandwidth=bandwidth,
@@ -151,11 +146,7 @@ class Browser:
             connections_per_origin=connections_per_origin,
         )
         self.monitor = Monitor(
-            enabled=instrument,
-            full_history=full_history,
-            report_all_per_location=report_all_per_location,
-            hb_backend=hb_backend,
-            obs=self.obs,
+            enabled=instrument, hb_backend=hb_backend, obs=self.obs
         )
 
     def open(self, html: str, url: str = "page.html") -> "Page":

@@ -58,16 +58,6 @@ class Scheduler:
         """Choose which of the equally-ready tasks runs next."""
         raise NotImplementedError
 
-    def for_page(self, page_index: int) -> "Scheduler":
-        """A scheduler instance for checking page ``page_index``.
-
-        Stateless policies return themselves; stateful ones (seeded
-        random) return a fresh instance whose state is derived from
-        ``(seed, page_index)`` so per-page schedules are
-        position-independent when one detector checks many pages.
-        """
-        return self
-
 
 class FifoScheduler(Scheduler):
     """First-enqueued first-run among equally-ready tasks."""
@@ -87,16 +77,6 @@ class SeededRandomScheduler(Scheduler):
     def pick(self, candidates: Sequence[Task]) -> Task:
         """Pick uniformly at random from the candidates."""
         return self.rng.choice(list(candidates))
-
-    def for_page(self, page_index: int) -> "SeededRandomScheduler":
-        """Fresh RNG from ``(seed, page_index)``.
-
-        Reusing one ``random.Random`` across pages made site K's
-        interleaving depend on how many tasks sites 0..K-1 ran; deriving
-        a per-page seed makes every page's schedule a function of
-        ``(seed, page_index)`` alone.
-        """
-        return SeededRandomScheduler(derive_page_seed(self.seed, page_index))
 
 
 class AdversarialScheduler(Scheduler):
@@ -232,10 +212,6 @@ class RecordingScheduler(Scheduler):
                 self.divergences.append(len(self.picks))
         self.picks.append(chosen.seq)
         return chosen
-
-    def for_page(self, page_index: int) -> "RecordingScheduler":
-        """Fresh recording around the inner policy's per-page instance."""
-        return RecordingScheduler(self.inner.for_page(page_index))
 
     def trace(
         self,

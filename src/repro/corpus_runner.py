@@ -3,9 +3,10 @@
 The Fortune-100 corpus is embarrassingly parallel: every site is
 deterministic in ``(master_seed, site_index)`` and detection on one site
 never touches another.  This module exploits that without ever pickling a
-``Site``/``Page`` graph — each worker task carries only the small payload
-``(master_seed, index, seed, flags)``, **rebuilds** its site from the
-deterministic spec generator (:func:`repro.sites.corpus_specs` +
+``Site``/``Page`` graph — each worker task carries only the frozen
+:class:`~repro.config.RunConfig` plus ``(master_seed, index)`` and the
+per-task flags, **rebuilds** its site from the deterministic spec
+generator (:func:`repro.sites.corpus_specs` +
 :func:`repro.sites.build_site`), runs detection with the standard
 per-site seed formula (``seed + index * 101``), and ships back a plain
 :class:`~repro.webracer.SiteResult` summary.
@@ -15,7 +16,7 @@ run's ``Page`` holds the DOM, the JS heap, the HB store and the trace —
 megabytes of interlinked objects, much of it (closures, bound handlers)
 not picklable at all.  Rebuilding from the seed costs a few milliseconds
 per site and keeps the parent↔worker contract to two small, stable,
-versionable value types (the task payload and ``SiteResult``).
+versionable value types (the ``RunConfig`` and ``SiteResult``).
 
 Each site is one pool task (not one contiguous shard per worker), so an
 expensive site — Ford's 112-location polling page, say — never serializes
@@ -37,8 +38,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
+from .config import RunConfig
 from .obs import Instrumentation, merge_shard, snapshot
 from .webracer import SiteResult, WebRacer
 
@@ -64,47 +66,40 @@ def _pool_context():
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
-def run_site_task(payload: Dict[str, Any]) -> SiteResult:
+def run_site_task(
+    config: RunConfig,
+    master_seed: int,
+    index: int,
+    timeout: Optional[float],
+    collect_evidence: bool,
+    obs_t0: Optional[float],
+) -> SiteResult:
     """Worker entry point: rebuild one site from its seed and run it.
 
     Module-level (picklable by reference) and self-contained: the worker
-    constructs its own :class:`WebRacer` and, when profiling was
-    requested, its own :class:`Instrumentation` whose clock origin is
-    synced to the parent's so merged timelines line up.  The corpus
-    module is resolved at call time so the worker sees the same
-    generator functions the parent would.
+    constructs its own :class:`WebRacer` from the parent's ``config`` and,
+    when the parent profiles (``obs_t0`` is its clock origin), its own
+    :class:`Instrumentation` synced to that origin so merged timelines
+    line up.  The corpus module is resolved at call time so the worker
+    sees the same generator functions the parent would.
     """
     from .sites import corpus as corpus_mod
 
-    index = payload["index"]
     obs = None
-    if payload.get("with_obs"):
+    if obs_t0 is not None:
         obs = Instrumentation()
-        parent_t0 = payload.get("obs_t0")
-        if parent_t0 is not None:
-            obs._t0 = parent_t0
+        obs._t0 = obs_t0
 
     def build():
-        spec = corpus_mod.corpus_specs(payload["master_seed"])[index]
+        spec = corpus_mod.corpus_specs(master_seed)[index]
         return corpus_mod.build_site(spec)
 
-    racer = WebRacer(
-        seed=payload["seed"],
-        scheduler=payload.get("scheduler", "fifo"),
-        schedule_seed=payload.get("schedule_seed"),
-        hb_backend=payload.get("hb_backend", "graph"),
-        network=payload.get("network", "uniform"),
-        bandwidth=payload.get("bandwidth"),
-        rtt=payload.get("rtt"),
-        connections_per_origin=payload.get("connections_per_origin"),
-        obs=obs,
-    )
-    result = racer.run_site_guarded(
+    result = WebRacer(config, obs=obs).run_site_guarded(
         build,
         index,
-        payload["seed"] + index * 101,
-        timeout=payload.get("timeout"),
-        collect_evidence=payload.get("collect_evidence", False),
+        config.seed + index * 101,
+        timeout=timeout,
+        collect_evidence=collect_evidence,
         keep_page=False,
     )
     if obs is not None:
@@ -113,17 +108,10 @@ def run_site_task(payload: Dict[str, Any]) -> SiteResult:
 
 
 def run_corpus_parallel(
+    config: RunConfig = RunConfig(),
     master_seed: int = 0,
     limit: int = 100,
     jobs: int = 0,
-    seed: int = 0,
-    scheduler: Any = "fifo",
-    schedule_seed: Optional[int] = None,
-    hb_backend: str = "graph",
-    network: str = "uniform",
-    bandwidth: Optional[float] = None,
-    rtt: Optional[float] = None,
-    connections_per_origin: Optional[int] = None,
     timeout: Optional[float] = None,
     collect_evidence: bool = False,
     obs: Optional[Instrumentation] = None,
@@ -139,26 +127,20 @@ def run_corpus_parallel(
     count = corpus_site_count(master_seed, limit)
     results: List[SiteResult] = []
     if count:
-        payload_base = {
-            "master_seed": master_seed,
-            "seed": seed,
-            "scheduler": scheduler,
-            "schedule_seed": schedule_seed,
-            "hb_backend": hb_backend,
-            "network": network,
-            "bandwidth": bandwidth,
-            "rtt": rtt,
-            "connections_per_origin": connections_per_origin,
-            "timeout": timeout,
-            "collect_evidence": collect_evidence,
-            "with_obs": obs is not None,
-            "obs_t0": obs._t0 if obs is not None else None,
-        }
+        obs_t0 = obs._t0 if obs is not None else None
         with ProcessPoolExecutor(
             max_workers=min(workers, count), mp_context=_pool_context()
         ) as pool:
             futures = {
-                pool.submit(run_site_task, {**payload_base, "index": index}): index
+                pool.submit(
+                    run_site_task,
+                    config,
+                    master_seed,
+                    index,
+                    timeout,
+                    collect_evidence,
+                    obs_t0,
+                ): index
                 for index in range(count)
             }
             for future, index in futures.items():

@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from .browser.page import clear_parse_cache
-from .browser.scheduler import RecordingScheduler, derive_page_seed
+from .browser.scheduler import RecordingScheduler, ScheduleTrace, derive_page_seed
+from .config import RunConfig, run_config
 from .core.hb.shb import (
     STATUS_CONDITIONAL,
     STATUS_SCHEDULABLE,
@@ -214,8 +215,7 @@ def _prediction_entries(
 
 def predict_page(
     page: PageInput,
-    seed: int = 0,
-    hb_backend: str = "graph",
+    config: RunConfig = RunConfig(),
     budget: int = DEFAULT_WITNESS_BUDGET,
     minimize: bool = False,
     obs=None,
@@ -225,20 +225,23 @@ def predict_page(
     ``budget`` caps the number of witness schedules run; witness runs are
     shared across predictions (one adversarial run can confirm several),
     and the search stops early once every prediction is confirmed.
-    ``hb_backend`` is recorded in the report; ``"shb"`` additionally
-    runs the SHB sweep inside every page report (prediction is already
-    this pipeline's job).
+    ``config.hb_backend`` is recorded in the report; ``"shb"``
+    additionally runs the SHB sweep inside every page report (prediction
+    is already this pipeline's job).
     """
     obs = obs if obs is not None else NULL
     started = time.perf_counter()
     report = PredictReport(
-        page=page.url, seed=seed, hb_backend=hb_backend, budget=budget
+        page=page.url,
+        seed=config.seed,
+        hb_backend=config.hb_backend,
+        budget=budget,
     )
     try:
         with obs.span("predict.base_run", cat="predict", page=page.url):
             recorder = RecordingScheduler(ScheduleSpec("fifo", "fifo").build())
             page_obj, page_report, base_fps, base_races = run_page_once(
-                page, recorder, seed, hb_backend, obs=obs
+                page, recorder, config, obs=obs
             )
         report.runs_executed += 1
         report.observed_fingerprints = base_fps
@@ -258,13 +261,9 @@ def predict_page(
         report.rf_edges = len(analysis.rf_edges)
         report.rf_racy = sum(1 for edge in analysis.rf_edges if edge.racy)
         report.predictions = _prediction_entries(analysis, page_obj, base_fps)
-        _confirm_predictions(
-            page, report, seed=seed, hb_backend=hb_backend, obs=obs
-        )
+        _confirm_predictions(page, report, config, obs)
         if minimize:
-            _minimize_confirmed(
-                page, report, seed=seed, hb_backend=hb_backend, obs=obs
-            )
+            _minimize_confirmed(page, report, config, obs)
         if obs.enabled:
             obs.count("predict.pages")
             obs.count("predict.predicted", len(report.predictions))
@@ -277,11 +276,7 @@ def predict_page(
 
 
 def _confirm_predictions(
-    page: PageInput,
-    report: PredictReport,
-    seed: int,
-    hb_backend: str,
-    obs,
+    page: PageInput, report: PredictReport, config: RunConfig, obs
 ) -> None:
     """Run witness schedules until every prediction is confirmed or the
     budget is spent.  Each witness run is recorded and replay-verified
@@ -297,14 +292,9 @@ def _confirm_predictions(
         page=page.url,
         predictions=len(pending),
     ):
-        for spec in witness_schedule_specs(seed, report.budget):
+        for spec in witness_schedule_specs(config.seed, report.budget):
             run = run_page_schedule(
-                page,
-                spec,
-                seed=seed,
-                hb_backend=hb_backend,
-                verify_replay=True,
-                obs=obs,
+                page, spec, config, verify_replay=True, obs=obs
             )
             report.witness_runs.append(run)
             # One recorded run + one replay verification.
@@ -331,26 +321,19 @@ def _confirm_predictions(
 
 
 def _minimize_confirmed(
-    page: PageInput,
-    report: PredictReport,
-    seed: int,
-    hb_backend: str,
-    obs,
+    page: PageInput, report: PredictReport, config: RunConfig, obs
 ) -> None:
     """ddmin every confirmed prediction's witness down to the smallest
     FIFO-divergence set that still fires its fingerprint."""
     for prediction in report.confirmed():
         if prediction.witness_trace_dict is None:
             continue
-        from .browser.scheduler import ScheduleTrace
-
         try:
             result = minimize_schedule(
                 page,
                 ScheduleTrace.from_dict(prediction.witness_trace_dict),
                 prediction.fingerprint,
-                seed=seed,
-                hb_backend=hb_backend,
+                config,
                 obs=obs,
             )
         except ValueError:
@@ -366,22 +349,20 @@ def _minimize_confirmed(
 
 def predict_pages(
     pages: List[PageInput],
-    seed: int = 0,
-    hb_backend: str = "graph",
     budget: int = DEFAULT_WITNESS_BUDGET,
     minimize: bool = False,
+    config: Optional[RunConfig] = None,
     obs=None,
+    **fields,
 ) -> List[PredictReport]:
-    """Run the prediction pipeline over several pages, sequentially."""
+    """Run the prediction pipeline over several pages, sequentially.
+
+    ``config`` (or its fields as keywords, as :class:`~repro.WebRacer`
+    takes them) configures every run.
+    """
+    config = run_config(config, **fields)
     clear_parse_cache()  # start cold, as a CLI run does
     return [
-        predict_page(
-            page,
-            seed=seed,
-            hb_backend=hb_backend,
-            budget=budget,
-            minimize=minimize,
-            obs=obs,
-        )
+        predict_page(page, config, budget=budget, minimize=minimize, obs=obs)
         for page in pages
     ]

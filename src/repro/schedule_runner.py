@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .browser.event_loop import ScheduleDivergence
-from .browser.page import Browser, clear_parse_cache
+from .browser.page import clear_parse_cache
 from .browser.scheduler import (
     DivergenceScheduler,
     RecordingScheduler,
@@ -48,6 +48,7 @@ from .browser.scheduler import (
     derive_page_seed,
     make_scheduler,
 )
+from .config import RunConfig, run_config
 from .obs import NULL, Instrumentation, merge_shard, snapshot
 
 #: Exploration offers every pending task to the scheduler (see module doc).
@@ -103,19 +104,16 @@ def schedule_matrix(schedules: int, seed: int = 0) -> List[ScheduleSpec]:
 class PageInput:
     """One page to explore: url, markup, and its sub-resources.
 
-    ``sizes`` pins on-the-wire resource sizes (HAR captures) and
-    ``network`` carries the network-model config (``{}`` = uniform;
-    otherwise ``{"model": "connection", "bandwidth": ..., "rtt": ...,
-    "connections_per_origin": ...}`` with ``None`` meaning defaults).
-    Both ride on the page so every run of it — record, replay, ddmin,
-    predict — shares the exact same network physics.
+    ``sizes`` pins on-the-wire resource sizes (HAR captures).  Network
+    settings are run settings: they ride on the
+    :class:`~repro.config.RunConfig`, so every run of a page — record,
+    replay, ddmin, predict — shares the exact same network physics.
     """
 
     url: str
     html: str
     resources: Dict[str, str] = field(default_factory=dict)
     sizes: Dict[str, float] = field(default_factory=dict)
-    network: Dict[str, Any] = field(default_factory=dict)
 
 
 def _har_page_input(
@@ -228,68 +226,48 @@ class ScheduleRunResult:
 
 
 def run_page_once(
-    page: PageInput,
-    scheduler: Scheduler,
-    seed: int,
-    hb_backend: str,
-    obs=None,
+    page: PageInput, scheduler: Scheduler, config: RunConfig, obs=None
 ) -> Tuple[Any, Any, List[str], Dict[str, Dict[str, Any]]]:
-    """One instrumented exploration run; the single run-config authority.
+    """One instrumented exploration run under ``config``.
 
     Every recording, replay, and minimization run goes through here, so
     they all share the exact same page configuration — which is what
     makes a recorded trace replayable at all.
     """
-    from .explain.fingerprint import race_fingerprint
     from .webracer import WebRacer
 
-    network = page.network or {}
-    browser = Browser(
-        seed=seed,
-        scheduler=scheduler,
-        resources=dict(page.resources),
+    racer = WebRacer(config, obs=obs)
+    page_obj = racer.run_page(
+        page.html,
+        page.url,
+        config.seed,
+        scheduler,
         tie_window=EXPLORE_TIE_WINDOW,
-        hb_backend=hb_backend,
-        network=network.get("model", "uniform"),
+        resources=dict(page.resources),
         sizes=dict(page.sizes) if page.sizes else None,
-        bandwidth=network.get("bandwidth"),
-        rtt=network.get("rtt"),
-        connections_per_origin=network.get("connections_per_origin"),
-        obs=obs if obs is not None else NULL,
     )
-    page_obj = browser.open(page.html, url=page.url)
-    page_obj.auto_explore = True
-    page_obj.eager_explore = True
-    page_obj.run()
-    racer = WebRacer(seed=seed, hb_backend=hb_backend)
     report = racer.report_for(page_obj, page.url)
-    races: Dict[str, Dict[str, Any]] = {}
-    for race, classified in zip(report.filtered_races, report.classified.races):
-        fingerprint = race_fingerprint(race, page_obj.trace)
-        if fingerprint not in races:
-            races[fingerprint] = {
-                "race_type": classified.race_type,
-                "harmful": classified.harmful,
-                "location": str(classified.location),
-                "description": classified.describe(),
-            }
+    races = report.races_by_fingerprint()
     return page_obj, report, sorted(races), races
 
 
 def run_page_schedule(
     page: PageInput,
     spec: ScheduleSpec,
-    seed: int = 0,
-    hb_backend: str = "graph",
+    config: Optional[RunConfig] = None,
     verify_replay: bool = True,
     obs=None,
+    **fields,
 ) -> ScheduleRunResult:
     """Run one page under one schedule; record, and optionally verify.
 
-    Crash isolation mirrors the corpus runner: an exception inside the
-    cell becomes an error result instead of taking down the matrix.
+    ``config`` (or its fields as keywords, as :class:`~repro.WebRacer`
+    takes them) configures the run.  Crash isolation mirrors the corpus
+    runner: an exception inside the cell becomes an error result instead
+    of taking down the matrix.
     """
     started = time.perf_counter()
+    config = run_config(config, **fields)
     obs = obs if obs is not None else NULL
     try:
         recorder = RecordingScheduler(spec.build())
@@ -297,7 +275,7 @@ def run_page_schedule(
             "explore.run", cat="explore", page=page.url, schedule=spec.sid
         ):
             page_obj, _report, fingerprints, races = run_page_once(
-                page, recorder, seed, hb_backend, obs=obs
+                page, recorder, config, obs=obs
             )
         trace = recorder.trace(
             policy=spec.policy,
@@ -318,8 +296,7 @@ def run_page_schedule(
         )
         if verify_replay:
             result.replay_ok = replay_reproduces(
-                page, trace, fingerprints, seed=seed, hb_backend=hb_backend,
-                obs=obs,
+                page, trace, fingerprints, config, obs=obs
             )
         if obs.enabled:
             obs.count("explore.schedules_run")
@@ -339,8 +316,7 @@ def run_page_schedule(
 def replay_run(
     page: PageInput,
     trace: ScheduleTrace,
-    seed: int = 0,
-    hb_backend: str = "graph",
+    config: RunConfig = RunConfig(),
     obs=None,
 ) -> List[str]:
     """Replay a recorded schedule; returns the run's race fingerprints.
@@ -351,7 +327,7 @@ def replay_run(
     obs = obs if obs is not None else NULL
     with obs.span("explore.replay", cat="explore", page=page.url):
         _page_obj, _report, fingerprints, _races = run_page_once(
-            page, ReplayScheduler(trace), seed, hb_backend, obs=obs
+            page, ReplayScheduler(trace), config, obs=obs
         )
     if obs.enabled:
         obs.count("explore.replays")
@@ -362,16 +338,15 @@ def replay_reproduces(
     page: PageInput,
     trace: ScheduleTrace,
     fingerprints: Sequence[str],
-    seed: int = 0,
-    hb_backend: str = "graph",
+    config: RunConfig = RunConfig(),
     obs=None,
 ) -> bool:
     """Does replaying ``trace`` reproduce exactly these fingerprints?"""
     obs = obs if obs is not None else NULL
     try:
-        reproduced = replay_run(
-            page, trace, seed=seed, hb_backend=hb_backend, obs=obs
-        ) == sorted(fingerprints)
+        reproduced = replay_run(page, trace, config, obs=obs) == sorted(
+            fingerprints
+        )
     except ScheduleDivergence:
         if obs.enabled:
             obs.count("explore.replay_diverged")
@@ -467,31 +442,23 @@ def merge_runs(url: str, runs: List[ScheduleRunResult]) -> PageExploration:
     return PageExploration(url=url, runs=list(runs), races=races)
 
 
-def _matrix_task(payload: Dict[str, Any]) -> ScheduleRunResult:
-    """Worker entry point for one matrix cell (module-level: picklable)."""
+def _matrix_task(
+    config: RunConfig,
+    page: PageInput,
+    spec: ScheduleSpec,
+    verify_replay: bool,
+    obs_t0: Optional[float],
+) -> ScheduleRunResult:
+    """Worker entry point for one matrix cell (module-level: picklable).
+
+    ``obs_t0`` is the profiling parent's clock origin (``None``: no obs).
+    """
     obs = None
-    if payload.get("with_obs"):
+    if obs_t0 is not None:
         obs = Instrumentation()
-        parent_t0 = payload.get("obs_t0")
-        if parent_t0 is not None:
-            obs._t0 = parent_t0
-    page = PageInput(
-        url=payload["url"],
-        html=payload["html"],
-        resources=payload["resources"],
-        sizes=payload.get("sizes", {}),
-        network=payload.get("network", {}),
-    )
-    spec = ScheduleSpec(
-        sid=payload["sid"], policy=payload["policy"], seed=payload["spec_seed"]
-    )
+        obs._t0 = obs_t0
     result = run_page_schedule(
-        page,
-        spec,
-        seed=payload["seed"],
-        hb_backend=payload["hb_backend"],
-        verify_replay=payload["verify_replay"],
-        obs=obs,
+        page, spec, config, verify_replay=verify_replay, obs=obs
     )
     if obs is not None:
         result.obs_snapshot = snapshot(obs)
@@ -501,23 +468,26 @@ def _matrix_task(payload: Dict[str, Any]) -> ScheduleRunResult:
 def explore_pages(
     pages: Sequence[PageInput],
     schedules: int = 8,
-    seed: int = 0,
     jobs: int = 1,
-    hb_backend: str = "graph",
     verify_replay: bool = True,
+    config: Optional[RunConfig] = None,
     obs=None,
+    **fields,
 ) -> ExploreReport:
     """Run the page×schedule matrix and merge by fingerprint.
 
-    ``jobs > 1`` fans the cells out over the corpus runner's fork pool;
-    every cell is deterministic in its payload and results merge in
-    matrix order, so parallel output is byte-identical to sequential.
+    ``config`` (or its fields as keywords, as :class:`~repro.WebRacer`
+    takes them) configures every cell.  ``jobs > 1`` fans the cells out
+    over the corpus runner's fork pool; every cell is deterministic in
+    its inputs and results merge in matrix order, so parallel output is
+    byte-identical to sequential.
     """
     from .corpus_runner import _pool_context, resolve_jobs
 
+    config = run_config(config, **fields)
     obs = obs if obs is not None else NULL
     clear_parse_cache()  # start cold, as a CLI run does
-    specs = schedule_matrix(schedules, seed=seed)
+    specs = schedule_matrix(schedules, seed=config.seed)
     cells: List[Tuple[PageInput, ScheduleSpec]] = [
         (page, spec) for page in pages for spec in specs
     ]
@@ -527,40 +497,21 @@ def explore_pages(
         for page, spec in cells:
             results.append(
                 run_page_schedule(
-                    page,
-                    spec,
-                    seed=seed,
-                    hb_backend=hb_backend,
-                    verify_replay=verify_replay,
-                    obs=obs,
+                    page, spec, config, verify_replay=verify_replay, obs=obs
                 )
             )
     else:
         live_obs = obs if getattr(obs, "enabled", False) else None
-        payload_base = {
-            "seed": seed,
-            "hb_backend": hb_backend,
-            "verify_replay": verify_replay,
-            "with_obs": live_obs is not None,
-            "obs_t0": live_obs._t0 if live_obs is not None else None,
-        }
+        obs_t0 = live_obs._t0 if live_obs is not None else None
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=_pool_context()
         ) as pool:
-            futures = []
-            for page, spec in cells:
-                payload = {
-                    **payload_base,
-                    "url": page.url,
-                    "html": page.html,
-                    "resources": dict(page.resources),
-                    "sizes": dict(page.sizes),
-                    "network": dict(page.network),
-                    "sid": spec.sid,
-                    "policy": spec.policy,
-                    "spec_seed": spec.seed,
-                }
-                futures.append(pool.submit(_matrix_task, payload))
+            futures = [
+                pool.submit(
+                    _matrix_task, config, page, spec, verify_replay, obs_t0
+                )
+                for page, spec in cells
+            ]
             for future, (page, spec) in zip(futures, cells):
                 try:
                     results.append(future.result())
@@ -584,13 +535,12 @@ def explore_pages(
                         thread_name=f"{result.page}::{result.sid}",
                     )
                     result.obs_snapshot = None
-            for result in results:
-                if result.ok:
-                    live_obs.count("explore.schedules_run")
     by_page: Dict[str, List[ScheduleRunResult]] = {}
     for result in results:
         by_page.setdefault(result.page, []).append(result)
-    report = ExploreReport(seed=seed, specs=specs, hb_backend=hb_backend)
+    report = ExploreReport(
+        seed=config.seed, specs=specs, hb_backend=config.hb_backend
+    )
     for page in pages:
         report.pages.append(merge_runs(page.url, by_page.get(page.url, [])))
     if obs.enabled:
@@ -680,8 +630,7 @@ def minimize_schedule(
     page: PageInput,
     trace: ScheduleTrace,
     fingerprint: str,
-    seed: int = 0,
-    hb_backend: str = "graph",
+    config: RunConfig = RunConfig(),
     obs=None,
 ) -> MinimizationResult:
     """The smallest FIFO-divergence subset still reproducing ``fingerprint``.
@@ -704,7 +653,7 @@ def minimize_schedule(
         tests["count"] += 1
         recorder = RecordingScheduler(DivergenceScheduler(trace, keep))
         _page_obj, _report, fingerprints, _races = run_page_once(
-            page, recorder, seed, hb_backend
+            page, recorder, config
         )
         if fingerprint not in fingerprints:
             return None

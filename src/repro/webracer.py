@@ -36,6 +36,7 @@ from .browser.scheduler import (
     derive_page_seed,
     make_scheduler,
 )
+from .config import RunConfig, run_config
 from .core.detector import Race
 from .core.filters import FilterChain
 from .core.report import (
@@ -86,6 +87,23 @@ class PageReport:
     def harmful_counts(self) -> Dict[str, int]:
         """Harmful race counts per type."""
         return self.classified.harmful_counts()
+
+    def races_by_fingerprint(self) -> Dict[str, Dict[str, Any]]:
+        """Filtered races keyed by stable fingerprint, first of each kept:
+        ``{race_type, harmful, location, description}``."""
+        from .explain.fingerprint import race_fingerprint
+
+        races: Dict[str, Dict[str, Any]] = {}
+        for race, classified in zip(self.filtered_races, self.classified.races):
+            fingerprint = race_fingerprint(race, self.trace)
+            if fingerprint not in races:
+                races[fingerprint] = {
+                    "race_type": classified.race_type,
+                    "harmful": classified.harmful,
+                    "location": str(classified.location),
+                    "description": classified.describe(),
+                }
+        return races
 
     def summary(self) -> str:
         """One-line page summary."""
@@ -329,108 +347,73 @@ class CorpusReport:
 
 
 class WebRacer:
-    """The dynamic race detector, configured once and reused across pages."""
+    """The dynamic race detector, configured once and reused across pages.
 
-    def __init__(
-        self,
-        seed: int = 0,
-        scheduler: Any = "fifo",
-        schedule_seed: Optional[int] = None,
-        explore: bool = True,
-        eager: bool = True,
-        apply_filters: bool = True,
-        full_history: bool = False,
-        report_all_per_location: bool = False,
-        min_latency: float = 5.0,
-        max_latency: float = 120.0,
-        max_run_ms: Optional[float] = None,
-        hb_backend: str = "graph",
-        network: str = "uniform",
-        bandwidth: Optional[float] = None,
-        rtt: Optional[float] = None,
-        connections_per_origin: Optional[int] = None,
-        obs=None,
-    ):
-        self.seed = seed
-        self.scheduler = scheduler
-        #: Base seed for random scheduling; defaults to ``seed``.  Kept
-        #: separate so the schedule can vary while network latencies (and
-        #: everything else seeded) stay fixed, and vice versa.
-        self.schedule_seed = schedule_seed
+    ``WebRacer(config)`` and ``WebRacer(**fields)`` are the same thing:
+    keywords are :class:`~repro.config.RunConfig` fields.
+    """
+
+    def __init__(self, config: Optional[RunConfig] = None, obs=None, **fields):
+        self.config = run_config(config, **fields)
         #: Pages checked so far — the default page index when a caller
         #: does not pass one explicitly (corpus runs pass the site index).
         self._pages_checked = 0
-        self.explore = explore
-        self.eager = eager
-        self.apply_filters = apply_filters
-        self.full_history = full_history
-        self.report_all_per_location = report_all_per_location
-        self.min_latency = min_latency
-        self.max_latency = max_latency
-        self.max_run_ms = max_run_ms
-        #: ``"graph"`` (the paper's pipeline) or ``"shb"`` (the same
-        #: detection, followed by the SHB prediction sweep).
-        self.hb_backend = hb_backend
-        #: Network model: ``"uniform"`` (seeded per-resource latencies) or
-        #: ``"connection"`` (per-origin pools, slow start, shared
-        #: bandwidth); the tuning knobs are ``None`` for model defaults.
-        self.network = network
-        self.bandwidth = bandwidth
-        self.rtt = rtt
-        self.connections_per_origin = connections_per_origin
         #: Observability sink threaded through Browser → Monitor →
         #: detector/filters; the default null sink records nothing.
         self.obs = obs if obs is not None else NULL
 
     # ------------------------------------------------------------------
 
-    def scheduler_for_page(self, page_index: int) -> Any:
+    def scheduler_for_page(self, page_index: int) -> Scheduler:
         """The scheduler instance used for page number ``page_index``.
 
-        String policies resolve through
-        :func:`~repro.browser.scheduler.make_scheduler`; ``"random"``
-        derives its RNG seed from ``(schedule_seed or seed, page_index)``
-        so every page's interleaving is a function of its index alone —
-        never of how many tasks earlier pages ran.  Scheduler *instances*
-        go through :meth:`~repro.browser.scheduler.Scheduler.for_page`,
-        which applies the same per-page derivation to stateful policies.
+        ``"random"`` derives its RNG seed from ``(schedule_seed or seed,
+        page_index)``, so every page's interleaving is a function of its
+        index alone — never of how many tasks earlier pages ran.
         """
-        base_seed = self.schedule_seed if self.schedule_seed is not None else self.seed
-        scheduler = self.scheduler
-        if isinstance(scheduler, str):
-            if scheduler == "random":
-                return SeededRandomScheduler(derive_page_seed(base_seed, page_index))
-            return make_scheduler(scheduler, seed=base_seed)
-        if isinstance(scheduler, Scheduler):
-            return scheduler.for_page(page_index)
-        return scheduler
+        config = self.config
+        if config.scheduler != "random":
+            return make_scheduler(config.scheduler)
+        base = config.seed if config.schedule_seed is None else config.schedule_seed
+        return SeededRandomScheduler(derive_page_seed(base, page_index))
 
-    def make_browser(
+    def run_page(
         self,
+        html: str,
+        url: str,
+        seed: int,
+        scheduler: Scheduler,
+        tie_window: Optional[float] = None,
         resources: Optional[Dict[str, str]] = None,
         latencies: Optional[Dict[str, float]] = None,
-        seed: Optional[int] = None,
-        page_index: int = 0,
         sizes: Optional[Dict[str, float]] = None,
-    ) -> Browser:
-        """A Browser configured with this detector's settings."""
-        return Browser(
-            seed=self.seed if seed is None else seed,
-            scheduler=self.scheduler_for_page(page_index),
+    ) -> Page:
+        """Load ``html`` in a Browser built from this config and run it.
+
+        The one place a run builds its Browser: :meth:`check_page` and
+        every explore/predict run
+        (:func:`repro.schedule_runner.run_page_once`) come through here.
+        """
+        config = self.config
+        browser = Browser(
+            seed=seed,
+            scheduler=scheduler,
             resources=resources,
             latencies=latencies,
-            min_latency=self.min_latency,
-            max_latency=self.max_latency,
-            network=self.network,
             sizes=sizes,
-            bandwidth=self.bandwidth,
-            rtt=self.rtt,
-            connections_per_origin=self.connections_per_origin,
-            full_history=self.full_history,
-            report_all_per_location=self.report_all_per_location,
-            hb_backend=self.hb_backend,
+            tie_window=tie_window,
+            hb_backend=config.hb_backend,
+            network=config.network,
+            bandwidth=config.bandwidth,
+            rtt=config.rtt,
+            connections_per_origin=config.connections_per_origin,
             obs=self.obs,
         )
+        page = browser.open(html, url=url)
+        page.auto_explore = config.explore
+        page.eager_explore = config.eager
+        page.run(max_ms=config.max_run_ms)
+        return page
 
     def check_page(
         self,
@@ -453,14 +436,15 @@ class WebRacer:
             page_index = self._pages_checked
             self._pages_checked += 1
         with self.obs.span("check_page", cat="pipeline", url=url):
-            browser = self.make_browser(
-                resources, latencies, seed=seed, page_index=page_index,
+            page = self.run_page(
+                html,
+                url,
+                self.config.seed if seed is None else seed,
+                self.scheduler_for_page(page_index),
+                resources=resources,
+                latencies=latencies,
                 sizes=sizes,
             )
-            page = browser.open(html, url=url)
-            page.auto_explore = self.explore
-            page.eager_explore = self.eager
-            page.run(max_ms=self.max_run_ms)
             return self.report_for(page, url)
 
     def report_for(self, page: Page, url: str = "page.html") -> PageReport:
@@ -469,7 +453,7 @@ class WebRacer:
         run the SHB prediction sweep over the recorded trace."""
         raw_races = list(page.races)
         filter_removed: Dict[str, int] = {}
-        if self.apply_filters:
+        if self.config.apply_filters:
             chain = FilterChain(obs=self.obs)
             filtered = chain.apply(raw_races, page.trace)
             filter_removed = chain.removed_counts()
@@ -480,7 +464,7 @@ class WebRacer:
             raw_classified = build_report(raw_races, page.trace)
         shb_analysis = None
         predicted: List[Any] = []
-        if self.hb_backend == "shb":
+        if self.config.hb_backend == "shb":
             from .core.hb.shb import predict_races
 
             with self.obs.span(
@@ -588,12 +572,11 @@ class WebRacer:
         records = collect_page_evidence(
             page_report, page_report.page.monitor.graph, obs=self.obs
         )
-        return page_evidence_dict(url, page_report, records, self.hb_backend)
+        return page_evidence_dict(url, page_report, records, self.config.hb_backend)
 
     def check_corpus(
         self,
         sites,
-        seed: Optional[int] = None,
         timeout: Optional[float] = None,
         collect_evidence: bool = False,
         keep_pages: bool = True,
@@ -609,12 +592,11 @@ class WebRacer:
         report = CorpusReport()
         clear_parse_cache()  # start cold, as a CLI run does
         for index, site in enumerate(sites):
-            site_seed = (self.seed if seed is None else seed) + index * 101
             report.reports.append(
                 self.run_site_guarded(
                     site,
                     index,
-                    site_seed,
+                    self.config.seed + index * 101,
                     timeout=timeout,
                     collect_evidence=collect_evidence,
                     keep_page=keep_pages,
@@ -627,14 +609,14 @@ class WebRacer:
         master_seed: int = 0,
         limit: int = 100,
         jobs: int = 0,
-        seed: Optional[int] = None,
         timeout: Optional[float] = None,
         collect_evidence: bool = False,
     ) -> CorpusReport:
         """Run the deterministic corpus across a process pool.
 
         Workers rebuild their sites from ``(master_seed, index)`` — no
-        page graphs cross process boundaries — and results merge in
+        page graphs cross process boundaries — and run them under this
+        detector's :class:`~repro.config.RunConfig`; results merge in
         site-index order, so the outcome is identical to the sequential
         :meth:`check_corpus` over ``repro.sites.build_corpus``.  Worker
         instrumentation shards are merged back into ``self.obs`` when it
@@ -643,17 +625,10 @@ class WebRacer:
         from .corpus_runner import run_corpus_parallel
 
         results = run_corpus_parallel(
+            self.config,
             master_seed=master_seed,
             limit=limit,
             jobs=jobs,
-            seed=self.seed if seed is None else seed,
-            scheduler=self.scheduler,
-            schedule_seed=self.schedule_seed,
-            hb_backend=self.hb_backend,
-            network=self.network,
-            bandwidth=self.bandwidth,
-            rtt=self.rtt,
-            connections_per_origin=self.connections_per_origin,
             timeout=timeout,
             collect_evidence=collect_evidence,
             obs=self.obs if self.obs.enabled else None,

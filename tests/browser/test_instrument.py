@@ -115,13 +115,6 @@ class TestRecording:
         # No HB edges between the two ops -> race.
         assert len(monitor.races) == 1
 
-    def test_full_history_option(self):
-        monitor = Monitor(full_history=True)
-        assert monitor.full_detector is not None
-        op = begin_op(monitor)
-        monitor_record(monitor, WRITE, VarLocation(1, "x"))
-        assert len(monitor.full_detector.history) == 1
-
 
 class TestCrashRecording:
     def test_crash_attributed_to_current_op(self, monitor):

@@ -13,6 +13,7 @@ from repro.browser.scheduler import (
     SeededRandomScheduler,
     derive_page_seed,
 )
+from repro.webracer import WebRacer
 
 INF = float("inf")
 
@@ -144,21 +145,16 @@ class TestDivergenceScheduler:
 
 class TestPerPageDerivation:
     def test_for_page_is_position_independent(self):
-        base = SeededRandomScheduler(11)
-        # Consuming randomness on one page must not change the next page's
-        # scheduler (the bug: one shared random.Random across pages).
-        first = base.for_page(0)
-        run_loop(first)
-        again = SeededRandomScheduler(11).for_page(1)
-        assert run_loop(base.for_page(1)) == run_loop(again)
+        racer = WebRacer(seed=11, scheduler="random")
+        # Page 1 gets the same schedule whether it is checked alone or
+        # after page 0 (the bug: one shared random.Random across pages).
+        run_loop(racer.scheduler_for_page(0))
+        alone = WebRacer(seed=11, scheduler="random").scheduler_for_page(1)
+        assert run_loop(racer.scheduler_for_page(1)) == run_loop(alone)
 
     def test_derive_page_seed_distinct(self):
         seeds = {derive_page_seed(0, index) for index in range(100)}
         assert len(seeds) == 100
-
-    def test_stateless_policies_return_self(self):
-        scheduler = FifoScheduler()
-        assert scheduler.for_page(3) is scheduler
 
 
 # ----------------------------------------------------------------------

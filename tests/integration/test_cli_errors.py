@@ -260,6 +260,45 @@ class TestLedgerPathValidation:
         assert "is a file" in capsys.readouterr().err
 
 
+class TestCountFlags:
+    """Negative or zero counts are rejected up front, not misread: a
+    negative ``--sites`` used to slice from the end of the corpus, a
+    non-positive ``--site-timeout`` meant no deadline, and a negative
+    ``--last`` listed every run."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["corpus", "--sites", "-98"], "--sites must be >= 0"),
+            (["corpus", "--site-timeout", "-5"], "--site-timeout must be > 0"),
+            (["corpus", "--site-timeout", "0"], "--site-timeout must be > 0"),
+            (["corpus", "--jobs", "-1"], "--jobs must be >= 0"),
+        ],
+        ids=["sites", "timeout-negative", "timeout-zero", "jobs"],
+    )
+    def test_corpus_rejects_before_running(
+        self, argv, message, capsys, monkeypatch
+    ):
+        def explode(*args, **kwargs):
+            raise AssertionError("sites ran before flag validation")
+
+        monkeypatch.setattr("repro.sites.build_corpus", explode)
+        monkeypatch.setattr(
+            "repro.corpus_runner.run_corpus_parallel", explode, raising=True
+        )
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("last", ["-1", "0"])
+    def test_history_rejects_non_positive_last(self, last, tmp_path, capsys):
+        assert main(["history", "--ledger", str(tmp_path), "--last", last]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --last must be >= 1")
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestPathHelpers:
     def test_output_path_error_accepts_writable_target(self, tmp_path):
         assert _output_path_error(str(tmp_path / "new.json")) is None

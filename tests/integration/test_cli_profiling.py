@@ -8,6 +8,7 @@ the full-run gating fix) behave as documented.
 """
 
 import json
+import pathlib
 
 import pytest
 
@@ -78,6 +79,53 @@ class TestProfilingFlags:
         assert "check_page" in stats["spans"]
         assert stats["spans"]["check_page"]["count"] == 1
 
+
+EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples" / "pages"
+
+
+def run_stats(capsys, tmp_path, *argv):
+    """Run a command with ``--stats-json``; returns the stats document."""
+    stats_path = tmp_path / "stats.json"
+    assert main([*argv, "--stats-json", str(stats_path)]) == 0
+    capsys.readouterr()
+    return json.loads(stats_path.read_text())
+
+
+class TestExplorePredictPhases:
+    """explore and predict report through the run's own sink, so like
+    ``check`` they record one ``filters`` and one ``classify`` span per
+    page run, and the ``races.*`` counters."""
+
+    def assert_phases(self, stats):
+        spans = stats["spans"]
+        assert spans["page.run"]["count"] > 0
+        assert spans["filters"]["count"] == spans["page.run"]["count"]
+        assert spans["classify"]["count"] == spans["page.run"]["count"]
+        assert "races.raw" in stats["counters"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_explore(self, jobs, capsys, tmp_path):
+        stats = run_stats(
+            capsys, tmp_path, "explore", str(EXAMPLES / "widget_poll.html"),
+            "--schedules", "2", "--jobs", jobs,
+        )
+        self.assert_phases(stats)
+
+    def test_explore_jobs_count_like_sequential(self, capsys, tmp_path):
+        argv = ("explore", str(EXAMPLES / "widget_poll.html"), "--schedules", "2")
+        sequential = run_stats(capsys, tmp_path, *argv)
+        parallel = run_stats(capsys, tmp_path, *argv, "--jobs", "2")
+        assert parallel["counters"] == sequential["counters"]
+
+    def test_predict(self, capsys, tmp_path):
+        stats = run_stats(
+            capsys, tmp_path, "predict", str(EXAMPLES / "widget_poll.html"),
+            "--resource", f"lib.js={EXAMPLES / 'lib.js'}",
+            "--resource", f"boot.js={EXAMPLES / 'boot.js'}",
+            "--budget", "2",
+        )
+        self.assert_phases(stats)
+        assert stats["counters"]["predict.witness_budget_spent"] == 2
 
 
 def tiny_corpus(count):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.browser.scheduler import ScheduleTrace
+from repro.config import RunConfig
 from repro.explain.schedule_report import (
     EXPLORE_FORMAT_NAME,
     assemble_explore_document,
@@ -167,12 +168,14 @@ class TestExplorePages:
 class TestTraceReplayFromDisk:
     def test_saved_trace_replays_to_same_fingerprints(self, poll_page, tmp_path):
         spec = ScheduleSpec("random-0", "random", 12345)
-        result = run_page_schedule(poll_page, spec, seed=0, verify_replay=False)
+        result = run_page_schedule(
+            poll_page, spec, RunConfig(seed=0), verify_replay=False
+        )
         assert result.ok
         path = str(tmp_path / "trace.json")
         result.trace().save(path)
         loaded = ScheduleTrace.load(path)
-        assert replay_run(poll_page, loaded, seed=0) == result.fingerprints
+        assert replay_run(poll_page, loaded, RunConfig(seed=0)) == result.fingerprints
 
 
 class TestMinimization:
@@ -182,17 +185,23 @@ class TestMinimization:
         assert sensitive
         target = sensitive[0]["fingerprint"]
         _page, run = report.find_witness(target)
-        outcome = minimize_schedule(poll_page, run.trace(), target, seed=0)
+        outcome = minimize_schedule(
+            poll_page, run.trace(), target, RunConfig(seed=0)
+        )
         assert outcome.minimized_divergences <= outcome.original_divergences
         # The minimized trace stands on its own: replaying it still
         # reproduces the target fingerprint.
-        assert target in replay_run(poll_page, outcome.minimized, seed=0)
+        assert target in replay_run(poll_page, outcome.minimized, RunConfig(seed=0))
 
     def test_minimize_unreproducible_fingerprint_raises(self, poll_page):
         spec = ScheduleSpec("fifo", "fifo")
-        result = run_page_schedule(poll_page, spec, seed=0, verify_replay=False)
+        result = run_page_schedule(
+            poll_page, spec, RunConfig(seed=0), verify_replay=False
+        )
         with pytest.raises(ValueError, match="does not reproduce"):
-            minimize_schedule(poll_page, result.trace(), "0" * 16, seed=0)
+            minimize_schedule(
+                poll_page, result.trace(), "0" * 16, RunConfig(seed=0)
+            )
 
 
 class TestExploreCli:

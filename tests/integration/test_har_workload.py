@@ -21,6 +21,7 @@ from repro.browser.scheduler import (
     ReplayScheduler,
     SeededRandomScheduler,
 )
+from repro.config import RunConfig
 from repro.explain.schedule_report import assemble_explore_document
 from repro.schedule_runner import explore_pages, load_page_inputs, run_page_once
 
@@ -28,13 +29,11 @@ EXAMPLE_HAR = str(
     pathlib.Path(__file__).resolve().parents[2] / "examples" / "pages" / "shop.har"
 )
 
-CONNECTION = {"model": "connection"}
+CONNECTION = RunConfig(seed=0, network="connection")
 
 
-def shop_page(network=None):
+def shop_page():
     [page] = load_page_inputs(EXAMPLE_HAR)
-    if network:
-        page.network = dict(network)
     return page
 
 
@@ -144,27 +143,28 @@ class TestCliErrors:
 class TestJobsByteIdentity:
     @pytest.mark.parametrize("network", [None, CONNECTION])
     def test_parallel_matches_sequential(self, network):
+        config = network or RunConfig(seed=0)
         sequential = assemble_explore_document(
-            explore_pages([shop_page(network)], schedules=4, seed=0, jobs=1)
+            explore_pages([shop_page()], schedules=4, jobs=1, config=config)
         )
         parallel = assemble_explore_document(
-            explore_pages([shop_page(network)], schedules=4, seed=0, jobs=2)
+            explore_pages([shop_page()], schedules=4, jobs=2, config=config)
         )
         assert json.dumps(sequential, sort_keys=True) == json.dumps(
             parallel, sort_keys=True
         )
 
     def test_network_config_reaches_the_run(self):
-        """Sanity: the PageInput network dict actually configures the
+        """Sanity: the config's network settings actually configure the
         browser — a connection-model run of the capture spends far more
         virtual time (the 1.2 MB catalog) than a uniform run ever can."""
         from repro.browser.scheduler import FifoScheduler
 
         uniform_page, _, _, _ = run_page_once(
-            shop_page(), FifoScheduler(), seed=0, hb_backend="graph"
+            shop_page(), FifoScheduler(), RunConfig(seed=0, hb_backend="graph")
         )
         connection_page, _, _, _ = run_page_once(
-            shop_page(CONNECTION), FifoScheduler(), seed=0, hb_backend="graph"
+            shop_page(), FifoScheduler(), CONNECTION
         )
         assert uniform_page.loop.clock.now < 700  # everything inside max latency
         assert connection_page.loop.clock.now > 800  # catalog transfer dominates
@@ -176,14 +176,14 @@ class TestReplayProperty:
     def test_connection_runs_replay_bit_for_bit(self, schedule_seed):
         """Any recorded connection-model run must replay exactly: same
         schedule length, same operation count, same race fingerprints."""
-        page = shop_page(CONNECTION)
+        page = shop_page()
         recorder = RecordingScheduler(SeededRandomScheduler(schedule_seed))
         recorded_page, _, recorded_fps, _ = run_page_once(
-            page, recorder, seed=0, hb_backend="graph"
+            page, recorder, CONNECTION
         )
         trace = recorder.trace(seed=schedule_seed, page=page.url)
         replayed_page, _, replayed_fps, _ = run_page_once(
-            page, ReplayScheduler(trace), seed=0, hb_backend="graph"
+            page, ReplayScheduler(trace), CONNECTION
         )
         assert replayed_fps == recorded_fps
         assert len(replayed_page.trace.accesses) == len(

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.config import RunConfig
 from repro.explain.schedule_report import (
     assemble_predict_document,
     render_predict_text,
@@ -47,7 +48,7 @@ def pages_dir(tmp_path):
 def poll_report():
     """One prediction pass over the polling page (shared, read-only)."""
     page = PageInput(url="poll.html", html=POLL_HTML, resources=dict(POLL_RESOURCES))
-    return predict_page(page, seed=0, minimize=True)
+    return predict_page(page, RunConfig(seed=0), minimize=True)
 
 
 class TestWitnessSchedules:
@@ -119,13 +120,15 @@ class TestPredictPage:
 
     def test_crash_isolated_into_report_error(self):
         broken = PageInput(url="broken.html", html=None, resources={})
-        report = predict_page(broken, seed=0)
+        report = predict_page(broken, RunConfig(seed=0))
         assert not report.ok
         assert report.error
         assert report.predictions == []
 
     def test_shb_online_backend_accepted(self, poll_page):
-        report = predict_page(poll_page, seed=0, hb_backend="shb", budget=2)
+        report = predict_page(
+            poll_page, RunConfig(seed=0, hb_backend="shb"), budget=2
+        )
         assert report.ok
 
 
@@ -146,8 +149,8 @@ class TestPredictDocument:
         page2 = PageInput(
             url="poll.html", html=POLL_HTML, resources=dict(POLL_RESOURCES)
         )
-        first = assemble_predict_document([predict_page(poll_page, seed=0)])
-        second = assemble_predict_document([predict_page(page2, seed=0)])
+        first = assemble_predict_document([predict_page(poll_page, RunConfig(seed=0))])
+        second = assemble_predict_document([predict_page(page2, RunConfig(seed=0))])
         assert json.dumps(first, sort_keys=True) == json.dumps(
             second, sort_keys=True
         )

@@ -405,6 +405,56 @@ LEGACY_RECORD = {
 }
 
 
+#: Stands for the page path in the run-config cases below.
+PAGE = "<page>"
+_DEFAULTS = {"seed": 0, "hb_backend": "graph"}
+_SCHEDULER = {"scheduler": "fifo", "schedule_seed": None}
+_CONNECTION = {
+    "network": "connection",
+    "bandwidth": 1500.0,
+    "rtt": 40.0,
+    "connections_per_origin": 6,
+}
+_UNIFORM_CASES = [
+    ("check", [PAGE], {"page": PAGE, **_DEFAULTS, **_SCHEDULER}),
+    ("corpus", ["--sites", "2"], {"sites": 2, **_DEFAULTS, **_SCHEDULER}),
+    (
+        "explore",
+        [PAGE, "--schedules", "2"],
+        {"path": PAGE, "schedules": 2, **_DEFAULTS},
+    ),
+    (
+        "predict",
+        [PAGE, "--budget", "2"],
+        {"path": PAGE, "budget": 2, "minimize": False, **_DEFAULTS},
+    ),
+]
+#: (command, argv, ledger config) as recorded before ``RunConfig``.
+RUN_CONFIG_CASES = [
+    *_UNIFORM_CASES,
+    *(
+        (command, [*argv, "--network", "connection"], {**config, **_CONNECTION})
+        for command, argv, config in _UNIFORM_CASES
+    ),
+    (
+        "corpus",
+        ["--sites", "2", "--scheduler", "random", "--schedule-seed", "3"],
+        {"sites": 2, **_DEFAULTS, "scheduler": "random", "schedule_seed": 3},
+    ),
+]
+RUN_CONFIG_IDS = [
+    *(f"{command}-uniform" for command, _, _ in _UNIFORM_CASES),
+    *(f"{command}-connection" for command, _, _ in _UNIFORM_CASES),
+    "corpus-random",
+]
+#: Corpus ``--sites 2`` digests, keyed by the flags after ``--sites 2``.
+CORPUS_DIGESTS = {
+    (): "fe4d8c5d2da74929",
+    ("--network", "connection"): "c9a2a952f71f7bcf",
+    ("--scheduler", "random", "--schedule-seed", "3"): "a707814a0f3dbefa",
+}
+
+
 class TestLedgerCompatibility:
     def test_default_corpus_config_digest_is_stable(self):
         config = {
@@ -436,3 +486,54 @@ class TestLedgerCompatibility:
         assert main(["diff", "0", "1", "--ledger", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "config" in out
+
+    @pytest.mark.parametrize(
+        "command, argv, expected", RUN_CONFIG_CASES, ids=RUN_CONFIG_IDS
+    )
+    def test_run_config_keys_are_unchanged(
+        self, command, argv, expected, tmp_path, capsys
+    ):
+        """Every command's ledger config keeps the keys and values it had
+        before the run settings became one ``RunConfig``, so old ledgers
+        still baseline against new runs."""
+        from repro.__main__ import main
+
+        page = tmp_path / "page.html"
+        page.write_text("<div id='a'></div><script>x = 1;</script>")
+        argv = [str(page) if arg == PAGE else arg for arg in argv]
+        expected = {
+            key: str(page) if value == PAGE else value
+            for key, value in expected.items()
+        }
+        ledger = tmp_path / "ledger"
+        assert main([command, *argv, "--ledger", str(ledger)]) == 0
+        capsys.readouterr()
+        (record,) = Ledger(str(ledger)).records()
+        assert record["config"] == expected
+        if command == "corpus":
+            assert record["config_digest"] == CORPUS_DIGESTS[tuple(argv[2:])]
+
+    def test_failed_predict_page_writes_no_races(self, tmp_path, capsys, monkeypatch):
+        """A page whose prediction fails after its base run has observed
+        races, but none of them — and none of its partial predictions —
+        reach the ledger."""
+        import repro.predict
+        from repro.__main__ import main
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("sweep failed")
+
+        monkeypatch.setattr(repro.predict, "predict_races", explode)
+        pages = os.path.join(os.path.dirname(__file__), "..", "..", "examples", "pages")
+        page = os.path.join(pages, "form_race.html")
+        ledger = tmp_path / "ledger"
+        argv = ["predict", page, "--budget", "2", "--ledger", str(ledger)]
+        argv += ["--resource", "hint.js=" + os.path.join(pages, "hint.js")]
+        assert main(argv) == 2
+        assert "RuntimeError: sweep failed" in capsys.readouterr().err
+        store = Ledger(str(ledger))
+        records = store.records() if store.exists() else []
+        assert [
+            race for record in records for race in record["races"]
+            if race["page"] == page
+        ] == []
