@@ -43,14 +43,13 @@ def run_page(obs=None):
 
 
 def obs_call_volume(obs):
-    """How many obs calls the pipeline made: spans+instants, counter and
-    histogram updates."""
+    """How many obs calls the pipeline made: spans+instants and counter
+    updates."""
     spans = sum(stat.count for stat in obs.span_stats.values())
     counts = len(obs.counters)  # distinct counters; increments below
     increments = sum(obs.counter_totals().values())
-    observations = sum(hist.count for hist in obs.histograms.values())
     instants = sum(1 for event in obs.events if event.duration is None)
-    return spans + max(counts, 0) + increments + observations + instants
+    return spans + max(counts, 0) + increments + instants
 
 
 def test_null_sink_overhead_under_5_percent():

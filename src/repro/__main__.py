@@ -12,11 +12,11 @@ Commands
 ``corpus [--sites N] [--seed N] [--jobs N] [--site-timeout S] [--json out.json]``
     Build the synthetic Fortune-100 corpus and print Table 1 / Table 2.
     ``--json`` additionally writes the tables as machine-readable JSON.
-    ``--jobs N`` shards the run over N worker processes (0 = one per
-    CPU); workers rebuild their sites deterministically from
-    ``(master_seed, index)`` and results merge in site-index order, so
-    the output is byte-identical to a sequential run.  A site that
-    crashes or exceeds ``--site-timeout`` seconds records a site error
+    ``--jobs N`` runs the sites over N worker processes (0 = one per
+    usable CPU); results merge in site-index order, so the output is
+    byte-identical to ``--jobs 1``.  In both modes each site is built
+    inside its own guard: a site that crashes or exceeds
+    ``--site-timeout`` seconds, building or running, records a site error
     (listed in the output and the ``--json`` payload) and the run
     continues.  All output paths are validated before any site runs.
 
@@ -301,7 +301,7 @@ def _make_obs(args) -> Optional[Instrumentation]:
 def _append_ledger(args, command, config, races, totals, obs, started) -> Optional[str]:
     """Append exactly one run record when ``--ledger`` is set.
 
-    Called once per CLI invocation, in the parent process — sharded
+    Called once per CLI invocation, in the parent process — pooled
     (``--jobs``) runs still yield a single record because workers never
     see the ledger arguments.
     """
@@ -388,11 +388,11 @@ def _emit_reports(args, page_reports, obs, mode: str) -> Optional[str]:
 def _emit_corpus_reports(args, corpus_report) -> Optional[str]:
     """Corpus report outputs, assembled from serialized site summaries.
 
-    Both the sequential and the sharded runner leave a serialized
-    evidence block (``SiteResult.report_page``) on every successful site,
-    so assembly here is mode-independent — which is what keeps ``--jobs 1``
-    and ``--jobs N`` report files byte-identical.  Failed sites carry no
-    evidence and are simply absent from the document's pages.
+    Every successful site carries a serialized evidence block
+    (``SiteResult.report_page``), in-process or from a worker alike, so
+    ``--jobs 1`` and ``--jobs N`` report files are byte-identical.
+    Failed sites carry no evidence and are simply absent from the
+    document's pages.
     """
     if not (args.report_json or args.report_html):
         return None
@@ -594,36 +594,23 @@ def _per_site_stats(corpus_report) -> List[dict]:
 
 def cmd_corpus(args) -> int:
     """Run the Fortune-100 evaluation (the `corpus` subcommand)."""
-    from .sites import PAPER_TABLE1, PAPER_TABLE2_TOTALS, build_corpus
+    from .sites import PAPER_TABLE1, PAPER_TABLE2_TOTALS, corpus_builders
 
     config, error = _preflight(args)
     if error:
         return _fail(error)
     started = time.perf_counter()
-    from .corpus_runner import resolve_jobs
-
-    jobs = resolve_jobs(args.jobs)
     # The ledger needs fingerprints on the serialized site races, and
     # those only exist when evidence is collected.
     collect_evidence = bool(args.report_json or args.report_html or args.ledger)
     obs = _make_obs(args)
-    racer = WebRacer(config, obs=obs)
-    if jobs == 1:
-        sites = build_corpus(master_seed=config.seed, limit=args.sites)
-        corpus_report = racer.check_corpus(
-            sites,
-            timeout=args.site_timeout,
-            collect_evidence=collect_evidence,
-            keep_pages=False,
-        )
-    else:
-        corpus_report = racer.check_corpus_parallel(
-            master_seed=config.seed,
-            limit=args.sites,
-            jobs=jobs,
-            timeout=args.site_timeout,
-            collect_evidence=collect_evidence,
-        )
+    corpus_report = WebRacer(config, obs=obs).check_corpus(
+        corpus_builders(master_seed=config.seed, limit=args.sites),
+        jobs=args.jobs,
+        timeout=args.site_timeout,
+        collect_evidence=collect_evidence,
+        keep_pages=False,
+    )
 
     # Paper comparisons only make sense against the full 100-site corpus.
     # Gate on the number of sites actually built: ``--sites 150`` clamps
@@ -669,8 +656,8 @@ def cmd_corpus(args) -> int:
     error = _append_ledger(
         args,
         "corpus",
-        # --jobs is an execution strategy, not a semantic input: sharded
-        # and sequential runs are byte-identical by design, so they share
+        # --jobs is an execution strategy, not a semantic input: pooled
+        # and in-process runs are byte-identical by design, so they share
         # a config digest and diff against each other.
         config={"sites": args.sites, **config.ledger_fields()},
         races=_ledger_races(
@@ -1144,7 +1131,7 @@ def build_parser() -> argparse.ArgumentParser:
     corpus.add_argument("--sites", type=int, default=100)
     corpus.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for the corpus run "
-                             "(0 = one per CPU; default 1, sequential)")
+                             "(0 = one per usable CPU; default 1, in-process)")
     corpus.add_argument("--site-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-site wall-clock limit; an over-budget "
@@ -1167,7 +1154,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "seeded-random schedules (default 8)")
     explore.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="worker processes for the page×schedule "
-                              "matrix (0 = one per CPU; default 1)")
+                              "matrix (0 = one per usable CPU; default 1)")
     explore.add_argument("--json", metavar="FILE",
                          help="write the explore report as JSON")
     explore.add_argument("--traces-dir", metavar="DIR",

@@ -144,7 +144,7 @@ class Dispatcher:
             parent=interrupted.op_id,
         )
         for op_id in result.all_ops:
-            monitor.rules.graph.add_edge(op_id, segment.op_id, R.RULE_A_SPLIT_POST)
+            monitor.graph.add_edge(op_id, segment.op_id, R.RULE_A_SPLIT_POST)
         monitor.replace_current(segment)
         return result
 
@@ -199,7 +199,7 @@ class Dispatcher:
                 "role": "root",
             },
         )
-        graph = monitor.rules.graph
+        graph = monitor.graph
         # Rule 8: the target must have been created first.
         create_op = monitor.create_op_of(target)
         if create_op is not None:

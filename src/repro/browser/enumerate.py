@@ -107,7 +107,8 @@ class ScheduleEnumerator:
         return self.outcomes
 
     def distinct_results(self, key: Optional[Callable[[Any], Any]] = None) -> Dict[Any, int]:
-        """Histogram of outcomes (optionally projected through ``key``)."""
+        """How many runs gave each outcome (optionally projected through
+        ``key``)."""
         histogram: Dict[Any, int] = {}
         for outcome in self.outcomes:
             value = key(outcome.result) if key else outcome.result

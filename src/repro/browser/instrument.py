@@ -6,7 +6,8 @@ execution, event dispatch and DOM mutation all report to the race detector
 through one object, the :class:`Monitor`:
 
 * it owns the execution :class:`~repro.core.trace.Trace`, the happens-before
-  :class:`~repro.core.hb.rules.RuleEngine`, and the race detector;
+  store (:class:`~repro.core.hb.graph.HBGraph`, whose edges the browser
+  adds labelled with the paper's rules), and the race detector;
 * it tracks the *current operation* (operations are atomic; a stack is still
   needed because inline event dispatch nests handler execution inside a
   script — Appendix A);
@@ -24,7 +25,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from ..core.access import READ, WRITE
 from ..core.detector import RaceDetector
 from ..core.hb.backend import make_backend
-from ..core.hb.rules import RuleEngine
 from ..core.locations import (
     ATTR_SLOT,
     CollectionLocation,
@@ -55,7 +55,6 @@ class Monitor:
         self.trace = Trace()
         self.hb_backend = hb_backend
         self.graph = make_backend(hb_backend, obs=self.obs)
-        self.rules = RuleEngine(self.graph)
         self.detector = RaceDetector(self.trace, self.graph, obs=self.obs)
         self.trace.subscribe(self.detector.on_access)
         self._op_stack: List[Operation] = []

@@ -17,7 +17,7 @@ from .filters import (
     single_dispatch_filter,
 )
 from .full_detector import FullHistoryDetector
-from .hb import HBGraph, RuleEngine
+from .hb import HBGraph
 from .locations import (
     ATTR_SLOT,
     CollectionLocation,
@@ -103,7 +103,6 @@ __all__ = [
     "Race",
     "RaceDetector",
     "RaceReport",
-    "RuleEngine",
     "SEGMENT",
     "SINGLE_DISPATCH_EVENTS",
     "TimerSlotLocation",

@@ -2,7 +2,7 @@
 
 from .backend import HB_BACKENDS, HBBackend, make_backend
 from .graph import Edge, HBGraph
-from .rules import ALL_RULES, RuleEngine
+from .rules import ALL_RULES
 from .shb import (
     SHB_RF_RULE,
     ReadsFromEdge,
@@ -28,7 +28,6 @@ __all__ = [
     "HB_BACKENDS",
     "RaceWitness",
     "ReadsFromEdge",
-    "RuleEngine",
     "SHB_RF_RULE",
     "ShbAnalysis",
     "ShbPrediction",

@@ -1,15 +1,16 @@
 """The paper's happens-before rules (Section 3.3 plus Appendix A).
 
-Each rule from the paper is a named method on :class:`RuleEngine`; the
-browser calls the method at the moment the corresponding ordering fact
-becomes known, and the engine materializes it as labeled edges in the
-underlying :class:`~repro.core.hb.graph.HBGraph`.  Keeping one method per
-paper rule makes the rule inventory visible, testable in isolation, and
-auditable against the paper text.
+Each rule from the paper has a label here.  The browser adds every
+happens-before edge at the moment its ordering fact becomes known —
+``graph.add_edge(src, dst, RULE_…)`` in :mod:`repro.browser.page` and
+:mod:`repro.browser.dispatcher` — so every edge of the
+:class:`~repro.core.hb.graph.HBGraph` names the paper rule behind it, and
+``tests/integration/test_rule_coverage.py`` audits that every label fires
+on real pages.
 
 Set-valued identifiers (``dispi``, ``ld``, ``dcl`` denote *sets* of handler
-executions) are passed as iterables of operation ids; ``A ≺ B`` with sets
-means the full cross product, exactly as the paper overloads the notation.
+executions) become one edge per pair: ``A ≺ B`` with sets means the full
+cross product, exactly as the paper overloads the notation.
 
 Where the paper errs on the side of *fewer* edges (ambiguous specs, browser
 disagreement — Section 3), so do we: asynchronous scripts and external
@@ -17,12 +18,6 @@ script-inserted scripts get only rules 2, 3 and 15.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Union
-
-from .graph import HBGraph
-
-OpIds = Union[int, Iterable[int]]
 
 # Rule labels, used to tag edges for tests and audits.
 RULE_1A = "1a:static-order"
@@ -54,162 +49,3 @@ ALL_RULES = [
     RULE_15, RULE_16, RULE_17, RULE_A_SPLIT_PRE, RULE_A_SPLIT_POST,
     RULE_A_PHASING,
 ]
-
-
-def _as_ids(ops: OpIds) -> Iterable[int]:
-    if isinstance(ops, int):
-        return (ops,)
-    return ops
-
-
-class RuleEngine:
-    """Applies the paper's numbered rules to a happens-before graph."""
-
-    def __init__(self, graph: HBGraph = None):
-        self.graph = graph if graph is not None else HBGraph()
-
-    def _add(self, sources: OpIds, targets: OpIds, rule: str) -> int:
-        """Cross-product edge addition; returns how many edges were new."""
-        added = 0
-        targets = list(_as_ids(targets))
-        for src in _as_ids(sources):
-            for dst in targets:
-                if src != dst and self.graph.add_edge(src, dst, rule):
-                    added += 1
-        return added
-
-    # -- Static HTML (rule 1) -------------------------------------------
-
-    def static_order(self, parse_e1: int, parse_e2: int) -> int:
-        """Rule 1(a): parse(E1) ≺ parse(E2) for E1 preceding E2."""
-        return self._add(parse_e1, parse_e2, RULE_1A)
-
-    def inline_script_before_next_parse(self, exe_e1: int, parse_e2: int) -> int:
-        """Rule 1(b): an inline script executes before later parsing."""
-        return self._add(exe_e1, parse_e2, RULE_1B)
-
-    def sync_script_load_before_next_parse(self, ld_e1: OpIds, parse_e2: int) -> int:
-        """Rule 1(c): a synchronous external script's load event precedes
-        the parsing of later elements."""
-        return self._add(ld_e1, parse_e2, RULE_1C)
-
-    # -- Script parsing / execution / loading (rules 2-3) ----------------
-
-    def create_before_exe(self, create_e: int, exe_e: int) -> int:
-        """Rule 2: create(E) ≺ exe(E)."""
-        return self._add(create_e, exe_e, RULE_2)
-
-    def exe_before_load(self, exe_e: int, ld_e: OpIds) -> int:
-        """Rule 3: exe(E) ≺ ld(E) (external scripts only)."""
-        return self._add(exe_e, ld_e, RULE_3)
-
-    # -- Deferred scripts (rules 4-5) -------------------------------------
-
-    def pre_dcl_create_before_deferred_exe(
-        self, create_e: int, exe_deferred: int
-    ) -> int:
-        """Rule 4: anything created before DOMContentLoaded precedes the
-        execution of a static deferred script."""
-        return self._add(create_e, exe_deferred, RULE_4)
-
-    def deferred_order(self, ld_e1: OpIds, exe_e2: int) -> int:
-        """Rule 5: static deferred scripts run in syntactic order."""
-        return self._add(ld_e1, exe_e2, RULE_5)
-
-    # -- Inner frames (rules 6-7) -----------------------------------------
-
-    def iframe_create_before_nested_create(
-        self, create_iframe: int, create_nested: int
-    ) -> int:
-        """Rule 6: create(I) ≺ create(E) for E inside iframe I's document."""
-        return self._add(create_iframe, create_nested, RULE_6)
-
-    def nested_window_load_before_iframe_load(
-        self, ld_nested_window: OpIds, ld_iframe: OpIds
-    ) -> int:
-        """Rule 7: ld(W_I) ≺ ld(I)."""
-        return self._add(ld_nested_window, ld_iframe, RULE_7)
-
-    # -- Event handlers (rules 8-10) ----------------------------------------
-
-    def target_created_before_dispatch(
-        self, create_target: int, dispatch_ops: OpIds
-    ) -> int:
-        """Rule 8: create(T) ≺ every handler execution targeting T."""
-        return self._add(create_target, dispatch_ops, RULE_8)
-
-    def earlier_dispatch_first(self, prev_ops: OpIds, cur_ops: OpIds) -> int:
-        """Rule 9: dispj(e,T) ≺ dispi(e,T) for j < i."""
-        return self._add(prev_ops, cur_ops, RULE_9)
-
-    def send_before_readystatechange(
-        self, send_op: int, dispatch_ops: OpIds
-    ) -> int:
-        """Rule 10: XHR send() ≺ disp0(readystatechange, T)."""
-        return self._add(send_op, dispatch_ops, RULE_10)
-
-    # -- DOMContentLoaded / window load (rules 11-15) -----------------------
-
-    def dcl_before_window_load(self, dcl_ops: OpIds, ld_window: OpIds) -> int:
-        """Rule 11: dcl(D) ≺ ld(W)."""
-        return self._add(dcl_ops, ld_window, RULE_11)
-
-    def parse_before_dcl(self, parse_e: int, dcl_ops: OpIds) -> int:
-        """Rule 12: parse(E) ≺ dcl(D) for static E in D."""
-        return self._add(parse_e, dcl_ops, RULE_12)
-
-    def inline_exe_before_dcl(self, exe_e: int, dcl_ops: OpIds) -> int:
-        """Rule 13: exe(E) ≺ dcl(D) for static inline scripts."""
-        return self._add(exe_e, dcl_ops, RULE_13)
-
-    def script_load_before_dcl(self, ld_e: OpIds, dcl_ops: OpIds) -> int:
-        """Rule 14: ld(E) ≺ dcl(D) for static sync/deferred scripts."""
-        return self._add(ld_e, dcl_ops, RULE_14)
-
-    def element_load_before_window_load(
-        self, ld_e: OpIds, ld_window: OpIds
-    ) -> int:
-        """Rule 15: ld(E) ≺ ld(W) when create(E) ≺ ld(W) and E has a load
-        event (img, script, iframe, ...)."""
-        return self._add(ld_e, ld_window, RULE_15)
-
-    # -- Timed execution (rules 16-17) ----------------------------------------
-
-    def settimeout_before_cb(self, caller: int, cb_op: int) -> int:
-        """Rule 16: the operation calling setTimeout(B) ≺ cb(B)."""
-        return self._add(caller, cb_op, RULE_16)
-
-    def setinterval_before_first(self, caller: int, cb0: int) -> int:
-        """Rule 17 (first half): caller ≺ cb0(B)."""
-        return self._add(caller, cb0, RULE_17)
-
-    def interval_successor(self, cbi: int, cbi_next: int) -> int:
-        """Rule 17 (second half): cbi(B) ≺ cbi+1(B)."""
-        return self._add(cbi, cbi_next, RULE_17)
-
-    # -- Appendix A ------------------------------------------------------------
-
-    def inline_dispatch_split(
-        self, pre_segment: int, handler_ops: OpIds, post_segment: int
-    ) -> int:
-        """Appendix: A[0:k) ≺ B and B ≺ A[k+1:|A|) for inline dispatch."""
-        added = self._add(pre_segment, handler_ops, RULE_A_SPLIT_PRE)
-        added += self._add(handler_ops, post_segment, RULE_A_SPLIT_POST)
-        return added
-
-    def event_phasing(self, earlier_ops: OpIds, later_ops: OpIds) -> int:
-        """Appendix: ordering between handler executions of the same
-        non-inline dispatch (phases/targets) and across dispatch indices."""
-        return self._add(earlier_ops, later_ops, RULE_A_PHASING)
-
-    # -- queries ---------------------------------------------------------------
-
-    def happens_before(self, a: int, b: int) -> bool:
-        """Transitive happens-before query on the underlying graph."""
-        return self.graph.happens_before(a, b)
-
-    def chc(self, a: int, b: int) -> bool:
-        """Can-Happen-Concurrently, with 0 as the ⊥ marker."""
-        if a == 0 or b == 0:
-            return False
-        return self.graph.concurrent(a, b)

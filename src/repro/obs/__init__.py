@@ -3,13 +3,12 @@
 The paper reports WebRacer's runtime overhead as "barely noticeable"
 (Section 6) but gives no per-phase breakdown; this package is the
 reproduction's answer to "where does a check spend its time?".  It
-provides three primitives —
+provides two primitives —
 
 * **spans**: context-manager timers with parent nesting and self-time
   accounting (``with obs.span("parse"): ...``),
 * **counters**: monotonically increasing named integers
-  (``obs.count("access.read")``),
-* **histograms**: value aggregates (``obs.observe("latency", 3.2)``) —
+  (``obs.count("access.read")``) —
 
 and two exporters: a Chrome trace-event JSON file (loadable in
 ``chrome://tracing`` / Perfetto) and a plain-text/JSON stats summary.
@@ -25,7 +24,6 @@ zero-overhead contract the disabled-mode benchmark pins down
 from .bench import bench_envelope, validate_bench_file, write_bench
 from .core import (
     NULL,
-    Histogram,
     Instrumentation,
     NullInstrumentation,
     Span,
@@ -55,7 +53,6 @@ from .trace_event import (
 
 __all__ = [
     "NULL",
-    "Histogram",
     "Instrumentation",
     "Ledger",
     "LedgerError",

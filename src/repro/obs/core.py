@@ -1,4 +1,4 @@
-"""Spans, counters and histograms — the ``repro.obs`` collection core.
+"""Spans and counters — the ``repro.obs`` collection core.
 
 Everything is single-threaded (the browser is one event loop), so one
 span stack suffices.  Timestamps come from ``time.perf_counter`` and are
@@ -48,53 +48,12 @@ class NullInstrumentation:
     def count(self, name: str, n: int = 1) -> None:
         """No-op counter increment."""
 
-    def observe(self, name: str, value: float) -> None:
-        """No-op histogram observation."""
-
     def instant(self, name: str, **args: Any) -> None:
         """No-op instant event."""
 
 
 #: The process-wide null sink; safe to share (it holds no state).
 NULL = NullInstrumentation()
-
-
-class Histogram:
-    """Streaming value aggregate: count, total, min, max, mean."""
-
-    __slots__ = ("count", "total", "minimum", "maximum")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.minimum = float("inf")
-        self.maximum = float("-inf")
-
-    def add(self, value: float) -> None:
-        """Fold one observation into the aggregate."""
-        self.count += 1
-        self.total += value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean of the observations (0.0 when empty)."""
-        return self.total / self.count if self.count else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        """JSON-able summary of the aggregate."""
-        if not self.count:
-            return {"count": 0, "total": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0}
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.minimum,
-            "max": self.maximum,
-            "mean": self.mean,
-        }
 
 
 class SpanStat:
@@ -222,7 +181,7 @@ class _Scope:
 
 
 class Instrumentation:
-    """The live collector: spans + counters + histograms + raw events.
+    """The live collector: spans + counters + raw events.
 
     ``scope(name)`` labels everything recorded inside it (the corpus
     runner opens one scope per site), so per-site statistics fall out of
@@ -246,8 +205,6 @@ class Instrumentation:
         self.events: List[Any] = []
         #: (scope, name) -> count.
         self.counters: Dict[Tuple[str, str], int] = {}
-        #: (scope, name) -> Histogram.
-        self.histograms: Dict[Tuple[str, str], Histogram] = {}
         #: (scope, name) -> SpanStat.
         self.span_stats: Dict[Tuple[str, str], SpanStat] = {}
         #: tid -> label for merged worker shards (Chrome-trace lanes);
@@ -273,14 +230,6 @@ class Instrumentation:
         """Increment the named counter (scoped) by ``n``."""
         key = (self._scope, name)
         self.counters[key] = self.counters.get(key, 0) + n
-
-    def observe(self, name: str, value: float) -> None:
-        """Fold ``value`` into the named histogram (scoped)."""
-        key = (self._scope, name)
-        hist = self.histograms.get(key)
-        if hist is None:
-            hist = self.histograms[key] = Histogram()
-        hist.add(value)
 
     def instant(self, name: str, **args: Any) -> None:
         """Record a point event at the current time."""

@@ -1,12 +1,12 @@
 """Shipping instrumentation across process boundaries (shard merge).
 
-Sharded corpus runs give every worker its own :class:`Instrumentation`;
-:func:`snapshot` reduces one to a picklable dict (events as plain tuples,
-aggregates as plain numbers) and :func:`merge_shard` folds a snapshot back
-into the parent collector.  Counters, histograms and span stats merge by
-``(scope, name)`` — worker scopes are site names, so the per-site blocks
-of ``--stats-json`` and the ``--profile`` table come out exactly as if
-the sites had run in-process.
+Pooled runs (:func:`repro.pool.fan_out`) give every worker its own
+:class:`Instrumentation`; :func:`snapshot` reduces one to a picklable dict
+(events as plain tuples, aggregates as plain numbers) and
+:func:`merge_shard` folds a snapshot back into the parent collector.
+Counters and span stats merge by ``(scope, name)`` — corpus worker scopes
+are site names, so the per-site blocks of ``--stats-json`` and the
+``--profile`` table come out exactly as if the sites had run in-process.
 
 Merged events land on their own Chrome-trace *thread* (``tid``): a
 worker's spans are internally balanced, but two workers overlap in wall
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from .core import Histogram, Instrumentation, SpanStat
+from .core import Instrumentation, SpanStat
 
 #: Snapshot format version (bumped on incompatible layout changes).
 SNAPSHOT_VERSION = 1
@@ -63,10 +63,6 @@ def snapshot(obs: Instrumentation) -> Dict[str, Any]:
             for event in obs.events
         ],
         "counters": dict(obs.counters),
-        "histograms": {
-            key: (hist.count, hist.total, hist.minimum, hist.maximum)
-            for key, hist in obs.histograms.items()
-        },
         "span_stats": {
             key: (stat.count, stat.total, stat.self_total, stat.minimum, stat.maximum)
             for key, stat in obs.span_stats.items()
@@ -105,14 +101,6 @@ def merge_shard(
             obs.dropped_events += 1
     for key, value in shard.get("counters", {}).items():
         obs.counters[key] = obs.counters.get(key, 0) + value
-    for key, (count, total, minimum, maximum) in shard.get("histograms", {}).items():
-        hist = obs.histograms.get(key)
-        if hist is None:
-            hist = obs.histograms[key] = Histogram()
-        hist.count += count
-        hist.total += total
-        hist.minimum = min(hist.minimum, minimum)
-        hist.maximum = max(hist.maximum, maximum)
     for key, (count, total, self_total, minimum, maximum) in shard.get(
         "span_stats", {}
     ).items():

@@ -43,23 +43,6 @@ def render_profile(obs: Instrumentation, title: str = "Profile") -> str:
         lines.append(f"  {'counter':40s} {'value':>12s}")
         for name, value in sorted(counters.items()):
             lines.append(f"  {name:40s} {value:12d}")
-    histograms = obs.histograms
-    if histograms:
-        merged: Dict[str, Any] = {}
-        for (_scope, name), hist in histograms.items():
-            bucket = merged.setdefault(
-                name, {"count": 0, "total": 0.0, "max": float("-inf")}
-            )
-            bucket["count"] += hist.count
-            bucket["total"] += hist.total
-            bucket["max"] = max(bucket["max"], hist.maximum)
-        lines.append("")
-        lines.append(f"  {'histogram':28s} {'count':>8s} {'mean':>10s} {'max':>10s}")
-        for name, bucket in sorted(merged.items()):
-            mean = bucket["total"] / bucket["count"] if bucket["count"] else 0.0
-            lines.append(
-                f"  {name:28s} {bucket['count']:8d} {mean:10.3f} {bucket['max']:10.3f}"
-            )
     if obs.dropped_events:
         lines.append("")
         lines.append(f"  ({obs.dropped_events} events dropped past the retention cap)")
@@ -83,10 +66,6 @@ def stats_dict(
         scopes.setdefault(scope or "<root>", {}).setdefault("counters", {})[
             name
         ] = value
-    for (scope, name), hist in obs.histograms.items():
-        scopes.setdefault(scope or "<root>", {}).setdefault("histograms", {})[
-            name
-        ] = hist.as_dict()
     payload: Dict[str, Any] = {
         "spans": _span_block(obs.span_totals()),
         "counters": dict(sorted(obs.counter_totals().items())),

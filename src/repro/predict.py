@@ -33,12 +33,12 @@ single run-config authority, so recorded witnesses replay exactly.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from .browser.page import clear_parse_cache
-from .browser.scheduler import RecordingScheduler, ScheduleTrace, derive_page_seed
+from .browser.scheduler import RecordingScheduler, ScheduleTrace
 from .config import RunConfig, run_config
 from .core.hb.shb import (
     STATUS_CONDITIONAL,
@@ -48,6 +48,7 @@ from .core.hb.shb import (
 )
 from .core.report import build_report
 from .obs import NULL
+from .pool import crash_line, fan_out
 from .schedule_runner import (
     EXPLORE_TIE_WINDOW,
     PageInput,
@@ -56,6 +57,7 @@ from .schedule_runner import (
     minimize_schedule,
     run_page_once,
     run_page_schedule,
+    schedule_matrix,
 )
 
 #: Default number of witness schedules tried per page (adversarial + randoms).
@@ -150,21 +152,14 @@ class PredictReport:
 def witness_schedule_specs(seed: int, budget: int) -> List[ScheduleSpec]:
     """The witness schedules tried for one page, in trial order.
 
-    Adversarial first (deterministic, and by construction the most
-    reorder-happy policy), then seeded randoms derived from ``seed``
-    position-independently — the same derivation the explore matrix uses,
-    so prediction witnesses and matrix columns are directly comparable.
+    The explore matrix's columns without FIFO (the observed run):
+    adversarial first (deterministic, and by construction the most
+    reorder-happy policy), then the seeded randoms — so prediction
+    witnesses and matrix columns are directly comparable.
     """
     if budget < 1:
         raise ValueError(f"witness budget must be >= 1, got {budget}")
-    specs = [ScheduleSpec("adversarial", "adversarial")]
-    for index in range(budget - 1):
-        specs.append(
-            ScheduleSpec(
-                f"random-{index}", "random", derive_page_seed(seed, index)
-            )
-        )
-    return specs
+    return schedule_matrix(budget + 1, seed)[1:]
 
 
 def _prediction_entries(
@@ -269,8 +264,7 @@ def predict_page(
             obs.count("predict.predicted", len(report.predictions))
             obs.count("predict.confirmed", len(report.confirmed()))
     except Exception as exc:  # crash isolation, as in the explore matrix
-        message = str(exc).splitlines()[0] if str(exc) else ""
-        report.error = f"{type(exc).__name__}: {message}".rstrip(": ")
+        report.error = crash_line(exc)
     report.duration_ms = (time.perf_counter() - started) * 1000.0
     return report
 
@@ -355,14 +349,14 @@ def predict_pages(
     obs=None,
     **fields,
 ) -> List[PredictReport]:
-    """Run the prediction pipeline over several pages, sequentially.
+    """Run the prediction pipeline over several pages, in-process.
 
     ``config`` (or its fields as keywords, as :class:`~repro.WebRacer`
-    takes them) configures every run.
+    takes them) configures every run.  Pages go through
+    :func:`repro.pool.fan_out` with ``jobs`` 1.
     """
     config = run_config(config, **fields)
-    clear_parse_cache()  # start cold, as a CLI run does
-    return [
-        predict_page(page, config, budget=budget, minimize=minimize, obs=obs)
-        for page in pages
-    ]
+    task = functools.partial(
+        predict_page, config=config, budget=budget, minimize=minimize
+    )
+    return fan_out(task, pages, obs=obs)

@@ -11,9 +11,9 @@ policies, stable race fingerprints, the fork-based process pool — into a
    :class:`~repro.browser.scheduler.RecordingScheduler` so the exact
    sequence of task picks is captured as a replayable
    :class:`~repro.browser.scheduler.ScheduleTrace`;
-2. the page×schedule matrix fans out over the same fork pool the corpus
-   runner uses — every cell is deterministic in its inputs, so parallel
-   and sequential runs merge byte-identically;
+2. the page×schedule matrix runs through the same fan-out as the corpus
+   (:func:`repro.pool.fan_out`) — every cell is deterministic in its
+   inputs, so ``--jobs N`` and ``--jobs 1`` merge byte-identically;
 3. results merge by race fingerprint into a union report that marks each
    race **stable** (seen under every schedule that completed) or
    **schedule-sensitive** (seen under a proper subset), with the
@@ -31,14 +31,13 @@ exhaustive enumeration).
 
 from __future__ import annotations
 
+import functools
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .browser.event_loop import ScheduleDivergence
-from .browser.page import clear_parse_cache
 from .browser.scheduler import (
     DivergenceScheduler,
     RecordingScheduler,
@@ -49,7 +48,8 @@ from .browser.scheduler import (
     make_scheduler,
 )
 from .config import RunConfig, run_config
-from .obs import NULL, Instrumentation, merge_shard, snapshot
+from .obs import NULL
+from .pool import crash_line, fan_out
 
 #: Exploration offers every pending task to the scheduler (see module doc).
 EXPLORE_TIE_WINDOW = float("inf")
@@ -212,7 +212,6 @@ class ScheduleRunResult:
     operations: int = 0
     choice_points: int = 0
     duration_ms: float = 0.0
-    obs_snapshot: Optional[Dict[str, Any]] = None
 
     @property
     def ok(self) -> bool:
@@ -301,13 +300,12 @@ def run_page_schedule(
         if obs.enabled:
             obs.count("explore.schedules_run")
     except Exception as exc:  # crash isolation: record, don't propagate
-        message = str(exc).splitlines()[0] if str(exc) else ""
         result = ScheduleRunResult(
             page=page.url,
             sid=spec.sid,
             policy=spec.policy,
             seed=spec.seed,
-            error=f"{type(exc).__name__}: {message}".rstrip(": "),
+            error=crash_line(exc),
         )
     result.duration_ms = (time.perf_counter() - started) * 1000.0
     return result
@@ -442,27 +440,21 @@ def merge_runs(url: str, runs: List[ScheduleRunResult]) -> PageExploration:
     return PageExploration(url=url, runs=list(runs), races=races)
 
 
-def _matrix_task(
-    config: RunConfig,
-    page: PageInput,
-    spec: ScheduleSpec,
-    verify_replay: bool,
-    obs_t0: Optional[float],
+def _run_cell(
+    config: RunConfig, verify_replay: bool, cell, obs=None
 ) -> ScheduleRunResult:
-    """Worker entry point for one matrix cell (module-level: picklable).
-
-    ``obs_t0`` is the profiling parent's clock origin (``None``: no obs).
-    """
-    obs = None
-    if obs_t0 is not None:
-        obs = Instrumentation()
-        obs._t0 = obs_t0
-    result = run_page_schedule(
+    """Fan-out task: run matrix cell ``cell = (page, spec)``."""
+    page, spec = cell
+    return run_page_schedule(
         page, spec, config, verify_replay=verify_replay, obs=obs
     )
-    if obs is not None:
-        result.obs_snapshot = snapshot(obs)
-    return result
+
+
+def _cell_failed(cell, message: str) -> ScheduleRunResult:
+    page, spec = cell
+    return ScheduleRunResult(
+        page=page.url, sid=spec.sid, policy=spec.policy, seed=spec.seed, error=message
+    )
 
 
 def explore_pages(
@@ -477,64 +469,22 @@ def explore_pages(
     """Run the page×schedule matrix and merge by fingerprint.
 
     ``config`` (or its fields as keywords, as :class:`~repro.WebRacer`
-    takes them) configures every cell.  ``jobs > 1`` fans the cells out
-    over the corpus runner's fork pool; every cell is deterministic in
-    its inputs and results merge in matrix order, so parallel output is
-    byte-identical to sequential.
+    takes them) configures every cell.  The cells run through
+    :func:`repro.pool.fan_out` over ``jobs`` workers; every cell is
+    deterministic in its inputs and results merge in matrix order, so the
+    output does not depend on ``jobs``.
     """
-    from .corpus_runner import _pool_context, resolve_jobs
-
     config = run_config(config, **fields)
     obs = obs if obs is not None else NULL
-    clear_parse_cache()  # start cold, as a CLI run does
     specs = schedule_matrix(schedules, seed=config.seed)
-    cells: List[Tuple[PageInput, ScheduleSpec]] = [
-        (page, spec) for page in pages for spec in specs
-    ]
-    workers = min(resolve_jobs(jobs), len(cells)) if cells else 1
-    results: List[ScheduleRunResult] = []
-    if workers <= 1:
-        for page, spec in cells:
-            results.append(
-                run_page_schedule(
-                    page, spec, config, verify_replay=verify_replay, obs=obs
-                )
-            )
-    else:
-        live_obs = obs if getattr(obs, "enabled", False) else None
-        obs_t0 = live_obs._t0 if live_obs is not None else None
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=_pool_context()
-        ) as pool:
-            futures = [
-                pool.submit(
-                    _matrix_task, config, page, spec, verify_replay, obs_t0
-                )
-                for page, spec in cells
-            ]
-            for future, (page, spec) in zip(futures, cells):
-                try:
-                    results.append(future.result())
-                except Exception as exc:  # worker process died / lost
-                    results.append(
-                        ScheduleRunResult(
-                            page=page.url,
-                            sid=spec.sid,
-                            policy=spec.policy,
-                            seed=spec.seed,
-                            error=f"worker failed: {type(exc).__name__}: {exc}",
-                        )
-                    )
-        if live_obs is not None:
-            for tid, result in enumerate(results):
-                if result.obs_snapshot is not None:
-                    merge_shard(
-                        live_obs,
-                        result.obs_snapshot,
-                        tid=tid + 1,
-                        thread_name=f"{result.page}::{result.sid}",
-                    )
-                    result.obs_snapshot = None
+    results = fan_out(
+        functools.partial(_run_cell, config, verify_replay),
+        [(page, spec) for page in pages for spec in specs],
+        jobs=jobs,
+        obs=obs,
+        lane=lambda result: f"{result.page}::{result.sid}",
+        failed=_cell_failed,
+    )
     by_page: Dict[str, List[ScheduleRunResult]] = {}
     for result in results:
         by_page.setdefault(result.page, []).append(result)

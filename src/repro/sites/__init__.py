@@ -7,6 +7,7 @@ from .corpus import (
     PAPER_TABLE2_TOTALS,
     TABLE2_SPECS,
     build_corpus,
+    corpus_builders,
     corpus_specs,
     expected_table2_totals,
     noise_levels,
@@ -26,6 +27,7 @@ __all__ = [
     "TABLE2_SPECS",
     "build_corpus",
     "build_site",
+    "corpus_builders",
     "corpus_specs",
     "expected_table2_totals",
     "noise_levels",

@@ -22,8 +22,9 @@ Everything is deterministic in ``master_seed``.
 
 from __future__ import annotations
 
+import functools
 import random
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .generator import Site, SiteSpec, build_site
 
@@ -236,7 +237,28 @@ def corpus_specs(master_seed: int = 0) -> List[SiteSpec]:
 
 def build_corpus(master_seed: int = 0, limit: int = 100) -> List[Site]:
     """Materialize the corpus (optionally just the first ``limit`` sites)."""
-    return [build_site(spec) for spec in corpus_specs(master_seed)[:limit]]
+    return [build() for build in corpus_builders(master_seed, limit)]
+
+
+def corpus_builders(
+    master_seed: int = 0, limit: int = 100
+) -> List[Callable[[], Site]]:
+    """One picklable zero-arg builder per corpus site (the first ``limit``).
+
+    ``WebRacer.check_corpus`` calls each inside its site's crash/timeout
+    guard, so a site that fails or stalls while building is isolated like
+    one that fails while running.
+    """
+    return [
+        functools.partial(_build_spec, spec)
+        for spec in corpus_specs(master_seed)[:limit]
+    ]
+
+
+def _build_spec(spec: SiteSpec) -> Site:
+    # Looks ``build_site`` up at call time, so a patched module attribute
+    # reaches the builders (and, by fork, the workers) too.
+    return build_site(spec)
 
 
 def expected_table2_totals() -> Dict[str, Tuple[int, int]]:

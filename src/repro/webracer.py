@@ -21,6 +21,7 @@ Typical use::
 
 from __future__ import annotations
 
+import functools
 import signal
 import statistics
 import threading
@@ -29,7 +30,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Union
 
-from .browser.page import Browser, Page, clear_parse_cache
+from .browser.page import Browser, Page
 from .browser.scheduler import (
     Scheduler,
     SeededRandomScheduler,
@@ -46,6 +47,7 @@ from .core.report import (
 )
 from .core.trace import Trace
 from .obs import NULL
+from .pool import crash_line, fan_out
 
 
 @dataclass
@@ -130,7 +132,7 @@ def site_deadline(seconds: Optional[float]):
 
     Implemented with ``SIGALRM``, so it only arms on POSIX main threads;
     anywhere else (Windows, worker threads) it degrades to a no-op rather
-    than failing — the corpus runner's crash isolation still applies.
+    than failing — the per-site crash isolation still applies.
     """
     if (
         not seconds
@@ -157,10 +159,9 @@ def site_deadline(seconds: Optional[float]):
 class SiteResult:
     """Picklable summary of one corpus site's run.
 
-    This is what crosses process boundaries in sharded corpus runs
-    (workers never ship live :class:`~repro.browser.page.Page` graphs) and
-    what :class:`CorpusReport` aggregates — so sequential and parallel
-    runs flow through the same summaries and merge byte-identically.
+    This is what a corpus worker returns (never a live
+    :class:`~repro.browser.page.Page` graph) and what
+    :class:`CorpusReport` aggregates, in-process or pooled alike.
     A failed site (crash or per-site timeout) is a ``SiteResult`` whose
     ``error`` is set and whose counts are all zero.
     """
@@ -184,8 +185,6 @@ class SiteResult:
     #: Page dict (``repro.explain.report_json.page_evidence_dict`` shape)
     #: when evidence collection was requested; feeds ``--report-json``.
     report_page: Optional[Dict[str, Any]] = None
-    #: ``repro.obs.shard.snapshot`` of the worker's instrumentation.
-    obs_snapshot: Optional[Dict[str, Any]] = None
     #: The live page report, kept only for in-process runs (never pickled
     #: with a value by workers, which run with ``keep_page=False``).
     page_report: Optional[PageReport] = field(default=None, repr=False, compare=False)
@@ -251,10 +250,9 @@ class CorpusReport:
     """Aggregated results over a set of sites (the paper's evaluation).
 
     Holds serializable :class:`SiteResult` summaries — not live page
-    graphs — so results from sharded worker processes and from the
-    in-process sequential path aggregate identically.  Failed sites stay
-    in ``reports`` (so the run is a complete account of the corpus) but
-    contribute nothing to the table aggregations.
+    graphs — so pooled and in-process runs aggregate identically.  Failed
+    sites stay in ``reports`` (so the run is a complete account of the
+    corpus) but contribute nothing to the table aggregations.
     """
 
     reports: List[SiteResult] = field(default_factory=list)
@@ -517,11 +515,11 @@ class WebRacer:
         """Run one corpus site with crash isolation and an optional timeout.
 
         ``site`` is either a built :class:`repro.sites.Site` or a zero-arg
-        callable producing one (workers pass a callable so rebuilding the
-        site from its deterministic spec counts against the same per-site
-        deadline as running it).  Any exception — including the site build
-        — becomes an error :class:`SiteResult` instead of propagating, so
-        one wedged or crashing site never takes down a corpus run.
+        callable producing one (the CLI passes builders, so building a site
+        counts against the same per-site deadline as running it).  Any
+        exception — including the site build — becomes an error
+        :class:`SiteResult` instead of propagating, so one wedged or
+        crashing site never takes down a corpus run.
         """
         started = time.perf_counter()
         url = f"site[{index}]"
@@ -546,11 +544,10 @@ class WebRacer:
                 duration_ms=(time.perf_counter() - started) * 1000.0,
             )
         except Exception as exc:  # crash isolation: record, don't propagate
-            message = str(exc).splitlines()[0] if str(exc) else ""
             return SiteResult(
                 index=index,
                 url=url,
-                error=f"{type(exc).__name__}: {message}".rstrip(": "),
+                error=crash_line(exc),
                 duration_ms=(time.perf_counter() - started) * 1000.0,
             )
         result = SiteResult.from_page_report(
@@ -577,60 +574,54 @@ class WebRacer:
     def check_corpus(
         self,
         sites,
+        jobs: int = 1,
         timeout: Optional[float] = None,
         collect_evidence: bool = False,
         keep_pages: bool = True,
     ) -> CorpusReport:
-        """Run WebRacer over a corpus of generated sites, sequentially.
+        """Run WebRacer over a corpus, in-process or over ``jobs`` workers.
 
-        Each site runs inside its own instrumentation scope, so profiled
-        corpus runs yield per-site phase timings and counters.  Sites run
-        under the same crash/timeout isolation as sharded workers: a
-        raising or over-deadline site yields an error :class:`SiteResult`
-        and the run continues.
+        ``sites`` are built :class:`repro.sites.Site` objects or zero-arg
+        builders (:func:`repro.sites.corpus_builders`).  Every site runs
+        under :meth:`run_site_guarded`, in its own instrumentation scope,
+        with seed ``config.seed + index * 101``: a site that raises or
+        overruns ``timeout``, building or running, yields an error
+        :class:`SiteResult` and the run continues.  Results come back in
+        site order and do not depend on ``jobs``
+        (:func:`repro.pool.fan_out`); ``keep_pages`` keeps the live page
+        reports only when ``jobs`` is 1.
         """
-        report = CorpusReport()
-        clear_parse_cache()  # start cold, as a CLI run does
-        for index, site in enumerate(sites):
-            report.reports.append(
-                self.run_site_guarded(
-                    site,
-                    index,
-                    self.config.seed + index * 101,
-                    timeout=timeout,
-                    collect_evidence=collect_evidence,
-                    keep_page=keep_pages,
-                )
-            )
-        return report
-
-    def check_corpus_parallel(
-        self,
-        master_seed: int = 0,
-        limit: int = 100,
-        jobs: int = 0,
-        timeout: Optional[float] = None,
-        collect_evidence: bool = False,
-    ) -> CorpusReport:
-        """Run the deterministic corpus across a process pool.
-
-        Workers rebuild their sites from ``(master_seed, index)`` — no
-        page graphs cross process boundaries — and run them under this
-        detector's :class:`~repro.config.RunConfig`; results merge in
-        site-index order, so the outcome is identical to the sequential
-        :meth:`check_corpus` over ``repro.sites.build_corpus``.  Worker
-        instrumentation shards are merged back into ``self.obs`` when it
-        is a live sink.  See :mod:`repro.corpus_runner`.
-        """
-        from .corpus_runner import run_corpus_parallel
-
-        results = run_corpus_parallel(
-            self.config,
-            master_seed=master_seed,
-            limit=limit,
+        keep_page = keep_pages and jobs == 1
+        results = fan_out(
+            functools.partial(
+                _check_site, self.config, timeout, collect_evidence, keep_page
+            ),
+            list(enumerate(sites)),
             jobs=jobs,
-            timeout=timeout,
-            collect_evidence=collect_evidence,
-            obs=self.obs if self.obs.enabled else None,
+            obs=self.obs,
+            lane=lambda result: result.url,
+            failed=lambda item, message: SiteResult(
+                index=item[0], url=f"site[{item[0]}]", error=message
+            ),
         )
         return CorpusReport(reports=results)
+
+
+def _check_site(
+    config: RunConfig,
+    timeout: Optional[float],
+    collect_evidence: bool,
+    keep_page: bool,
+    item,
+    obs=None,
+) -> SiteResult:
+    """Fan-out task: run corpus site ``item = (index, site)`` guarded."""
+    index, site = item
+    return WebRacer(config, obs=obs).run_site_guarded(
+        site,
+        index,
+        config.seed + index * 101,
+        timeout=timeout,
+        collect_evidence=collect_evidence,
+        keep_page=keep_page,
+    )

@@ -108,9 +108,9 @@ class TestOutputPathValidation:
         def explode(*args, **kwargs):
             raise AssertionError("sites ran before path validation")
 
-        monkeypatch.setattr("repro.sites.build_corpus", explode)
+        monkeypatch.setattr("repro.sites.corpus_builders", explode)
         monkeypatch.setattr(
-            "repro.corpus_runner.run_corpus_parallel", explode, raising=True
+            "repro.webracer.WebRacer.check_corpus", explode, raising=True
         )
         status = main(
             ["corpus", "--sites", "5", flag, "/no/such/dir/out.file"]
@@ -125,8 +125,9 @@ class TestOutputPathValidation:
         def explode(*args, **kwargs):
             raise AssertionError("workers ran before path validation")
 
+        monkeypatch.setattr("repro.sites.corpus_builders", explode)
         monkeypatch.setattr(
-            "repro.corpus_runner.run_corpus_parallel", explode, raising=True
+            "repro.webracer.WebRacer.check_corpus", explode, raising=True
         )
         status = main(
             ["corpus", "--sites", "5", "--jobs", "2",
@@ -220,7 +221,7 @@ class TestLedgerPathValidation:
         def explode(*args, **kwargs):
             raise AssertionError("sites ran before ledger validation")
 
-        monkeypatch.setattr("repro.sites.build_corpus", explode)
+        monkeypatch.setattr("repro.sites.corpus_builders", explode)
         status = main(
             ["corpus", "--sites", "5", "--ledger", "/proc/version/nope"]
         )
@@ -282,9 +283,9 @@ class TestCountFlags:
         def explode(*args, **kwargs):
             raise AssertionError("sites ran before flag validation")
 
-        monkeypatch.setattr("repro.sites.build_corpus", explode)
+        monkeypatch.setattr("repro.sites.corpus_builders", explode)
         monkeypatch.setattr(
-            "repro.corpus_runner.run_corpus_parallel", explode, raising=True
+            "repro.webracer.WebRacer.check_corpus", explode, raising=True
         )
         assert main(argv) == 2
         err = capsys.readouterr().err

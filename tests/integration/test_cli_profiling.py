@@ -153,7 +153,7 @@ class TestCorpusJson:
         import repro.sites
 
         monkeypatch.setattr(
-            repro.sites, "build_corpus",
+            repro.sites, "corpus_builders",
             lambda master_seed=0, limit=None: tiny_corpus(4),
         )
         out_path = tmp_path / "tables.json"
@@ -175,7 +175,7 @@ class TestCorpusJson:
         import repro.sites
 
         monkeypatch.setattr(
-            repro.sites, "build_corpus",
+            repro.sites, "corpus_builders",
             lambda master_seed=0, limit=None: tiny_corpus(3),
         )
         stats_path = tmp_path / "stats.json"
@@ -201,7 +201,7 @@ class TestFullRunGating:
         # `--sites 100` requested, but the corpus build yields only 2 —
         # the old `args.sites == 100` gating would wrongly compare.
         monkeypatch.setattr(
-            repro.sites, "build_corpus",
+            repro.sites, "corpus_builders",
             lambda master_seed=0, limit=None: tiny_corpus(2),
         )
         main(["corpus", "--sites", "100"])
@@ -214,7 +214,7 @@ class TestFullRunGating:
         # `--sites 150` clamps to the full 100-site corpus; the paper
         # comparison should still appear.
         monkeypatch.setattr(
-            repro.sites, "build_corpus",
+            repro.sites, "corpus_builders",
             lambda master_seed=0, limit=None: tiny_corpus(100),
         )
         main(["corpus", "--sites", "150"])

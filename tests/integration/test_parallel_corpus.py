@@ -1,15 +1,16 @@
-"""The sharded corpus runner: determinism, isolation, and obs merge.
+"""The pooled corpus run: determinism, isolation, and obs merge.
 
-Pins the tentpole contract of ``repro corpus --jobs N``:
+Pins the contract of ``repro corpus --jobs N``:
 
-* parallel and sequential runs are byte-identical (stdout modulo the
+* pooled and in-process runs are byte-identical (stdout modulo the
   output-file name lines, ``--json``/``--report-json`` files exactly);
-* a crashing or over-deadline site yields a recorded site error, a
-  completed run and a non-crashing report, in both modes;
+* a site that crashes or overruns its deadline while building yields a
+  recorded site error, a completed run and a non-crashing report, under
+  ``--jobs 1`` exactly as under ``--jobs 2``;
 * worker instrumentation shards merge into one coherent per-site profile.
 
 The fault-injection tests monkeypatch the deterministic site builder and
-rely on the runner's fork start method to carry the patch into workers,
+rely on the pool's fork start method to carry the patch into workers,
 so they are skipped where fork is unavailable.
 """
 
@@ -22,7 +23,8 @@ import pytest
 
 from repro import WebRacer
 from repro.__main__ import main
-from repro.corpus_runner import resolve_jobs, run_corpus_parallel
+from repro.pool import resolve_jobs
+from repro.sites import corpus_builders
 from repro.webracer import CorpusReport, SiteResult
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -78,8 +80,8 @@ class TestParallelIdentity:
 
         sites = build_corpus(master_seed=0, limit=5)
         sequential = WebRacer(seed=0).check_corpus(sites)
-        parallel = WebRacer(seed=0).check_corpus_parallel(
-            master_seed=0, limit=5, jobs=2
+        parallel = WebRacer(seed=0).check_corpus(
+            corpus_builders(master_seed=0, limit=5), jobs=2
         )
         assert parallel.table1() == sequential.table1()
         assert parallel.table2() == sequential.table2()
@@ -90,11 +92,15 @@ class TestParallelIdentity:
         )
 
     def test_results_arrive_in_site_index_order(self):
-        results = run_corpus_parallel(master_seed=0, limit=4, jobs=2)
+        results = WebRacer().check_corpus(
+            corpus_builders(master_seed=0, limit=4), jobs=2
+        ).reports
         assert [result.index for result in results] == [0, 1, 2, 3]
 
     def test_site_results_are_picklable(self):
-        results = run_corpus_parallel(master_seed=0, limit=2, jobs=2)
+        results = WebRacer().check_corpus(
+            corpus_builders(master_seed=0, limit=2), jobs=2
+        ).reports
         clone = pickle.loads(pickle.dumps(results))
         assert clone == results
 
@@ -156,34 +162,65 @@ class TestFailureIsolation:
         assert "timeout" in tables["site_errors"][0]["error"]
 
     def test_sequential_mode_isolates_failures_identically(
-        self, capsys, monkeypatch
+        self, tmp_path, capsys, monkeypatch
     ):
         import repro.sites.corpus as corpus_mod
 
         real_build = corpus_mod.build_site
 
         def exploding_build(spec):
-            if spec.name == "AmericanExpress":
+            if spec.name == "AmericanExpress":  # site index 1
                 raise RuntimeError("injected build failure")
             return real_build(spec)
 
         monkeypatch.setattr(corpus_mod, "build_site", exploding_build)
-        # The sequential path builds sites up front; route the CLI through
-        # the same builder the workers use to compare like with like.
-        monkeypatch.setattr(
-            "repro.sites.build_corpus",
-            lambda master_seed=0, limit=100: [
-                exploding_build(spec)
-                if spec.name == "AmericanExpress"
-                else real_build(spec)
-                for spec in corpus_mod.corpus_specs(master_seed)[:limit]
-            ],
+        out = _same_under_both_jobs(tmp_path, capsys, ["corpus", "--sites", "4"])
+        assert "site errors: 1 of 4 sites" in out
+        assert "[1] site[1]: RuntimeError: injected build failure" in out
+
+    def test_sequential_mode_isolates_stalls_identically(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.sites.corpus as corpus_mod
+
+        real_build = corpus_mod.build_site
+
+        def stalling_build(spec):
+            if spec.name == "Allstate":  # site index 0
+                time.sleep(30)
+            return real_build(spec)
+
+        monkeypatch.setattr(corpus_mod, "build_site", stalling_build)
+        out = _same_under_both_jobs(
+            tmp_path, capsys, ["corpus", "--sites", "3", "--site-timeout", "0.3"]
         )
-        with pytest.raises(RuntimeError):
-            # Building the corpus up front crashes before isolation can
-            # help — which is exactly why workers rebuild per site.
-            main(["corpus", "--sites", "4"])
-        capsys.readouterr()
+        assert "site errors: 1 of 3 sites" in out
+        assert "[0] site[0]: timeout: exceeded per-site limit of 0.3s" in out
+
+    def test_dead_worker_becomes_a_site_error(self, monkeypatch):
+        import os
+
+        import repro.sites.corpus as corpus_mod
+
+        real_build = corpus_mod.build_site
+
+        def dying_build(spec):
+            if spec.name == "AmericanExpress":  # site index 1
+                os._exit(1)
+            return real_build(spec)
+
+        monkeypatch.setattr(corpus_mod, "build_site", dying_build)
+        reports = WebRacer().check_corpus(
+            corpus_builders(master_seed=0, limit=3), jobs=2
+        ).reports
+        # The dead worker breaks the pool, so sites still pending may fail
+        # with it; the run still has one result per site, in order.
+        assert [result.index for result in reports] == [0, 1, 2]
+        assert reports[1].error.startswith("worker failed: BrokenProcessPool: ")
+        assert all(
+            result.ok or result.error.startswith("worker failed: ")
+            for result in reports
+        )
 
     def test_failed_sites_excluded_from_report_document(
         self, tmp_path, capsys, monkeypatch
@@ -210,6 +247,22 @@ class TestFailureIsolation:
         assert {page["url"] for page in document["pages"]} == {
             "AmericanExpress", "BankOfAmerica",
         }
+
+
+def _same_under_both_jobs(tmp_path, capsys, argv) -> str:
+    """Run ``argv`` under ``--jobs 1`` and ``--jobs 2``; both must exit 0
+    with the same stdout (minus output-path lines) and the same
+    ``--json``.  Returns the ``--jobs 1`` stdout."""
+    runs = []
+    for jobs in ("1", "2"):
+        out_json = tmp_path / f"tables-{jobs}.json"
+        status = main([*argv, "--jobs", jobs, "--json", str(out_json)])
+        runs.append((status, capsys.readouterr().out, out_json.read_bytes()))
+    (seq_status, seq_out, seq_json), (par_status, par_out, par_json) = runs
+    assert seq_status == par_status == 0
+    assert _scrub(seq_out) == _scrub(par_out)
+    assert seq_json == par_json
+    return seq_out
 
 
 def _strip_timing(value):
@@ -286,7 +339,9 @@ class TestMoreJobsThanSites:
         assert len(tids) == 2  # exactly one lane per site, none idle
 
     def test_worker_pool_clamped_to_site_count(self):
-        results = run_corpus_parallel(master_seed=0, limit=2, jobs=10)
+        results = WebRacer().check_corpus(
+            corpus_builders(master_seed=0, limit=2), jobs=10
+        ).reports
         assert [result.index for result in results] == [0, 1]
         assert all(result.ok for result in results)
 
@@ -345,6 +400,13 @@ class TestRunnerUnits:
         assert resolve_jobs(0) >= 1
         with pytest.raises(ValueError):
             resolve_jobs(-2)
+
+    def test_jobs_zero_counts_only_usable_cpus(self, monkeypatch):
+        """``--jobs 0`` means one worker per CPU this process may run on
+        (its affinity mask), not per CPU in the machine."""
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        assert resolve_jobs(0) == 1
 
     def test_negative_jobs_flag_exits_2(self, capsys):
         assert main(["corpus", "--sites", "1", "--jobs", "-1"]) == 2

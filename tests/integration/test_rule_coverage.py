@@ -94,6 +94,10 @@ def test_rule_13_fires_with_trailing_inline_script():
     assert page.monitor.graph.edges_by_rule(R.RULE_13)
 
 
+def test_all_rule_labels_distinct():
+    assert len(set(R.ALL_RULES)) == len(R.ALL_RULES)
+
+
 def test_composite_page_ran_everything(composite_page):
     g = composite_page.interpreter.global_object
     for name in ("first", "fromSync", "fromAsync", "fromDefer1", "fromDefer2",

@@ -12,7 +12,7 @@ from repro.browser.scheduler import SCHEDULER_POLICIES
 from repro.config import CLI_FIELDS, NETWORK_TUNING, RunConfig
 from repro.core.hb.backend import HB_BACKENDS
 from repro.schedule_runner import PageInput, ScheduleSpec, run_page_schedule
-from repro.sites import build_corpus
+from repro.sites import build_corpus, corpus_builders
 from repro.webracer import WebRacer
 
 
@@ -87,7 +87,9 @@ def test_parallel_corpus_matches_sequential(config):
     run equals the sequential one for every setting — not only for the
     ones a worker payload happened to forward."""
     sequential = WebRacer(config).check_corpus(build_corpus(master_seed=0, limit=3))
-    parallel = WebRacer(config).check_corpus_parallel(limit=3, jobs=2)
+    parallel = WebRacer(config).check_corpus(
+        corpus_builders(master_seed=0, limit=3), jobs=2
+    )
     assert parallel.table1() == sequential.table1()
     assert parallel.table2() == sequential.table2()
     assert parallel.table2_totals() == sequential.table2_totals()

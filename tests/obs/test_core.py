@@ -1,8 +1,8 @@
-"""Unit tests for the repro.obs collection core (spans/counters/histograms)."""
+"""Unit tests for the repro.obs collection core (spans/counters)."""
 
 import pytest
 
-from repro.obs import NULL, Histogram, Instrumentation, NullInstrumentation
+from repro.obs import NULL, Instrumentation, NullInstrumentation
 
 
 class FakeClock:
@@ -119,23 +119,6 @@ class TestCounters:
         assert obs.counter("nope") == 0
 
 
-class TestHistograms:
-    def test_histogram_aggregates(self, obs):
-        for value in (1.0, 3.0, 5.0):
-            obs.observe("sizes", value)
-        hist = obs.histograms[("", "sizes")]
-        assert hist.count == 3
-        assert hist.total == pytest.approx(9.0)
-        assert hist.minimum == 1.0
-        assert hist.maximum == 5.0
-        assert hist.mean == pytest.approx(3.0)
-
-    def test_empty_histogram_dict_is_zeroed(self):
-        assert Histogram().as_dict() == {
-            "count": 0, "total": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0,
-        }
-
-
 class TestScopes:
     def test_scope_labels_spans(self, obs, clock):
         with obs.scope("siteA"):
@@ -166,7 +149,6 @@ class TestNullSink:
             pass
         with null.scope("site"):
             null.count("c", 5)
-        null.observe("h", 1.0)
         null.instant("i", k="v")
         # No state to inspect — the contract is simply "never raises".
 

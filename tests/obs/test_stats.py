@@ -26,7 +26,6 @@ def populated():
         with obs.span("check_page"):
             clock.tick(0.004)
         obs.count("races.raw", 3)
-        obs.observe("hb.ancestor_set_size", 5.0)
     with obs.scope("siteB"):
         with obs.span("check_page"):
             clock.tick(0.002)
@@ -39,7 +38,6 @@ class TestRenderProfile:
         text = render_profile(populated)
         assert "check_page" in text
         assert "races.raw" in text
-        assert "hb.ancestor_set_size" in text
 
     def test_totals_merge_scopes(self, populated):
         text = render_profile(populated)
@@ -65,7 +63,6 @@ class TestStatsDict:
         assert scopes["siteA"]["counters"]["races.raw"] == 3
         assert scopes["siteB"]["counters"]["races.raw"] == 1
         assert scopes["siteA"]["spans"]["check_page"]["total_us"] == pytest.approx(4000.0)
-        assert scopes["siteA"]["histograms"]["hb.ancestor_set_size"]["mean"] == 5.0
 
     def test_totals_merge_scopes(self, populated):
         payload = stats_dict(populated)
