@@ -41,7 +41,7 @@ Commands
     (with the witness schedule, and a ddmin-minimized divergence set
     under ``--minimize``); the rest stay ``predicted-only``.
 
-``analyze TRACE.json``
+``analyze TRACE.json [--no-filters] [--hb-backend {graph,shb}]``
     Re-run detection, filtering and classification on a captured trace.
     With ``--hb-backend shb`` the offline SHB prediction sweep runs too
     and predicted races print after the report (no replay confirmation —
@@ -75,11 +75,11 @@ to ``DIR/ledger.jsonl`` — the persistent cross-run store ``history`` and
 ``diff`` read.  Without the flag nothing is recorded and the null-sink
 zero-overhead guarantee holds unchanged.
 
-``check``, ``corpus``, ``explore``, ``predict``, ``analyze`` and
-``explain`` accept ``--hb-backend {graph,shb}``.  Both record the
-happens-before graph and answer CHC queries from chain vector clocks;
-``shb`` additionally runs the predictive SHB sweep after detection
-(``check`` / ``analyze`` print predicted races alongside observed ones).
+``check``, ``corpus``, ``explore``, ``predict`` and ``analyze`` accept
+``--hb-backend {graph,shb}``.  Both record the happens-before graph and
+answer CHC queries from chain vector clocks; ``shb`` additionally runs
+the predictive SHB sweep after detection (``check`` / ``analyze`` print
+predicted races alongside observed ones).
 
 ``check`` and ``corpus`` also accept the profiling flags:
 
@@ -104,6 +104,12 @@ and the race-report flags:
 Profiling and report generation never change detection results: both only
 observe structures the run already produced, so a flagged run reports
 byte-identical races.
+
+Exit status: 0 when the run is clean, 1 when ``check``, ``analyze`` or
+``explain`` found a harmful race or ``diff --fail-on-regression`` a
+regression, 2 for an error.  Every unusable input — a flag value, a file
+to read, a path to write — raises :class:`~repro.inputs.InputError`;
+:func:`main` catches it once and prints one ``error: <message>`` line.
 """
 
 from __future__ import annotations
@@ -113,7 +119,7 @@ import json
 import os
 import sys
 import time
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from . import WebRacer
 from .browser.scheduler import SCHEDULER_POLICIES
@@ -122,7 +128,10 @@ from .core.hb.backend import HB_BACKENDS
 from .core.render import render_crashes, render_race_report, render_table1, render_table2
 from .core.report import RACE_TYPES
 from .core.serialize import dump_trace, load_trace
+from .inputs import InputError, read_text
 from .obs import Instrumentation, render_profile, stats_dict, write_chrome_trace
+from .obs.ledger import RUN_COMMANDS, Ledger, build_run_record
+from .schedule_runner import load_page_inputs
 
 #: Every flag naming an output file, validated up front so a bad path
 #: fails before — not after — an expensive run.
@@ -142,18 +151,17 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _output_path_error(path: str) -> Optional[str]:
-    """Why ``path`` cannot be written, or ``None`` if it looks writable."""
+def _check_output_path(path: str) -> None:
+    """Raise :class:`InputError` unless ``path`` looks writable."""
     if os.path.isdir(path):
-        return f"output path {path!r} is a directory"
+        raise InputError(f"output path {path!r} is a directory")
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
-        return f"output directory {directory!r} does not exist"
+        raise InputError(f"output directory {directory!r} does not exist")
     if not os.access(directory, os.W_OK):
-        return f"output directory {directory!r} is not writable"
+        raise InputError(f"output directory {directory!r} is not writable")
     if os.path.exists(path) and not os.access(path, os.W_OK):
-        return f"output file {path!r} is not writable"
-    return None
+        raise InputError(f"output file {path!r} is not writable")
 
 
 #: Count flags: ``(dest, strict, bound)`` reads "must be > bound" when
@@ -169,83 +177,74 @@ COUNT_FLAGS = (
 )
 
 
-def _check_flags(args) -> Optional[str]:
-    """First problem among the output paths and count flags, or ``None``."""
+def _check_flags(args) -> None:
+    """Raise :class:`InputError` on the first bad output path or count flag."""
     for flag in OUTPUT_PATH_FLAGS:
         path = getattr(args, flag, None)
-        error = _output_path_error(path) if path else None
-        if error:
-            return error
+        if path:
+            _check_output_path(path)
     for dest, strict, bound in COUNT_FLAGS:
         value = getattr(args, dest, None)
         if value is not None and (value <= bound if strict else value < bound):
             flag = "--" + dest.replace("_", "-")
-            return f"{flag} must be {'>' if strict else '>='} {bound}, got {value}"
-    return None
+            raise InputError(
+                f"{flag} must be {'>' if strict else '>='} {bound}, got {value}"
+            )
 
 
-def _directory_error(flag: str, path: str) -> Optional[str]:
-    """Why ``path`` cannot be the directory ``flag`` writes into, or
-    ``None`` once it exists and is writable."""
+def _ensure_directory(flag: str, path: str) -> None:
+    """Create the directory ``flag`` writes into; raise
+    :class:`InputError` when it cannot be created or written."""
     if os.path.isfile(path):
-        return f"{flag} {path!r} is a file"
+        raise InputError(f"{flag} {path!r} is a file")
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
-        return f"cannot create {flag} {path!r}: {exc.strerror or exc}"
+        raise InputError(
+            f"cannot create {flag} {path!r}: {exc.strerror or exc}"
+        ) from None
     if not os.access(path, os.W_OK):
-        return f"{flag} {path!r} is not writable"
-    return None
+        raise InputError(f"{flag} {path!r} is not writable")
 
 
-def _preflight(args) -> Tuple[Optional[RunConfig], Optional[str]]:
-    """Everything a run command can check before it runs.
+def _preflight(args) -> RunConfig:
+    """Everything a run command can check before it runs; its config.
 
-    Returns ``(config, error)``.  Output paths, the run config, count
-    flags, then the directories the run writes into — so a bad flag
-    exits 2 before any work, and never after a directory was created.
+    Output paths, the run config, count flags, then the directories the
+    run writes into — so a bad flag exits 2 before any work, and never
+    after a directory was created.
     """
-    error = _check_flags(args)
-    if error:
-        return None, error
-    config, error = RunConfig.from_args(args)
-    if error:
-        return None, error
+    _check_flags(args)
+    config = RunConfig.from_args(args)
     for flag, path in (
         ("--traces-dir", getattr(args, "traces_dir", None)),
         ("--ledger", args.ledger),
     ):
-        error = _directory_error(flag, path) if path else None
-        if error:
-            return None, error
-    return config, None
+        if path:
+            _ensure_directory(flag, path)
+    return config
 
 
-def _write_output(path: str, writer) -> Optional[str]:
-    """Run ``writer()``; turn an ``OSError`` into a one-line message."""
+def _write(path: str, what: Optional[str], writer) -> None:
+    """Run ``writer()``, then print ``<what> written to <path>`` (unless
+    ``what`` is ``None``).  An ``OSError`` raises :class:`InputError`."""
     try:
         writer()
-        return None
     except OSError as exc:
-        return f"cannot write {path!r}: {exc.strerror or exc}"
+        raise InputError(f"cannot write {path!r}: {exc.strerror or exc}") from None
+    if what is not None:
+        print(f"{what} written to {path}")
 
 
-def _parse_resources(mappings) -> tuple:
-    """Parse ``--resource URL=PATH`` flags into a ``{url: content}`` map.
-
-    Returns ``(resources, error)``; exactly one is ``None``.
-    """
+def _parse_resources(mappings) -> Dict[str, str]:
+    """Parse ``--resource URL=PATH`` flags into a ``{url: content}`` map."""
     resources = {}
     for mapping in mappings or ():
         url, _sep, path = mapping.partition("=")
         if not path:
-            return None, f"bad --resource {mapping!r}; expected url=path"
-        try:
-            with open(path) as handle:
-                resources[url] = handle.read()
-        except OSError as exc:
-            return None, f"cannot read --resource {path!r}: {exc.strerror or exc}"
-    return resources, None
+            raise InputError(f"bad --resource {mapping!r}; expected url=path")
+        resources[url] = read_text(path, "--resource")
+    return resources
 
 
 def _print_predictions(predictions) -> None:
@@ -258,19 +257,6 @@ def _print_predictions(predictions) -> None:
     )
     for prediction in predictions:
         print(f"  {prediction.describe()}")
-
-
-def _load_trace_cli(path: str, hb_backend: str):
-    """Load a trace for analyze/explain; returns ``None`` after printing a
-    one-line error for a missing, unreadable or corrupt file."""
-    try:
-        return load_trace(path, hb_backend=hb_backend)
-    except OSError as exc:
-        _fail(f"cannot read trace {path!r}: {exc.strerror or exc}")
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        reason = str(exc).splitlines()[0] if str(exc) else type(exc).__name__
-        _fail(f"corrupt trace {path!r}: {reason}")
-    return None
 
 
 def _print_report(report) -> int:
@@ -298,7 +284,7 @@ def _make_obs(args) -> Optional[Instrumentation]:
     return None
 
 
-def _append_ledger(args, command, config, races, totals, obs, started) -> Optional[str]:
+def _append_ledger(args, command, config, races, totals, obs, started) -> None:
     """Append exactly one run record when ``--ledger`` is set.
 
     Called once per CLI invocation, in the parent process — pooled
@@ -306,9 +292,7 @@ def _append_ledger(args, command, config, races, totals, obs, started) -> Option
     see the ledger arguments.
     """
     if not getattr(args, "ledger", None):
-        return None
-    from .obs.ledger import Ledger, build_run_record
-
+        return
     record = build_run_record(
         command,
         config,
@@ -321,9 +305,8 @@ def _append_ledger(args, command, config, races, totals, obs, started) -> Option
         ledger = Ledger(args.ledger)
         ledger.append(record)
     except (OSError, ValueError) as exc:
-        return f"cannot append to ledger {args.ledger!r}: {exc}"
+        raise InputError(f"cannot append to ledger {args.ledger!r}: {exc}") from None
     print(f"run {record['run_id']} appended to {ledger.path}")
-    return None
 
 
 def _ledger_races(found: Iterable[tuple]) -> List[dict]:
@@ -347,28 +330,25 @@ def _ledger_races(found: Iterable[tuple]) -> List[dict]:
     return list(entries.values())
 
 
-def _emit_document(args, document) -> Optional[str]:
+def _emit_document(args, document) -> None:
     """Write a built report document to the requested report outputs."""
     from .explain import write_html_report, write_report_json
 
     if args.report_json:
-        error = _write_output(
-            args.report_json, lambda: write_report_json(document, args.report_json)
+        _write(
+            args.report_json,
+            "race report (JSON)",
+            lambda: write_report_json(document, args.report_json),
         )
-        if error:
-            return error
-        print(f"race report (JSON) written to {args.report_json}")
     if args.report_html:
-        error = _write_output(
-            args.report_html, lambda: write_html_report(document, args.report_html)
+        _write(
+            args.report_html,
+            "race report (HTML)",
+            lambda: write_html_report(document, args.report_html),
         )
-        if error:
-            return error
-        print(f"race report (HTML) written to {args.report_html}")
-    return None
 
 
-def _emit_reports(args, page_reports, obs, mode: str) -> Optional[str]:
+def _emit_reports(args, page_reports, obs, mode: str) -> None:
     """Write --report-json / --report-html outputs when requested.
 
     ``page_reports`` is a list of ``(url, PageReport)`` pairs.  Evidence is
@@ -376,16 +356,16 @@ def _emit_reports(args, page_reports, obs, mode: str) -> Optional[str]:
     detection, so flagged runs report byte-identical races.
     """
     if not (args.report_json or args.report_html):
-        return None
+        return
     from .explain import build_report_document
 
     document = build_report_document(
         page_reports, hb_backend=args.hb_backend, mode=mode, obs=obs
     )
-    return _emit_document(args, document)
+    _emit_document(args, document)
 
 
-def _emit_corpus_reports(args, corpus_report) -> Optional[str]:
+def _emit_corpus_reports(args, corpus_report) -> None:
     """Corpus report outputs, assembled from serialized site summaries.
 
     Every successful site carries a serialized evidence block
@@ -395,7 +375,7 @@ def _emit_corpus_reports(args, corpus_report) -> Optional[str]:
     document's pages.
     """
     if not (args.report_json or args.report_html):
-        return None
+        return
     from .explain import assemble_report_document
 
     pages = [
@@ -406,81 +386,52 @@ def _emit_corpus_reports(args, corpus_report) -> Optional[str]:
     document = assemble_report_document(
         pages, mode="corpus", hb_backend=args.hb_backend
     )
-    return _emit_document(args, document)
+    _emit_document(args, document)
 
 
-def _emit_profile(args, obs: Optional[Instrumentation], extra=None) -> Optional[str]:
+def _emit_profile(args, obs: Optional[Instrumentation], extra=None) -> None:
     """Print/write whatever profiling outputs the flags requested."""
     if obs is None:
-        return None
+        return
     if args.profile:
         print()
         print(render_profile(obs))
     if args.trace_out:
-        error = _write_output(
-            args.trace_out, lambda: write_chrome_trace(obs, args.trace_out)
+        _write(
+            args.trace_out,
+            "chrome trace",
+            lambda: write_chrome_trace(obs, args.trace_out),
         )
-        if error:
-            return error
-        print(f"chrome trace written to {args.trace_out}")
     if args.stats_json:
 
         def _write_stats():
             with open(args.stats_json, "w") as handle:
                 json.dump(stats_dict(obs, extra=extra), handle, indent=2)
 
-        error = _write_output(args.stats_json, _write_stats)
-        if error:
-            return error
-        print(f"stats written to {args.stats_json}")
-    return None
+        _write(args.stats_json, "stats", _write_stats)
 
 
 def cmd_check(args) -> int:
     """Run WebRacer on a local HTML file (the `check` subcommand)."""
-    config, error = _preflight(args)
-    if error:
-        return _fail(error)
+    config = _preflight(args)
     started = time.perf_counter()
-    sizes = None
-    har_resources = {}
-    if args.page.endswith(".har"):
-        from .har import HarError, load_har
-
-        try:
-            workload = load_har(args.page)
-        except HarError as exc:
-            return _fail(f"bad HAR {args.page!r}: {exc}")
-        except OSError as exc:
-            return _fail(f"cannot read {args.page!r}: {exc.strerror or exc}")
-        html = workload.html
-        har_resources = workload.resources
-        sizes = {url: float(size) for url, size in workload.sizes.items()}
-    else:
-        with open(args.page) as handle:
-            html = handle.read()
-    resources, resource_error = _parse_resources(args.resource)
-    if resource_error:
-        return _fail(resource_error)
-    resources = {**har_resources, **resources}
+    if os.path.isdir(args.page):
+        raise InputError(f"check takes one page; {args.page!r} is a directory")
+    (page,) = load_page_inputs(args.page, _parse_resources(args.resource))
     obs = _make_obs(args)
     report = WebRacer(config, obs=obs).check_page(
-        html, resources=resources, url=args.page, sizes=sizes
+        page.html, resources=page.resources, url=page.url, sizes=page.sizes or None
     )
     status = _print_report(report)
     _print_predictions(report.predicted_races)
     if args.json:
-        error = _write_output(
+        _write(
             args.json,
+            "trace",
             lambda: dump_trace(report.trace, report.page.monitor.graph, args.json),
         )
-        if error:
-            return _fail(error)
-        print(f"trace written to {args.json}")
-    error = _emit_reports(args, [(args.page, report)], obs, mode="check")
-    if error:
-        return _fail(error)
-    error = _emit_profile(
+    _emit_reports(args, [(args.page, report)], obs, mode="check")
+    _emit_profile(
         args,
         obs,
         extra={
@@ -492,9 +443,7 @@ def cmd_check(args) -> int:
             },
         },
     )
-    if error:
-        return _fail(error)
-    error = _append_ledger(
+    _append_ledger(
         args,
         "check",
         config={"page": args.page, **config.ledger_fields()},
@@ -511,8 +460,6 @@ def cmd_check(args) -> int:
         obs=obs,
         started=started,
     )
-    if error:
-        return _fail(error)
     return status
 
 
@@ -596,9 +543,7 @@ def cmd_corpus(args) -> int:
     """Run the Fortune-100 evaluation (the `corpus` subcommand)."""
     from .sites import PAPER_TABLE1, PAPER_TABLE2_TOTALS, corpus_builders
 
-    config, error = _preflight(args)
-    if error:
-        return _fail(error)
+    config = _preflight(args)
     started = time.perf_counter()
     # The ledger needs fingerprints on the serialized site races, and
     # those only exist when evidence is collected.
@@ -643,17 +588,10 @@ def cmd_corpus(args) -> int:
             with open(args.json, "w") as handle:
                 json.dump(payload, handle, indent=2)
 
-        error = _write_output(args.json, _write_tables)
-        if error:
-            return _fail(error)
-        print(f"tables written to {args.json}")
-    error = _emit_corpus_reports(args, corpus_report)
-    if error:
-        return _fail(error)
-    error = _emit_profile(args, obs, extra={"sites": _per_site_stats(corpus_report)})
-    if error:
-        return _fail(error)
-    error = _append_ledger(
+        _write(args.json, "tables", _write_tables)
+    _emit_corpus_reports(args, corpus_report)
+    _emit_profile(args, obs, extra={"sites": _per_site_stats(corpus_report)})
+    _append_ledger(
         args,
         "corpus",
         # --jobs is an execution strategy, not a semantic input: pooled
@@ -683,8 +621,6 @@ def cmd_corpus(args) -> int:
         obs=obs,
         started=started,
     )
-    if error:
-        return _fail(error)
     return 0
 
 
@@ -695,25 +631,11 @@ def cmd_explore(args) -> int:
         render_explore_text,
         write_explore_json,
     )
-    from .schedule_runner import (
-        ScheduleTrace,
-        explore_pages,
-        load_page_inputs,
-        minimize_schedule,
-    )
+    from .schedule_runner import ScheduleTrace, explore_pages, minimize_schedule
 
-    config, error = _preflight(args)
-    if error:
-        return _fail(error)
+    config = _preflight(args)
     started = time.perf_counter()
-    from .har import HarError
-
-    try:
-        pages = load_page_inputs(args.path)
-    except HarError as exc:
-        return _fail(f"bad HAR under {args.path!r}: {exc}")
-    except OSError as exc:
-        return _fail(str(exc))
+    pages = load_page_inputs(args.path)
     obs = _make_obs(args)
     report = explore_pages(
         pages, schedules=args.schedules, jobs=args.jobs, config=config, obs=obs
@@ -752,12 +674,11 @@ def cmd_explore(args) -> int:
     document = assemble_explore_document(report, minimizations=minimizations)
     print(render_explore_text(document))
     if args.json:
-        error = _write_output(
-            args.json, lambda: write_explore_json(document, args.json)
+        _write(
+            args.json,
+            "explore report",
+            lambda: write_explore_json(document, args.json),
         )
-        if error:
-            return _fail(error)
-        print(f"explore report written to {args.json}")
     if args.traces_dir:
         saved = 0
         for page_exploration in report.pages:
@@ -768,14 +689,8 @@ def cmd_explore(args) -> int:
                 trace_path = os.path.join(
                     args.traces_dir, f"{stem}.{run.sid}.trace.json"
                 )
-                error = _write_output(
-                    trace_path,
-                    lambda t=run.trace_dict, p=trace_path: ScheduleTrace.from_dict(
-                        t
-                    ).save(p),
-                )
-                if error:
-                    return _fail(error)
+                trace = ScheduleTrace.from_dict(run.trace_dict)
+                _write(trace_path, None, lambda: trace.save(trace_path))
                 saved += 1
         for entry in minimizations:
             stem = os.path.splitext(os.path.basename(entry.page))[0]
@@ -783,17 +698,11 @@ def cmd_explore(args) -> int:
                 args.traces_dir,
                 f"{stem}.minimized.{entry.fingerprint}.trace.json",
             )
-            error = _write_output(
-                trace_path, lambda p=trace_path: entry.minimized.save(p)
-            )
-            if error:
-                return _fail(error)
+            _write(trace_path, None, lambda: entry.minimized.save(trace_path))
             saved += 1
         print(f"{saved} schedule trace(s) written to {args.traces_dir}")
-    error = _emit_profile(args, obs, extra={"totals": document["totals"]})
-    if error:
-        return _fail(error)
-    error = _append_ledger(
+    _emit_profile(args, obs, extra={"totals": document["totals"]})
+    _append_ledger(
         args,
         "explore",
         config={
@@ -811,8 +720,6 @@ def cmd_explore(args) -> int:
         obs=obs,
         started=started,
     )
-    if error:
-        return _fail(error)
     return 0
 
 
@@ -824,23 +731,10 @@ def cmd_predict(args) -> int:
         write_predict_json,
     )
     from .predict import predict_pages
-    from .schedule_runner import load_page_inputs
 
-    config, error = _preflight(args)
-    if error:
-        return _fail(error)
+    config = _preflight(args)
     started = time.perf_counter()
-    resources, resource_error = _parse_resources(args.resource)
-    if resource_error:
-        return _fail(resource_error)
-    from .har import HarError
-
-    try:
-        pages = load_page_inputs(args.path, resources)
-    except HarError as exc:
-        return _fail(f"bad HAR under {args.path!r}: {exc}")
-    except OSError as exc:
-        return _fail(str(exc))
+    pages = load_page_inputs(args.path, _parse_resources(args.resource))
     obs = _make_obs(args)
     reports = predict_pages(
         pages, budget=args.budget, minimize=args.minimize, config=config, obs=obs
@@ -850,15 +744,12 @@ def cmd_predict(args) -> int:
     )
     print(render_predict_text(document))
     if args.json:
-        error = _write_output(
-            args.json, lambda: write_predict_json(document, args.json)
+        _write(
+            args.json,
+            "predict report",
+            lambda: write_predict_json(document, args.json),
         )
-        if error:
-            return _fail(error)
-        print(f"predict report written to {args.json}")
-    error = _emit_profile(args, obs, extra={"totals": document["totals"]})
-    if error:
-        return _fail(error)
+    _emit_profile(args, obs, extra={"totals": document["totals"]})
     failed = [report for report in reports if not report.ok]
     if failed:
         return _fail(
@@ -876,7 +767,7 @@ def cmd_predict(args) -> int:
                 yield (page["url"], prediction["fingerprint"],
                        prediction["outcome"], prediction)
 
-    error = _append_ledger(
+    _append_ledger(
         args,
         "predict",
         config={
@@ -890,21 +781,17 @@ def cmd_predict(args) -> int:
         obs=obs,
         started=started,
     )
-    if error:
-        return _fail(error)
     return 0
 
 
 def cmd_analyze(args) -> int:
     """Analyse a captured trace file (the `analyze` subcommand)."""
-    loaded = _load_trace_cli(args.trace, args.hb_backend)
-    if loaded is None:
-        return 2
+    loaded = load_trace(args.trace)
     report = loaded.report(apply_filters=not args.no_filters)
     print(f"{args.trace}: {len(loaded.trace.accesses)} accesses, "
           f"{len(loaded.trace.operations.operations)} operations")
     print(render_race_report(report, title=report.summary()))
-    if loaded.hb_backend == "shb":
+    if args.hb_backend == "shb":
         analysis = loaded.predict()
         print(f"\n{analysis.summary()}")
         _print_predictions(analysis.predictions)
@@ -915,9 +802,7 @@ def cmd_explain(args) -> int:
     """Print HB evidence for races in a captured trace (`explain`)."""
     from .explain import render_all_evidence, render_evidence
 
-    loaded = _load_trace_cli(args.trace, args.hb_backend)
-    if loaded is None:
-        return 2
+    loaded = load_trace(args.trace)
     report, records = loaded.explain(apply_filters=not args.no_filters)
     print(
         f"{args.trace}: {len(loaded.trace.accesses)} accesses, "
@@ -926,11 +811,7 @@ def cmd_explain(args) -> int:
     )
     if args.race is not None:
         if not 0 <= args.race < len(records):
-            print(
-                f"no race #{args.race}; trace has {len(records)} race(s)",
-                file=sys.stderr,
-            )
-            return 2
+            return _fail(f"no race #{args.race}; trace has {len(records)} race(s)")
         print(render_evidence(records[args.race], args.race))
     else:
         print(render_all_evidence(records))
@@ -945,18 +826,11 @@ def cmd_history(args) -> int:
         render_history_text,
         write_trend_html,
     )
-    from .obs.ledger import Ledger, LedgerError
 
-    error = _check_flags(args)
-    if error:
-        return _fail(error)
+    _check_flags(args)
     ledger = Ledger(args.ledger)
-    try:
-        records = ledger.records()
-    except LedgerError as exc:
-        return _fail(str(exc))
     document = assemble_history_document(
-        records,
+        ledger.records(),
         ledger.path,
         command=args.filter_command,
         limit=args.last,
@@ -968,50 +842,40 @@ def cmd_history(args) -> int:
             with open(args.json, "w") as handle:
                 handle.write(render_history_json(document))
 
-        error = _write_output(args.json, _write_json)
-        if error:
-            return _fail(error)
-        print(f"history report written to {args.json}")
+        _write(args.json, "history report", _write_json)
     if args.html:
-        error = _write_output(
-            args.html, lambda: write_trend_html(document, args.html)
+        _write(
+            args.html,
+            "trend report (HTML)",
+            lambda: write_trend_html(document, args.html),
         )
-        if error:
-            return _fail(error)
-        print(f"trend report (HTML) written to {args.html}")
     return 0
 
 
 def cmd_diff(args) -> int:
     """Diff two ledgered runs: races and per-phase perf (`diff`)."""
-    from .obs.ledger import Ledger, LedgerError
     from .obs.regress import diff_records, perf_regressions, render_diff_text
 
-    error = _check_flags(args)
-    if error:
-        return _fail(error)
+    _check_flags(args)
     if args.against is not None and args.runs:
         return _fail("give either RUN_A RUN_B or --against, not both")
     if args.against is None and len(args.runs) != 2:
         return _fail("diff needs two run references (or --against last)")
     ledger = Ledger(args.ledger)
-    try:
-        if args.against is not None:
-            record_b = ledger.find("-1")
-            if args.against == "last":
-                record_a = ledger.baseline_for(record_b)
-                if record_a is None:
-                    return _fail(
-                        f"no earlier {record_b['command']!r} run with config "
-                        f"digest {record_b['config_digest']} to diff against"
-                    )
-            else:
-                record_a = ledger.find(args.against)
+    if args.against is not None:
+        record_b = ledger.find("-1")
+        if args.against == "last":
+            record_a = ledger.baseline_for(record_b)
+            if record_a is None:
+                return _fail(
+                    f"no earlier {record_b['command']!r} run with config "
+                    f"digest {record_b['config_digest']} to diff against"
+                )
         else:
-            record_a = ledger.find(args.runs[0])
-            record_b = ledger.find(args.runs[1])
-    except LedgerError as exc:
-        return _fail(str(exc))
+            record_a = ledger.find(args.against)
+    else:
+        record_a = ledger.find(args.runs[0])
+        record_b = ledger.find(args.runs[1])
     diff = diff_records(record_a, record_b)
     regressions = (
         perf_regressions(diff, args.fail_on_regression)
@@ -1026,10 +890,7 @@ def cmd_diff(args) -> int:
                 json.dump(diff.to_dict(), handle, indent=2, sort_keys=True)
                 handle.write("\n")
 
-        error = _write_output(args.json, _write_json)
-        if error:
-            return _fail(error)
-        print(f"diff written to {args.json}")
+        _write(args.json, "diff", _write_json)
     if regressions:
         return 1
     return 0
@@ -1205,7 +1066,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--race", type=int, metavar="N",
                          help="explain only race #N (report order)")
     explain.add_argument("--no-filters", action="store_true")
-    _add_hb_backend(explain)
     explain.set_defaults(func=cmd_explain)
 
     history = sub.add_parser(
@@ -1215,7 +1075,7 @@ def build_parser() -> argparse.ArgumentParser:
     history.add_argument("--ledger", required=True, metavar="DIR",
                          help="ledger directory (holds ledger.jsonl)")
     history.add_argument("--command", dest="filter_command",
-                         choices=("check", "corpus", "explore", "predict"),
+                         choices=RUN_COMMANDS,
                          help="only runs of this subcommand")
     history.add_argument("--last", type=int, metavar="N",
                          help="only the N most recent runs (after filtering)")
@@ -1252,7 +1112,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit status."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -13,13 +13,14 @@ see identical settings by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from .browser.network import (
     DEFAULT_BANDWIDTH,
     DEFAULT_CONNECTIONS_PER_ORIGIN,
     DEFAULT_RTT,
 )
+from .inputs import InputError
 
 #: Connection-model tuning fields, meaningful only under ``--network connection``.
 NETWORK_TUNING = ("bandwidth", "rtt", "connections_per_origin")
@@ -59,14 +60,14 @@ class RunConfig:
     max_run_ms: Optional[float] = None
 
     @classmethod
-    def from_args(cls, args) -> Tuple[Optional["RunConfig"], Optional[str]]:
-        """The config parsed CLI flags describe, or why they are inconsistent.
+    def from_args(cls, args) -> "RunConfig":
+        """The config parsed CLI flags describe.
 
-        Returns ``(config, error)``; exactly one is ``None``.  A flag the
-        command does not define, or a tuning flag left unset, keeps its
-        default.  Flags that only mean something under another setting are
-        rejected rather than ignored, so a user never believes a FIFO run
-        was reseeded or a uniform run bandwidth-shaped.
+        A flag the command does not define, or a tuning flag left unset,
+        keeps its default.  Flags that only mean something under another
+        setting raise :class:`~repro.inputs.InputError` rather than being
+        ignored, so a user never believes a FIFO run was reseeded or a
+        uniform run bandwidth-shaped.
         """
         given = {
             name: getattr(args, name)
@@ -74,23 +75,23 @@ class RunConfig:
             if getattr(args, name, None) is not None
         }
         if "schedule_seed" in given and given.get("scheduler") != "random":
-            return None, "--schedule-seed requires --scheduler random"
+            raise InputError("--schedule-seed requires --scheduler random")
         config = cls(**given)
         if config.network == "uniform":
             for name in NETWORK_TUNING:
                 if name in given:
                     flag = "--" + name.replace("_", "-")
-                    return None, f"{flag} requires --network connection"
+                    raise InputError(f"{flag} requires --network connection")
         elif config.bandwidth <= 0:
-            return None, f"--bandwidth must be > 0, got {config.bandwidth:g}"
+            raise InputError(f"--bandwidth must be > 0, got {config.bandwidth:g}")
         elif config.rtt <= 0:
-            return None, f"--rtt must be > 0, got {config.rtt:g}"
+            raise InputError(f"--rtt must be > 0, got {config.rtt:g}")
         elif config.connections_per_origin < 1:
-            return None, (
+            raise InputError(
                 f"--connections-per-origin must be >= 1, "
                 f"got {config.connections_per_origin}"
             )
-        return config, None
+        return config
 
     def ledger_fields(self, scheduler: bool = True) -> Dict[str, Any]:
         """The settings a ledger record's config digest covers.

@@ -19,11 +19,11 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
+from ..inputs import InputError, read_text
 from .access import READ
 from .detector import RaceDetector
 from .filters import FilterChain
 from .full_detector import FullHistoryDetector
-from .hb.backend import make_backend
 from .hb.graph import HBGraph
 from .locations import (
     CollectionLocation,
@@ -160,10 +160,9 @@ def _jsonable_meta(meta: Dict[str, Any]) -> Dict[str, Any]:
 class LoadedTrace:
     """A trace + graph reconstructed from serialized form."""
 
-    def __init__(self, trace: Trace, graph: HBGraph, hb_backend: str = "graph"):
+    def __init__(self, trace: Trace, graph: HBGraph):
         self.trace = trace
         self.graph = graph
-        self.hb_backend = hb_backend
 
     def detect(self, full_history: bool = False):
         """Replay all accesses through a fresh detector; returns it."""
@@ -209,12 +208,10 @@ class LoadedTrace:
         return report, records
 
 
-def trace_from_dict(data: Dict[str, Any], hb_backend: str = "graph") -> LoadedTrace:
+def trace_from_dict(data: Dict[str, Any]) -> LoadedTrace:
     """Reconstruct a :class:`LoadedTrace` from :func:`trace_to_dict` output.
 
-    ``hb_backend`` is recorded on the result (``"shb"`` makes ``analyze``
-    run the prediction sweep).  Raises ``ValueError`` when the edges form
-    a happens-before cycle.
+    Raises ``ValueError`` when the edges form a happens-before cycle.
     """
     version = data.get("version")
     if version != FORMAT_VERSION:
@@ -223,7 +220,7 @@ def trace_from_dict(data: Dict[str, Any], hb_backend: str = "graph") -> LoadedTr
     for op_data in data["operations"]:
         trace.operations.operations[op_data["op_id"]] = _make_operation(op_data)
         trace.operations._next = max(trace.operations._next, op_data["op_id"] + 1)
-    graph = make_backend(hb_backend, assert_forward=False)
+    graph = HBGraph(assert_forward=False)
     for op_id in trace.operations.operations:
         graph.add_operation(op_id)
     for edge in data["edges"]:
@@ -240,7 +237,7 @@ def trace_from_dict(data: Dict[str, Any], hb_backend: str = "graph") -> LoadedTr
         )
     for crash_data in data["crashes"]:
         trace.record_crash(_LoadedCrash(crash_data))
-    return LoadedTrace(trace, graph, hb_backend=hb_backend)
+    return LoadedTrace(trace, graph)
 
 
 def _make_operation(op_data: Dict[str, Any]):
@@ -279,10 +276,19 @@ def dump_trace(trace: Trace, graph: HBGraph, path: str) -> None:
         json.dump(trace_to_dict(trace, graph), handle)
 
 
-def load_trace(path: str, hb_backend: str = "graph") -> LoadedTrace:
-    """Read a trace file written by :func:`dump_trace`."""
-    with open(path) as handle:
-        return trace_from_dict(json.load(handle), hb_backend=hb_backend)
+def load_trace(path: str) -> LoadedTrace:
+    """Read a trace file written by :func:`dump_trace`.
+
+    Raises :class:`~repro.inputs.InputError`: ``cannot read trace …`` for
+    a file that cannot be read as UTF-8 text, ``corrupt trace …`` (with
+    the first line of the reason) for one that is not a trace.
+    """
+    text = read_text(path, "trace")
+    try:
+        return loads_trace(text)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        reason = str(exc).splitlines()[0] if str(exc) else type(exc).__name__
+        raise InputError(f"corrupt trace {path!r}: {reason}") from None
 
 
 def dumps_trace(trace: Trace, graph: HBGraph) -> str:
@@ -290,6 +296,6 @@ def dumps_trace(trace: Trace, graph: HBGraph) -> str:
     return json.dumps(trace_to_dict(trace, graph))
 
 
-def loads_trace(text: str, hb_backend: str = "graph") -> LoadedTrace:
+def loads_trace(text: str) -> LoadedTrace:
     """Load a trace from a JSON string."""
-    return trace_from_dict(json.loads(text), hb_backend=hb_backend)
+    return trace_from_dict(json.loads(text))

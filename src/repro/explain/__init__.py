@@ -56,8 +56,6 @@ from .schema import (
     PREDICT_FORMAT_VERSION,
     PREDICT_SCHEMA,
     REPORT_SCHEMA,
-    RUN_RECORD_FORMAT_NAME,
-    RUN_RECORD_FORMAT_VERSION,
     RUN_RECORD_SCHEMA,
     validate_history_report,
     validate_predict_report,
@@ -83,8 +81,6 @@ __all__ = [
     "PREDICT_FORMAT_VERSION",
     "PREDICT_SCHEMA",
     "REPORT_SCHEMA",
-    "RUN_RECORD_FORMAT_NAME",
-    "RUN_RECORD_FORMAT_VERSION",
     "RUN_RECORD_SCHEMA",
     "assemble_history_document",
     "render_history_json",

@@ -48,50 +48,29 @@ def page_evidence_dict(url: str, page_report, records: List[RaceEvidence],
     }
 
 
-def _cluster_key(record) -> Tuple[str, str, bool, str]:
-    """(fingerprint, race_type, harmful, location token) for clustering,
-    from either a live :class:`RaceEvidence` or its serialized dict."""
-    if isinstance(record, dict):
-        return (
-            record["fingerprint"],
-            record["race_type"],
-            record["harmful"],
-            record["location"]["token"],
-        )
-    return (
-        record.fingerprint,
-        record.race_type,
-        record.harmful,
-        record.location_token,
-    )
-
-
 def build_clusters(
-    pages: Iterable[Tuple[str, List[Any]]]
+    pages: Iterable[Tuple[str, List[Dict[str, Any]]]]
 ) -> List[Dict[str, Any]]:
-    """Group evidence records by fingerprint across pages.
-
-    Accepts live :class:`RaceEvidence` records or their serialized dicts
-    (``RaceEvidence.to_dict`` shape) interchangeably.
-    """
+    """Group serialized evidence records (``RaceEvidence.to_dict`` shape)
+    by fingerprint across pages."""
     clusters: Dict[str, Dict[str, Any]] = {}
     for url, records in pages:
         for record in records:
-            fingerprint, race_type, harmful, token = _cluster_key(record)
+            fingerprint = record["fingerprint"]
             cluster = clusters.get(fingerprint)
             if cluster is None:
                 cluster = clusters[fingerprint] = {
                     "fingerprint": fingerprint,
                     "count": 0,
                     "pages": [],
-                    "race_type": race_type,
+                    "race_type": record["race_type"],
                     "harmful": False,
-                    "location": token,
+                    "location": record["location"]["token"],
                 }
             cluster["count"] += 1
             if url not in cluster["pages"]:
                 cluster["pages"].append(url)
-            cluster["harmful"] = cluster["harmful"] or harmful
+            cluster["harmful"] = cluster["harmful"] or record["harmful"]
     return sorted(
         clusters.values(),
         key=lambda c: (-c["count"], c["fingerprint"]),

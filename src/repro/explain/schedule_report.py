@@ -14,8 +14,7 @@ predictions into ``predicted+confirmed`` and ``predicted-only``, and
 :func:`render_predict_text` renders it for the terminal.
 
 The module is duck-typed over the runner's result objects rather than
-importing them, mirroring how :mod:`repro.explain.report_json` accepts
-live or serialized evidence interchangeably.
+importing them.
 """
 
 from __future__ import annotations

@@ -14,6 +14,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
+from ..obs.ledger import (
+    RACE_VERDICTS,
+    RUN_COMMANDS,
+    RUN_RECORD_FORMAT,
+    RUN_RECORD_VERSION,
+)
+
 FORMAT_NAME = "webracer-race-report"
 FORMAT_VERSION = 1
 
@@ -319,9 +326,6 @@ PREDICT_SCHEMA: Dict[str, Any] = {
     },
 }
 
-RUN_RECORD_FORMAT_NAME = "webracer-run-record"
-RUN_RECORD_FORMAT_VERSION = 1
-
 _RUN_RACE = {
     "type": "object",
     "required": [
@@ -329,16 +333,7 @@ _RUN_RACE = {
     ],
     "properties": {
         "fingerprint": {"type": "string"},
-        "verdict": {
-            "type": "string",
-            "enum": [
-                "observed",
-                "stable",
-                "schedule-sensitive",
-                "predicted+confirmed",
-                "predicted-only",
-            ],
-        },
+        "verdict": {"type": "string", "enum": list(RACE_VERDICTS)},
         "race_type": {"type": "string"},
         "harmful": {"type": "boolean"},
         "location": {"type": "string"},
@@ -356,14 +351,11 @@ RUN_RECORD_SCHEMA: Dict[str, Any] = {
         "races",
     ],
     "properties": {
-        "format": {"type": "string", "enum": [RUN_RECORD_FORMAT_NAME]},
-        "version": {"type": "integer", "enum": [RUN_RECORD_FORMAT_VERSION]},
+        "format": {"type": "string", "enum": [RUN_RECORD_FORMAT]},
+        "version": {"type": "integer", "enum": [RUN_RECORD_VERSION]},
         "run_id": {"type": "string"},
         "timestamp": {"type": "string"},
-        "command": {
-            "type": "string",
-            "enum": ["check", "corpus", "explore", "predict"],
-        },
+        "command": {"type": "string", "enum": list(RUN_COMMANDS)},
         "config": {"type": "object"},
         "config_digest": {"type": "string"},
         "duration_ms": {"type": "number"},

@@ -20,25 +20,27 @@ Sizes prefer the exporter's ``response.content.size``, then
 bodies were replaced with small stand-ins (or stripped) still transfers
 its real byte counts through the connection model.
 
-Strictness follows the CLI error conventions (PR 4): anything that is
-not a HAR — bad JSON, missing ``log.entries``, an empty capture, an
-entry without a URL — raises :class:`HarError` with a one-line message;
-the CLI converts that to exit 2.
+Anything that is not a HAR — bad JSON, missing ``log.entries``, an
+empty capture, an entry without a URL — raises :class:`HarError`, an
+:class:`~repro.inputs.InputError` with a one-line message, so the CLI
+exits 2.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from .browser.network import origin_of
+from .inputs import InputError, read_text
 
 #: Size billed for an entry with no usable size information at all.
 DEFAULT_ENTRY_SIZE = 1024
 
 
-class HarError(ValueError):
+class HarError(InputError):
     """The input is not a usable HAR capture."""
 
 
@@ -81,11 +83,10 @@ class HarWorkload:
 
 
 def _entry_size(content: Dict[str, Any], body_size: Any, text: str) -> int:
-    size = content.get("size")
-    if isinstance(size, (int, float)) and size > 0:
-        return int(size)
-    if isinstance(body_size, (int, float)) and body_size > 0:
-        return int(body_size)
+    for size in (content.get("size"), body_size):
+        # JSON's ``Infinity`` parses to a float that ``int`` rejects.
+        if isinstance(size, (int, float)) and 0 < size < math.inf:
+            return int(size)
     if text:
         return len(text)
     return DEFAULT_ENTRY_SIZE
@@ -111,18 +112,20 @@ def parse_har(text: str) -> List[HarEntry]:
     for index, raw in enumerate(raw_entries):
         if not isinstance(raw, dict):
             raise HarError(f"entry {index} is not an object")
-        request = raw.get("request") or {}
-        response = raw.get("response") or {}
+        request = raw.get("request")
+        response = raw.get("response")
+        if not isinstance(response, dict):
+            response = {}
         url = request.get("url") if isinstance(request, dict) else None
         if not url or not isinstance(url, str):
             raise HarError(f"entry {index} has no request URL")
-        content = response.get("content") if isinstance(response, dict) else {}
+        content = response.get("content")
         if not isinstance(content, dict):
             content = {}
         body = content.get("text")
         if not isinstance(body, str):
             body = ""
-        status = response.get("status") if isinstance(response, dict) else 200
+        status = response.get("status")
         if not isinstance(status, int) or status <= 0:
             status = 200
         entries.append(
@@ -182,7 +185,15 @@ def workload_from_entries(entries: List[HarEntry]) -> HarWorkload:
 
 
 def load_har(path: str) -> HarWorkload:
-    """Read and assemble a ``.har`` file; raises :class:`HarError`/OSError."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    return workload_from_entries(parse_har(text))
+    """Read and assemble a ``.har`` file.
+
+    Raises :class:`~repro.inputs.InputError`: an unreadable file says
+    ``cannot read HAR '<path>': …``, a :class:`HarError` names the file as
+    ``bad HAR '<path>': …``.
+    """
+    text = read_text(path, "HAR")
+    try:
+        entries = parse_har(text)
+    except HarError as exc:
+        raise HarError(f"bad HAR {path!r}: {exc}") from None
+    return workload_from_entries(entries)

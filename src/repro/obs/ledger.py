@@ -41,6 +41,7 @@ import os
 import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
+from ..inputs import InputError
 from .core import Instrumentation
 
 #: The one file a ledger directory owns.
@@ -174,7 +175,7 @@ def _validate_record(record: Dict[str, Any]) -> None:
     validate_run_record(record)
 
 
-class LedgerError(Exception):
+class LedgerError(InputError):
     """A ledger directory or file is unusable (message is one line)."""
 
 
@@ -212,29 +213,33 @@ class Ledger:
     def records(self) -> List[Dict[str, Any]]:
         """Every run record, in append (chronological) order.
 
-        Raises :class:`LedgerError` with the offending line number on a
-        torn or non-record line — a ledger that lies is worse than one
-        that fails loudly.
+        Raises :class:`LedgerError` when the file cannot be read as UTF-8
+        text, and with the offending line number on a torn or non-record
+        line — a ledger that lies is worse than one that fails loudly.
         """
         if not self.exists():
             raise LedgerError(f"no ledger at {self.path!r}")
+        try:
+            with open(self.path, encoding="utf-8") as handle:
+                text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise LedgerError(f"{self.path}: not UTF-8 (byte {exc.start})") from None
         records: List[Dict[str, Any]] = []
-        with open(self.path) as handle:
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError as exc:
-                    raise LedgerError(
-                        f"{self.path}:{number}: corrupt record: {exc}"
-                    ) from None
-                try:
-                    _validate_record(record)
-                except ValueError as exc:
-                    raise LedgerError(f"{self.path}:{number}: {exc}") from None
-                records.append(record)
+        for number, line in enumerate(text.split("\n"), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise LedgerError(
+                    f"{self.path}:{number}: corrupt record: {exc}"
+                ) from None
+            try:
+                _validate_record(record)
+            except ValueError as exc:
+                raise LedgerError(f"{self.path}:{number}: {exc}") from None
+            records.append(record)
         return records
 
     def find(self, run_ref: str) -> Dict[str, Any]:

@@ -48,6 +48,7 @@ from .browser.scheduler import (
     make_scheduler,
 )
 from .config import RunConfig, run_config
+from .inputs import InputError, read_text
 from .obs import NULL
 from .pool import crash_line, fan_out
 
@@ -145,29 +146,34 @@ def load_page_inputs(
     every *other* file in the directory is offered to every HTML page as
     a resource keyed by its basename, which is how the example pages
     reference their scripts (``<script src="hint.js">``).
+
+    Raises :class:`~repro.inputs.InputError` when any file cannot be read
+    as UTF-8 text, a HAR is malformed, or a directory holds no pages.
     """
-    if os.path.isfile(path):
+    if not os.path.isdir(path):
         if path.endswith(".har"):
             return [_har_page_input(path, resources)]
-        with open(path) as handle:
-            html = handle.read()
+        html = read_text(path, "page")
         return [PageInput(url=path, html=html, resources=dict(resources or {}))]
-    if not os.path.isdir(path):
-        raise FileNotFoundError(f"no such page or directory: {path!r}")
-    names = sorted(os.listdir(path))
+    try:
+        names = sorted(os.listdir(path))
+    except OSError as exc:
+        raise InputError(
+            f"cannot read directory {path!r}: {exc.strerror or exc}"
+        ) from None
     contents: Dict[str, str] = {}
     for name in names:
         full = os.path.join(path, name)
         if os.path.isfile(full) and not name.endswith(".har"):
-            with open(full) as handle:
-                contents[name] = handle.read()
+            what = "page" if name.endswith(".html") else "resource"
+            contents[name] = read_text(full, what)
     pages: List[PageInput] = []
     for name in names:
         full = os.path.join(path, name)
         if name.endswith(".har") and os.path.isfile(full):
             pages.append(_har_page_input(full, resources))
             continue
-        if not name.endswith(".html"):
+        if not name.endswith(".html") or name not in contents:
             continue
         page_resources = {
             other: content
@@ -184,7 +190,7 @@ def load_page_inputs(
         )
     pages.sort(key=lambda page: page.url)
     if not pages:
-        raise FileNotFoundError(f"no *.html or *.har pages under {path!r}")
+        raise InputError(f"no *.html or *.har pages under {path!r}")
     return pages
 
 

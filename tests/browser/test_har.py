@@ -14,6 +14,7 @@ from repro.har import (
     synthesize_driver,
     workload_from_entries,
 )
+from repro.inputs import InputError
 
 EXAMPLE_HAR = (
     pathlib.Path(__file__).resolve().parents[2] / "examples" / "pages" / "shop.har"
@@ -172,5 +173,5 @@ class TestBundledExample:
         assert len(workload.entries) == 4
 
     def test_missing_file_raises_oserror(self, tmp_path):
-        with pytest.raises(OSError):
+        with pytest.raises(InputError):
             load_har(str(tmp_path / "gone.har"))

@@ -8,11 +8,8 @@ on missing or corrupt traces, and output-path validation that fails fast
 
 import pytest
 
-from repro.__main__ import (
-    _output_path_error,
-    _write_output,
-    main,
-)
+from repro.__main__ import _check_output_path, _write, main
+from repro.inputs import InputError
 
 PAGE_HTML = """<html><head><script>var x = 1;</script></head><body></body></html>"""
 
@@ -302,14 +299,17 @@ class TestCountFlags:
 
 class TestPathHelpers:
     def test_output_path_error_accepts_writable_target(self, tmp_path):
-        assert _output_path_error(str(tmp_path / "new.json")) is None
+        assert _check_output_path(str(tmp_path / "new.json")) is None
 
     def test_output_path_error_rejects_directory(self, tmp_path):
-        assert "is a directory" in _output_path_error(str(tmp_path))
+        with pytest.raises(InputError) as info:
+            _check_output_path(str(tmp_path))
+        assert "is a directory" in str(info.value)
 
     def test_output_path_error_rejects_missing_parent(self):
-        message = _output_path_error("/no/such/dir/file.json")
-        assert message == "output directory '/no/such/dir' does not exist"
+        with pytest.raises(InputError) as info:
+            _check_output_path("/no/such/dir/file.json")
+        assert str(info.value) == "output directory '/no/such/dir' does not exist"
 
     def test_output_path_error_rejects_unwritable_directory(self, tmp_path):
         import os
@@ -319,9 +319,9 @@ class TestPathHelpers:
         locked = tmp_path / "locked"
         locked.mkdir(mode=0o555)
         try:
-            assert "is not writable" in _output_path_error(
-                str(locked / "out.json")
-            )
+            with pytest.raises(InputError) as info:
+                _check_output_path(str(locked / "out.json"))
+            assert "is not writable" in str(info.value)
         finally:
             locked.chmod(0o755)
 
@@ -329,9 +329,12 @@ class TestPathHelpers:
         def boom():
             raise OSError(28, "No space left on device")
 
-        message = _write_output("/tmp/full.json", boom)
-        assert message == "cannot write '/tmp/full.json': No space left on device"
+        with pytest.raises(InputError) as info:
+            _write("/tmp/full.json", "stats", boom)
+        assert str(info.value) == (
+            "cannot write '/tmp/full.json': No space left on device"
+        )
 
     def test_write_output_success_returns_none(self, tmp_path):
         target = tmp_path / "ok.txt"
-        assert _write_output(str(target), lambda: target.write_text("hi")) is None
+        assert _write(str(target), None, lambda: target.write_text("hi")) is None

@@ -12,6 +12,7 @@ from repro.explain.schedule_report import (
     assemble_explore_document,
     validate_explore_document,
 )
+from repro.inputs import InputError
 from repro.schedule_runner import (
     PageInput,
     ScheduleSpec,
@@ -101,8 +102,13 @@ class TestLoadPageInputs:
         assert pages[0].resources == {}
 
     def test_missing_path(self):
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(InputError):
             load_page_inputs("/nonexistent/nowhere")
+
+    def test_subdirectory_named_like_a_page_is_skipped(self, pages_dir):
+        (pages_dir / "archive.html").mkdir()
+        pages = load_page_inputs(str(pages_dir))
+        assert [p.url.endswith("poll.html") for p in pages] == [True]
 
 
 class TestExplorePages:

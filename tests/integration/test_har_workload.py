@@ -106,7 +106,7 @@ class TestCliErrors:
         (tmp_path / "bad.har").write_text("{{{")
         assert main(["explore", str(tmp_path), "--schedules", "1"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: bad HAR under '{tmp_path}'")
+        assert err.startswith(f"error: bad HAR '{tmp_path / 'bad.har'}'")
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(

@@ -63,8 +63,7 @@ def test_config_pickles_and_round_trips_the_cli(config):
     clone = pickle.loads(pickle.dumps(config))
     assert clone == config
     assert hash(clone) == hash(config)
-    parsed, error = RunConfig.from_args(build_parser().parse_args(check_argv(config)))
-    assert error is None
+    parsed = RunConfig.from_args(build_parser().parse_args(check_argv(config)))
     assert parsed == RunConfig(**{name: getattr(config, name) for name in CLI_FIELDS})
 
 

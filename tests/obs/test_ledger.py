@@ -155,6 +155,14 @@ class TestLedgerAppendAndRead:
         with pytest.raises(LedgerError, match="no ledger"):
             Ledger(str(tmp_path / "nope")).records()
 
+    def test_records_fails_loudly_on_non_utf8(self, tmp_path):
+        ledger = Ledger(str(tmp_path))
+        ledger.append(_record())
+        with open(ledger.path, "ab") as handle:
+            handle.write(b"\xff\n")
+        with pytest.raises(LedgerError, match=r"ledger\.jsonl: not UTF-8"):
+            ledger.records()
+
 
 class TestLedgerFind:
     def test_find_by_index_and_id_and_prefix(self, tmp_path):
