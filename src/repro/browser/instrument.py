@@ -20,7 +20,7 @@ through one object, the :class:`Monitor`:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set
 
 from ..core.access import READ, WRITE
 from ..core.detector import RaceDetector
@@ -58,10 +58,12 @@ class Monitor:
         self.detector = RaceDetector(self.trace, self.graph, obs=self.obs)
         self.trace.subscribe(self.detector.on_access)
         self._op_stack: List[Operation] = []
+        #: Location ids read by each operation on the stack (parallel to
+        #: ``_op_stack``), for read-before-write details.  A set goes when
+        #: its operation ends: no operation runs again after it ends.
+        self._read_sets: List[Set[int]] = []
         #: element node_id -> create(E) operation id (Section 3.2 create()).
         self.create_ops: Dict[int, int] = {}
-        #: (op_id, location id) pairs read, for read-before-write details.
-        self._op_reads: Set[Tuple[int, int]] = set()
         self.js_hooks = _JsHooks(self)
 
     # ------------------------------------------------------------------
@@ -78,6 +80,7 @@ class Monitor:
     def begin_operation(self, operation: Operation) -> None:
         """Push an operation; subsequent accesses belong to it."""
         self._op_stack.append(operation)
+        self._read_sets.append(set())
 
     def end_operation(self, operation: Operation) -> None:
         """Pop an operation (tolerating inline-dispatch segment swaps)."""
@@ -91,6 +94,7 @@ class Monitor:
                 f"operation stack mismatch: ending {operation}, stack top is {top}"
             )
         self._op_stack.pop()
+        self._read_sets.pop()
 
     def _segment_root(self, operation: Operation) -> Operation:
         from ..core.operations import SEGMENT
@@ -117,6 +121,7 @@ class Monitor:
             raise RuntimeError("no current operation to replace")
         previous = self._op_stack[-1]
         self._op_stack[-1] = operation
+        self._read_sets[-1] = set()
         return previous
 
     # ------------------------------------------------------------------
@@ -145,9 +150,9 @@ class Monitor:
         trace = self.trace
         loc = trace.intern(key)
         if is_read:
-            self._op_reads.add((op_id, loc))
+            self._read_sets[-1].add(loc)
         else:
-            guarded = (op_id, loc) in self._op_reads
+            guarded = loc in self._read_sets[-1]
             delayed = operation.meta.get("delayed_script")
             if guarded or delayed:
                 detail = dict(detail) if detail else {}

@@ -112,10 +112,6 @@ class NetworkSimulator:
         """Register (or replace) a resource body for a URL."""
         self.resources[url] = content
 
-    def set_latency(self, url: str, latency: float) -> None:
-        """Pin a fixed latency for a URL."""
-        self.latencies[url] = latency
-
     def latency_for(self, url: str) -> float:
         """The latency a fetch of ``url`` will take (pinned or drawn).
 
@@ -333,10 +329,6 @@ class ConnectionNetworkSimulator:
         self.resources[url] = content
         if size is not None:
             self.sizes[url] = float(size)
-
-    def set_size(self, url: str, size: float) -> None:
-        """Pin the on-the-wire size of a URL (bytes)."""
-        self.sizes[url] = float(size)
 
     def size_for(self, url: str, result: FetchResult) -> float:
         """On-the-wire bytes of a response (pinned, else body length)."""

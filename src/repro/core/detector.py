@@ -158,13 +158,3 @@ class RaceDetector:
         for row in range(len(self.trace)):
             self.on_access(row)
         return self
-
-    # ------------------------------------------------------------------
-
-    def races_at(self, location: Location) -> List[Race]:
-        """Races reported on one location."""
-        return [race for race in self.races if race.location == location]
-
-    def race_count(self) -> int:
-        """Total races reported so far."""
-        return len(self.races)

@@ -19,7 +19,6 @@ from typing import Dict, List, Set, Tuple
 
 from .detector import READ_WRITE, WRITE_WRITE, Race
 from .hb.backend import HBBackend
-from .locations import Location
 from .trace import Trace
 from ..obs import NULL
 
@@ -95,14 +94,6 @@ class FullHistoryDetector:
         )
 
     # ------------------------------------------------------------------
-
-    def race_count(self) -> int:
-        """Total races reported so far."""
-        return len(self.races)
-
-    def racing_locations(self) -> Set[Location]:
-        """The set of locations with at least one race."""
-        return {race.location for race in self.races}
 
     def missed_by(self, constant_memory_races: List[Race]) -> List[Race]:
         """Races this detector found whose location the constant-memory

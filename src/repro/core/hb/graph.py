@@ -22,10 +22,17 @@ position on that chain that happens before (or at) this operation}``;
 ``a ≺ b`` iff ``b``'s clock covers ``a``'s position on ``a``'s chain — an
 O(1) dictionary lookup, with O(C) amortized maintenance per operation
 (C = number of chains) instead of O(V) ancestor sets per operation.
+
+The store keeps each clock without the operation's own chain, whose
+entry is the operation's position.  The operations of one chain are
+totally ordered, so an operation that learns nothing beyond its chain
+predecessor's clock shares that predecessor's dict: a page whose
+operations form one chain stores one clock.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -41,6 +48,26 @@ class Edge:
     rule: str = ""
 
 
+class _FullClocks(Mapping):
+    """``op -> full clock`` over an :class:`HBGraph`'s stored clocks: each
+    lookup copies the stored clock and adds the op's own chain entry."""
+
+    def __init__(self, graph: HBGraph):
+        self._graph = graph
+
+    def __getitem__(self, op_id: int) -> Dict[int, int]:
+        chain, position = self._graph.position[op_id]
+        clock = dict(self._graph._clocks[op_id])
+        clock[chain] = position
+        return clock
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._graph._clocks)
+
+    def __len__(self) -> int:
+        return len(self._graph._clocks)
+
+
 class HBGraph:
     """Rule-labeled HB edges over operation ids, queried by chain clocks."""
 
@@ -54,8 +81,12 @@ class HBGraph:
         self._edge_rules: Dict[Tuple[int, int], str] = {}
         #: op -> (chain index, position within chain); presence = finalized.
         self.position: Dict[int, Tuple[int, int]] = {}
-        #: op -> {chain index -> max covered position} (finalized ops only).
-        self.clock: Dict[int, Dict[int, int]] = {}
+        #: op -> {other chain index -> max covered position}: the clock
+        #: without the op's own chain.  Shared, never mutated.
+        self._clocks: Dict[int, Dict[int, int]] = {}
+        #: op -> full clock {chain index -> max covered position}, own
+        #: chain included (finalized ops only; read-only).
+        self.clock: Mapping[int, Dict[int, int]] = _FullClocks(self)
         self._chain_tail: Dict[int, int] = {}
         self.chain_count = 0
 
@@ -131,35 +162,40 @@ class HBGraph:
 
         # Chain assignment: extend a predecessor's chain if it is still
         # that chain's tail, otherwise open a new chain.
-        assigned: Optional[int] = None
+        extended: Optional[int] = None
         for pred in predecessors:
             chain, _pos = self.position[pred]
             if self._chain_tail.get(chain) == pred:
-                assigned = chain
+                extended = pred
                 break
-        if assigned is None:
+        if extended is None:
             assigned = self.chain_count
             self.chain_count += 1
             if self.obs.enabled:
                 self.obs.count("hb.chain_opened")
             position = 0
         else:
-            position = self.position[self._chain_tail[assigned]][1] + 1
+            assigned, position = self.position[extended]
+            position += 1
         self.position[op_id] = (assigned, position)
         self._chain_tail[assigned] = op_id
 
         # Clock: pointwise max over predecessors' clocks, plus each
-        # predecessor's own position, plus our own position.
+        # predecessor's own position, minus our own chain (``position``
+        # holds that entry).
         clock: Dict[int, int] = {}
         for pred in predecessors:
-            for chain, pos in self.clock[pred].items():
+            for chain, pos in self._clocks[pred].items():
                 if clock.get(chain, -1) < pos:
                     clock[chain] = pos
             pred_chain, pred_pos = self.position[pred]
             if clock.get(pred_chain, -1) < pred_pos:
                 clock[pred_chain] = pred_pos
-        clock[assigned] = position
-        self.clock[op_id] = clock
+        clock.pop(assigned, None)
+        if extended is not None and clock == self._clocks[extended]:
+            # Nothing learned beyond the chain predecessor: share its dict.
+            clock = self._clocks[extended]
+        self._clocks[op_id] = clock
 
     def finalize_all(self) -> None:
         """Finalize every registered operation.
@@ -180,8 +216,8 @@ class HBGraph:
         # Fast path: both operations already finalized (the common case on
         # the detection hot path — priors were queried before).
         pos_a = self.position.get(a)
-        clock_b = self.clock.get(b)
-        if pos_a is None or clock_b is None:
+        pos_b = self.position.get(b)
+        if pos_a is None or pos_b is None:
             if a not in self._pred or b not in self._pred:
                 return False
             if self.assert_forward and a > b:
@@ -191,11 +227,13 @@ class HBGraph:
             self._finalize(a)
             self._finalize(b)
             pos_a = self.position[a]
-            clock_b = self.clock[b]
+            pos_b = self.position[b]
         elif self.assert_forward and a > b:
             return False
         chain, position = pos_a
-        return clock_b.get(chain, -1) >= position
+        if chain == pos_b[0]:
+            return pos_b[1] >= position
+        return self._clocks[b].get(chain, -1) >= position
 
     def concurrent(self, a: int, b: int) -> bool:
         """True iff neither ``a ≺ b`` nor ``b ≺ a`` (and ``a != b``)."""
@@ -223,8 +261,9 @@ class HBGraph:
     # introspection (witnesses, serialization, tests, benchmarks)
 
     def memory_cells(self) -> int:
-        """Total clock entries — the query engine's memory footprint."""
-        return sum(len(clock) for clock in self.clock.values())
+        """Total entries of the full logical clocks — the query engine's
+        memory footprint, counted as if no clock were shared."""
+        return sum(len(clock) + 1 for clock in self._clocks.values())
 
     @property
     def edges(self) -> List[Edge]:
@@ -259,4 +298,3 @@ class HBGraph:
     def edge_count(self) -> int:
         """Number of edges in the graph."""
         return len(self._edge_rules)
-

@@ -18,8 +18,8 @@ their parent via :attr:`Operation.parent`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from types import MappingProxyType
+from typing import Any, Dict, Mapping, Optional
 
 #: Operation kinds, mirroring Section 3.2.
 PARSE = "parse"
@@ -32,8 +32,11 @@ ENV = "env"  # environment pseudo-operations (initial load trigger)
 
 KINDS = frozenset([PARSE, EXE, CB, CBI, DISPATCH, SEGMENT, ENV])
 
+#: The meta of every operation created without one: one shared, read-only
+#: empty mapping instead of an empty dict per operation.
+NO_META: Mapping[str, Any] = MappingProxyType({})
 
-@dataclass
+
 class Operation:
     """One atomic operation in an execution.
 
@@ -47,19 +50,39 @@ class Operation:
         Human-readable description used in race reports
         (``"exe(<script src=a.js>)"``, ``"disp0(click, #send)"``, ...).
     meta:
-        Kind-specific details.  For ``DISPATCH`` operations the dispatcher
-        stores ``event``, ``target``, ``dispatch_index`` (the *i* of
-        ``dispi``), ``phase``, and ``current_target`` — the appendix's event
-        phasing rules read these.
+        Kind-specific details (:data:`NO_META` when there are none).  For
+        ``DISPATCH`` operations the dispatcher stores ``event``,
+        ``target``, ``dispatch_index`` (the *i* of ``dispi``), ``phase``,
+        and ``current_target`` — the appendix's event phasing rules read
+        these.
     parent:
         For ``SEGMENT`` operations, the id of the split operation.
+
+    Operations compare by value (all five attributes) and are unhashable.
     """
 
-    op_id: int
-    kind: str
-    label: str = ""
-    meta: Dict[str, Any] = field(default_factory=dict)
-    parent: Optional[int] = None
+    __slots__ = ("op_id", "kind", "label", "meta", "parent")
+
+    def __init__(
+        self,
+        op_id: int,
+        kind: str,
+        label: str = "",
+        meta: Mapping[str, Any] = NO_META,
+        parent: Optional[int] = None,
+    ):
+        self.op_id = op_id
+        self.kind = kind
+        self.label = label
+        self.meta = meta
+        self.parent = parent
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__
+        )
 
     def describe(self) -> str:
         """Label if set, else kind#id."""
@@ -94,7 +117,7 @@ class OperationFactory:
             op_id=self._next,
             kind=kind,
             label=label,
-            meta=dict(meta) if meta else {},
+            meta=dict(meta) if meta else NO_META,
             parent=parent,
         )
         self._next += 1

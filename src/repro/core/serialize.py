@@ -17,7 +17,7 @@ the races the online run produced (a property the tests pin down).
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from ..inputs import InputError, read_text
 from .access import READ
@@ -145,7 +145,7 @@ def trace_to_dict(trace: Trace, graph: HBGraph) -> Dict[str, Any]:
     }
 
 
-def _jsonable_meta(meta: Dict[str, Any]) -> Dict[str, Any]:
+def _jsonable_meta(meta: Mapping[str, Any]) -> Dict[str, Any]:
     out = {}
     for key, value in meta.items():
         if isinstance(value, (str, int, float, bool)) or value is None:

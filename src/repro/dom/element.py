@@ -53,6 +53,20 @@ class ListenerEntry:
 class Element(Node):
     """An HTML element."""
 
+    __slots__ = (
+        "tag",
+        "attributes",
+        "home_document",
+        "text",
+        "attr_handlers",
+        "listeners",
+        "value",
+        "checked",
+        "style",
+        "inserted",
+        "load_fired",
+    )
+
     def __init__(
         self,
         tag: str,

@@ -35,6 +35,8 @@ def reset_node_ids() -> None:
 class Node:
     """Base tree node: identity, parent/child links."""
 
+    __slots__ = ("node_id", "parent", "children")
+
     def __init__(self):
         self.node_id = next_node_id()
         self.parent: Optional["Node"] = None

@@ -24,6 +24,7 @@ races, a property the integration tests pin down.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -117,7 +118,7 @@ def _jsonable(value: Any) -> Any:
         return value
     if isinstance(value, (list, tuple)):
         return [_jsonable(item) for item in value]
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return {str(key): _jsonable(val) for key, val in value.items()}
     return str(value)
 

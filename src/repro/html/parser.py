@@ -52,8 +52,10 @@ class IncrementalHtmlParser:
 
     def __init__(self, document: Document, source: str):
         self.document = document
+        #: Tokens not yet consumed, last first: each is popped as it is
+        #: read, so a token lives only until the parser passes it.
         self.tokens: List[Token] = tokenize_html(source)
-        self.index = 0
+        self.tokens.reverse()
         document.ensure_root()
         self._stack: List[Node] = [document.body]
         self._order = 0
@@ -61,7 +63,7 @@ class IncrementalHtmlParser:
     @property
     def finished(self) -> bool:
         """Has the whole token stream been consumed?"""
-        return self.index >= len(self.tokens)
+        return not self.tokens
 
     def next_unit(self) -> Optional[ParseUnit]:
         """Produce the next element to parse, or None when input ends.
@@ -70,9 +72,9 @@ class IncrementalHtmlParser:
         the way: text attaches to the innermost open element, end tags pop
         the open-element stack.
         """
-        while self.index < len(self.tokens):
-            token = self.tokens[self.index]
-            self.index += 1
+        tokens = self.tokens
+        while tokens:
+            token = tokens.pop()
             if isinstance(token, (Comment, Doctype)):
                 continue
             if isinstance(token, Text):
@@ -99,22 +101,12 @@ class IncrementalHtmlParser:
                 return unit
         return None
 
-    def remaining_units(self) -> List[ParseUnit]:
-        """Drain the parser (used by tests; the page loader pulls one at a
-        time so other tasks can interleave)."""
-        units = []
-        while True:
-            unit = self.next_unit()
-            if unit is None:
-                return units
-            units.append(unit)
-
     # ------------------------------------------------------------------
 
     def _absorb_script_body(self, element: Element) -> None:
-        while self.index < len(self.tokens):
-            token = self.tokens[self.index]
-            self.index += 1
+        tokens = self.tokens
+        while tokens:
+            token = tokens.pop()
             if isinstance(token, Text):
                 element.text += token.data
             elif isinstance(token, EndTag) and token.name == "script":

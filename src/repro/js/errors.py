@@ -78,11 +78,6 @@ def reference_error(message: str) -> JSThrow:
     return JSThrow(JSErrorValue("ReferenceError", message))
 
 
-def range_error(message: str) -> JSThrow:
-    """Build a throwable JS ``RangeError``."""
-    return JSThrow(JSErrorValue("RangeError", message))
-
-
 def _describe(value: Any) -> str:
     if isinstance(value, JSErrorValue):
         return repr(value)

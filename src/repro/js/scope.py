@@ -98,10 +98,6 @@ class ObjectScope(Scope):
         """Always None: globals go through instrumented property access."""
         return None
 
-    def has_global(self, name: str) -> bool:
-        """Is the name bound on the global object?"""
-        return self.backing_object.has(name)
-
 
 def hoisted_declarations(
     body: Iterable[ast.Node],

@@ -136,10 +136,6 @@ class PredictReport:
         """Predictions a witness schedule replay-confirmed."""
         return [p for p in self.predictions if p.confirmed]
 
-    def predicted_only(self) -> List[PredictionResult]:
-        """Predictions no witness schedule confirmed within budget."""
-        return [p for p in self.predictions if not p.confirmed]
-
     def summary(self) -> str:
         """One-line prediction summary."""
         return (

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.browser.instrument import Monitor
+from repro.browser.page import Browser
 from repro.core.access import READ, WRITE
 from repro.core.locations import (
     CollectionLocation,
@@ -185,3 +186,76 @@ class TestDomHooks:
         before = len(monitor.trace.accesses)
         document.remove(element)
         assert len(monitor.trace.accesses) > before
+
+
+class TestReadSets:
+    """The monitor keeps read-before-write state only for the operations
+    on its stack."""
+
+    X = DomPropLocation(id_key(1, "f"), "value", tag="input")
+    Y = VarLocation(1, "y")
+
+    def test_read_before_write_survives_a_nested_operation(self, monitor):
+        outer = begin_op(monitor, label="outer")
+        monitor_record(monitor, READ, self.X)
+        inner = begin_op(monitor, label="inner")
+        monitor_record(monitor, READ, self.Y)
+        assert len(monitor._read_sets) == 2
+        monitor.end_operation(inner)
+        assert len(monitor._read_sets) == 1
+        write_x = monitor_record(monitor, WRITE, self.X)
+        write_y = monitor_record(monitor, WRITE, self.Y)
+        assert write_x.detail.get("read_before_write") is True
+        assert "read_before_write" not in write_y.detail
+        monitor.end_operation(outer)
+        assert monitor._read_sets == []
+
+    def test_segment_starts_with_no_reads(self, monitor):
+        original = begin_op(monitor)
+        monitor_record(monitor, READ, self.X)
+        segment = monitor.new_operation(SEGMENT, parent=original.op_id)
+        monitor.replace_current(segment)
+        assert monitor._read_sets == [set()]
+        write = monitor_record(monitor, WRITE, self.X)
+        assert "read_before_write" not in write.detail
+        monitor.end_operation(original)
+        assert monitor._read_sets == []
+
+    def test_inline_dispatch_holds_only_stacked_read_sets(self, monkeypatch):
+        depths = []
+        record = Monitor.record
+
+        def checked_record(self, kind, key, bits=0, detail=None):
+            row = record(self, kind, key, bits, detail)
+            trace = self.trace
+            assert len(self._read_sets) == len(self._op_stack)
+            for operation, reads in zip(self._op_stack, self._read_sets):
+                read_by_op = {
+                    loc
+                    for op_id, loc, is_read in zip(trace.ops, trace.locs, trace.reads)
+                    if is_read and op_id == operation.op_id
+                }
+                assert reads <= read_by_op
+            depths.append(len(self._op_stack))
+            return row
+
+        monkeypatch.setattr(Monitor, "record", checked_record)
+        page = Browser(seed=0).load(
+            "<div id='a'></div><div id='b'></div><script>"
+            "var a = document.getElementById('a');"
+            "var b = document.getElementById('b');"
+            "b.onclick = function() { seen = n; n = 2; };"
+            "a.onclick = function() { n = 1; b.click(); n = n + 1; };"
+            "a.click(); done = n;</script>"
+        )
+        assert page.interpreter.global_object.get_own("done") == 3.0
+        # Script, a's handler and b's handler were stacked at once.
+        assert max(depths) == 3
+        assert page.monitor._read_sets == []
+        # b's handler read n before writing it.
+        assert any(
+            access.detail.get("read_before_write")
+            and getattr(access.location, "name", None) == "n"
+            for access in page.trace.accesses
+            if not access.is_read
+        )

@@ -8,7 +8,9 @@ from repro.core.operations import (
     CB,
     DISPATCH,
     EXE,
+    NO_META,
     PARSE,
+    SEGMENT,
     Operation,
     OperationFactory,
 )
@@ -100,3 +102,23 @@ class TestTrace:
         trace = Trace()
         record(trace, Access(kind=WRITE, op_id=1, location=VarLocation(1, "x")))
         assert "1 accesses" in trace.summary()
+
+
+class TestOperationLayout:
+    def test_no_instance_dict(self):
+        assert not hasattr(Operation(op_id=1, kind=EXE), "__dict__")
+
+    def test_keyword_constructor_defaults_and_equality(self):
+        op = Operation(op_id=5, kind=SEGMENT)
+        assert (op.label, op.meta, op.parent) == ("", {}, None)
+        assert op == Operation(5, SEGMENT, "", {}, None)
+        assert op != Operation(5, SEGMENT, parent=1)
+        assert op != Operation(5, SEGMENT, meta={"role": "root"})
+
+    def test_operations_without_meta_share_one_read_only_mapping(self):
+        factory = OperationFactory()
+        first, second = factory.create(PARSE), factory.create(EXE, meta={})
+        assert first.meta is second.meta is NO_META
+        assert Operation(op_id=9, kind=CB).meta is NO_META
+        with pytest.raises(TypeError):
+            first.meta["event"] = "load"

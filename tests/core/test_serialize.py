@@ -1,5 +1,7 @@
 """Tests for trace serialization and offline analysis."""
 
+import json
+
 import pytest
 
 from repro import WebRacer
@@ -13,6 +15,7 @@ from repro.core.locations import (
     id_key,
     node_key,
 )
+from repro.core.operations import NO_META
 from repro.core.serialize import (
     dumps_trace,
     dump_trace,
@@ -142,3 +145,15 @@ class TestOfflineAnalysis:
         for a in ops[:15]:
             for b in ops[:15]:
                 assert loaded.graph.happens_before(a, b) == page.monitor.graph.happens_before(a, b)
+
+
+def test_operation_without_meta_serializes_empty_meta(online_report):
+    page = online_report.page
+    data = json.loads(dumps_trace(page.trace, page.monitor.graph))
+    shared = [
+        serialized
+        for op, serialized in zip(page.trace.operations, data["operations"])
+        if op.meta is NO_META
+    ]
+    assert shared
+    assert all(serialized["meta"] == {} for serialized in shared)

@@ -107,3 +107,20 @@ def test_vector_clocks_equivalent_to_graph(edges):
             chain, pos = graph.position[member]
             expected[chain] = max(expected.get(chain, -1), pos)
         assert graph.clock[op] == expected, op
+
+
+def test_single_chain_shares_one_stored_clock():
+    graph = make_graph([(1, 2), (2, 3), (1, 3), (3, 4)])
+    assert graph.chain_count == 1
+    assert len({id(clock) for clock in graph._clocks.values()}) == 1
+    assert graph.clock[3] == {0: 2}
+    assert graph.memory_cells() == 4
+
+
+def test_clock_shared_only_when_nothing_new_is_learned():
+    # 3 extends 1's chain but also learns 2's chain, so it needs its own.
+    graph = make_graph([(1, 3), (2, 3), (3, 4)])
+    clocks = graph._clocks
+    assert clocks[3] is not clocks[1]
+    assert clocks[4] is clocks[3]
+    assert graph.clock[4] == {graph.position[1][0]: 2, graph.position[2][0]: 0}

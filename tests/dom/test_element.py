@@ -156,3 +156,7 @@ class TestChildHelpers:
         a.raw_append(b)
         b.raw_append(c)
         assert a.element_descendants() == [b, c]
+
+
+def test_element_has_no_instance_dict():
+    assert not hasattr(Element("div", {"id": "a"}), "__dict__")

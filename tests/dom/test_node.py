@@ -80,3 +80,7 @@ class TestTraversal:
         root, a, b, *_rest = self.make_tree()
         assert root.child_index(a) == 0
         assert root.child_index(b) == 1
+
+
+def test_node_has_no_instance_dict():
+    assert not hasattr(Node(), "__dict__")

@@ -1,6 +1,7 @@
 """Tests for race evidence records (HB witnesses, provenance, timelines)."""
 
 from repro.core.hb.rules import ALL_RULES
+from repro.core.operations import NO_META
 from repro.explain import attach_evidence, build_race_evidence
 from repro.obs import Instrumentation
 
@@ -190,3 +191,15 @@ class TestDisjointComponents:
         record = build_race_evidence(classified, trace, hb)
         dumped = json.loads(json.dumps(record.to_dict()))
         assert dumped["nca"] is None
+
+
+def test_operation_without_meta_evidence_meta_is_empty(page_report):
+    operations = page_report.trace.operations
+    sides = [
+        side
+        for record in evidence_for(page_report)
+        for side in (record.prior, record.current)
+        if operations.get(side.operation["op_id"]).meta is NO_META
+    ]
+    assert sides
+    assert all(side.operation["meta"] == {} for side in sides)

@@ -1,5 +1,6 @@
 """Tests for the incremental HTML parser."""
 
+from repro import WebRacer
 from repro.dom.document import Document
 from repro.html.parser import IncrementalHtmlParser, parse_html
 
@@ -122,3 +123,26 @@ class TestParseHtmlHelper:
     def test_comment_only(self):
         document = Document()
         assert parse_html(document, "<!-- nothing here -->") == []
+
+
+class TestTokenRelease:
+    def test_parser_holds_only_unconsumed_tokens(self):
+        _document, parser = fresh("<div></div><p></p>")
+        assert len(parser.tokens) == 4
+        parser.next_unit()
+        assert len(parser.tokens) == 3
+        while parser.next_unit() is not None:
+            pass
+        assert parser.tokens == []
+
+    def test_checked_page_parsers_hold_no_tokens(self):
+        report = WebRacer(seed=0).check_page(
+            "<div id='a'></div><script>x = 1;</script>"
+            "<iframe src='f.html'></iframe><p></p>",
+            resources={"f.html": "<span></span><script>y = 2;</script>"},
+        )
+        loaders = list(report.page.loaders.values())
+        assert len(loaders) == 2
+        for loader in loaders:
+            assert loader.parser.finished
+            assert loader.parser.tokens == []
