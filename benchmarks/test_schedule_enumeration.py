@@ -8,7 +8,8 @@ schedules — the fraction a stress-testing approach would need luck to hit.
 """
 
 from repro import WebRacer
-from repro.browser.enumerate import enumerate_page_schedules
+from repro.config import RunConfig
+from repro.schedule_runner import PageInput, enumerate_page_schedules
 
 FIG4_PAGE = """
 <iframe id="i" src="sub.html" onload="setTimeout('doNextStep()', 6)"></iframe>
@@ -19,14 +20,15 @@ FIG4_RESOURCES = {
     "steps.js": "function doNextStep() { window.stepDone = true; }",
 }
 FIG4_LATENCIES = {"sub.html": 5.0, "steps.js": 7.0}
+#: Enumeration runs the page load alone, without auto-explored user events.
+LOAD_ONLY = RunConfig(explore=False, eager=False)
 
 
 def test_enumeration_finds_both_outcomes(benchmark):
     def run():
         return enumerate_page_schedules(
-            FIG4_PAGE,
-            resources=FIG4_RESOURCES,
-            latencies=FIG4_LATENCIES,
+            PageInput("fig4.html", FIG4_PAGE, dict(FIG4_RESOURCES)),
+            LOAD_ONLY,
             extract=lambda page: tuple(
                 sorted({crash.kind for crash in page.trace.crashes})
             ),
@@ -75,7 +77,11 @@ def test_race_free_page_single_outcome(benchmark):
 
     def run():
         return enumerate_page_schedules(
-            "<div></div><script>a = 1;</script><script>b = a + 1;</script>",
+            PageInput(
+                "control.html",
+                "<div></div><script>a = 1;</script><script>b = a + 1;</script>",
+            ),
+            LOAD_ONLY,
             max_runs=40,
         )
 

@@ -642,32 +642,14 @@ def cmd_explore(args) -> int:
     )
     minimizations = []
     if args.minimize is not None:
-        # An empty fingerprint would prefix-match every race; reject it
-        # instead of silently minimizing an arbitrary one (or, worse,
-        # silently skipping minimization altogether).
+        # An empty prefix names no race in particular; reject it up front.
         if not args.minimize:
             return _fail("--minimize requires a non-empty fingerprint")
-        witness = report.find_witness(args.minimize)
-        if witness is None:
-            return _fail(
-                f"fingerprint {args.minimize!r} was not witnessed by any "
-                f"schedule; nothing to minimize"
-            )
-        page_exploration, run = witness
+        page_exploration, run, fingerprint = report.find_witness(args.minimize)
         page = next(p for p in pages if p.url == page_exploration.url)
         try:
             minimizations.append(
-                minimize_schedule(
-                    page,
-                    run.trace(),
-                    next(
-                        fp
-                        for fp in run.fingerprints
-                        if fp == args.minimize or fp.startswith(args.minimize)
-                    ),
-                    config,
-                    obs=obs,
-                )
+                minimize_schedule(page, run.trace(), fingerprint, config, obs=obs)
             )
         except ValueError as exc:
             return _fail(str(exc))

@@ -8,12 +8,7 @@ paper's automatic-exploration mode.
 
 from .clock import VirtualClock
 from .dispatcher import Dispatcher, DispatchResult
-from .enumerate import (
-    DecisionPrefixScheduler,
-    ScheduleEnumerator,
-    ScheduleOutcome,
-    enumerate_page_schedules,
-)
+from .enumerate import ScheduleEnumerator, ScheduleOutcome
 from .event_loop import EventLoop, ScheduleDivergence, Task
 from .exploration import AUTO_EVENTS, AutoExplorer
 from .instrument import Monitor
@@ -21,10 +16,8 @@ from .network import FetchResult, NetworkSimulator
 from .page import Browser, DocumentLoader, Page, PARSE_STEP_MS
 from .scheduler import (
     AdversarialScheduler,
-    DivergenceScheduler,
+    DecisionScheduler,
     FifoScheduler,
-    RecordingScheduler,
-    ReplayScheduler,
     ScheduleTrace,
     Scheduler,
     SeededRandomScheduler,
@@ -40,10 +33,9 @@ __all__ = [
     "AdversarialScheduler",
     "AutoExplorer",
     "Browser",
-    "DecisionPrefixScheduler",
+    "DecisionScheduler",
     "Dispatcher",
     "DispatchResult",
-    "DivergenceScheduler",
     "DocumentLoader",
     "EventLoop",
     "FetchResult",
@@ -52,8 +44,6 @@ __all__ = [
     "NetworkSimulator",
     "PARSE_STEP_MS",
     "Page",
-    "RecordingScheduler",
-    "ReplayScheduler",
     "ScheduleDivergence",
     "ScheduleEnumerator",
     "ScheduleOutcome",
@@ -67,7 +57,6 @@ __all__ = [
     "Window",
     "XhrBinding",
     "derive_page_seed",
-    "enumerate_page_schedules",
     "make_scheduler",
     "make_xhr_constructor",
 ]

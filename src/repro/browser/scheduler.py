@@ -15,14 +15,22 @@ tasks runs first).  Three policies are provided:
   e.g. run user events and timers before parser steps to force the
   partial-page-rendering interleavings that expose races.
 
-On top of the policies sits **record/replay**: wrapping any policy in a
-:class:`RecordingScheduler` captures the exact sequence of task ``seq``
-picks as a :class:`ScheduleTrace` (JSON-serializable), and a
-:class:`ReplayScheduler` over that trace reproduces the run bit-for-bit —
-same operation stream, same races, same fingerprints.  A
-:class:`DivergenceScheduler` replays only a *subset* of a trace's
-divergences from FIFO order, which is the substrate schedule minimization
-(ddmin) is built on (:mod:`repro.schedule_runner`).
+On top of the policies sits one :class:`DecisionScheduler`: it follows a
+decision list (loop step → task ``seq``) where the list names a ready
+task, asks a fallback policy everywhere else, and records every pick as a
+:class:`ScheduleTrace` (JSON-serializable).  Every re-run of a page is one
+of its configurations (:mod:`repro.schedule_runner`):
+
+* record — ``DecisionScheduler(policy)``: the policy decides, the
+  scheduler only observes;
+* replay — ``DecisionScheduler(follow=trace.picks)``: no fallback, so the
+  run reproduces the recorded one bit-for-bit (same operation stream,
+  races and fingerprints) or raises ``ScheduleDivergence``;
+* schedule minimization (ddmin) — ``DecisionScheduler(FifoScheduler(),
+  kept)``: a subset of a trace's divergences from FIFO order, FIFO
+  everywhere else;
+* enumeration — a decision prefix over a FIFO fallback that logs the
+  ready sets the DFS branches on (:mod:`repro.browser.enumerate`).
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import List, Mapping, Optional, Sequence, Union
 
 from .event_loop import ScheduleDivergence, Task
 
@@ -70,42 +78,37 @@ class FifoScheduler(Scheduler):
 class SeededRandomScheduler(Scheduler):
     """Uniform random choice from an explicit seed."""
 
-    def __init__(self, seed: int = 0, rng: Optional[random.Random] = None):
-        self.seed = seed
-        self.rng = rng if rng is not None else random.Random(seed)
+    def __init__(self, seed: int = 0):
+        self.rng = random.Random(seed)
 
     def pick(self, candidates: Sequence[Task]) -> Task:
         """Pick uniformly at random from the candidates."""
         return self.rng.choice(list(candidates))
 
 
-class AdversarialScheduler(Scheduler):
-    """Prefer task kinds in a given order; FIFO within a kind.
+#: Adversarial rank of each task kind (lower runs first; unknown kinds last).
+KIND_RANK = {"user": 0, "timer": 1, "network": 2, "dispatch": 3, "parse": 4}
 
-    The default priority runs user events first, then timers, network
-    completions, and parser steps last — maximally delaying page
-    construction relative to everything else, which is the interleaving
-    that makes HTML/function races bite.
+
+class AdversarialScheduler(Scheduler):
+    """Prefer task kinds by :data:`KIND_RANK`; FIFO within a kind.
+
+    User events run first, then timers, network completions, and parser
+    steps last — maximally delaying page construction relative to
+    everything else, which is the interleaving that makes HTML/function
+    races bite.
     """
 
-    DEFAULT_PRIORITY: List[str] = ["user", "timer", "network", "dispatch", "parse"]
-
-    def __init__(self, priority: Optional[List[str]] = None):
-        self.priority = list(priority) if priority is not None else list(self.DEFAULT_PRIORITY)
-
-    def _rank(self, task: Task) -> int:
-        try:
-            return self.priority.index(task.kind)
-        except ValueError:
-            return len(self.priority)
-
     def pick(self, candidates: Sequence[Task]) -> Task:
-        """Pick by kind priority, FIFO within a kind."""
-        return min(candidates, key=lambda task: (self._rank(task), task.seq))
+        """Pick by kind rank, FIFO within a kind."""
+        return min(
+            candidates,
+            key=lambda task: (KIND_RANK.get(task.kind, len(KIND_RANK)), task.seq),
+        )
 
 
 # ----------------------------------------------------------------------
-# record / replay
+# decisions: record / replay / minimize / enumerate
 
 
 @dataclass
@@ -117,8 +120,8 @@ class ScheduleTrace:
     choice differed from the FIFO choice (the minimum-``seq`` candidate).
     Together with the page's fixed inputs (html, resources, latency seed,
     tie window) the pick list determines the run completely, so a
-    :class:`ReplayScheduler` over it reproduces the original execution
-    bit-for-bit.
+    ``DecisionScheduler(follow=trace.picks)`` reproduces the original
+    execution bit-for-bit.
     """
 
     policy: str = "fifo"
@@ -170,15 +173,6 @@ class ScheduleTrace:
             divergences=[int(i) for i in payload.get("divergences", [])],
         )
 
-    def to_json(self) -> str:
-        """Serialize to a compact deterministic JSON string."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScheduleTrace":
-        """Parse a trace from its JSON string."""
-        return cls.from_dict(json.loads(text))
-
     def save(self, path: str) -> None:
         """Write the trace as JSON to ``path``."""
         with open(path, "w") as handle:
@@ -191,111 +185,71 @@ class ScheduleTrace:
             return cls.from_dict(json.load(handle))
 
 
-class RecordingScheduler(Scheduler):
-    """Wrap any policy and record every pick into a :class:`ScheduleTrace`.
+class DecisionScheduler(Scheduler):
+    """Follow a decision list, ask ``fallback`` elsewhere; record every pick.
 
-    Recording is pure observation — the inner policy makes every decision
-    — so a recorded run is byte-identical to an unrecorded one.
+    ``follow`` maps a loop step to the ``seq`` of the task to run there; a
+    sequence is a pick list (step ``i`` runs ``follow[i]``).  At a step it
+    names, the scheduler runs that task if it is ready; otherwise it asks
+    the ``fallback`` policy.  With no fallback it is a strict replay: a
+    step the list does not name, or whose task is not ready, raises
+    :class:`~repro.browser.event_loop.ScheduleDivergence` — replay must
+    reproduce the original run exactly or fail loudly, never settle for a
+    silently different execution.
+
+    Every pick lands in ``picks`` and every step where the pick differs
+    from FIFO (the minimum-``seq`` candidate) in ``divergences``, so any
+    run packages as a :class:`ScheduleTrace`.  Recording is pure
+    observation: a run under ``DecisionScheduler(policy)`` is
+    byte-identical to one under ``policy``.
     """
 
-    def __init__(self, inner: Scheduler):
-        self.inner = inner
+    def __init__(
+        self,
+        fallback: Optional[Scheduler] = None,
+        follow: Union[Mapping[int, int], Sequence[int]] = (),
+    ):
+        self.fallback = fallback
+        self.follow = follow if isinstance(follow, Mapping) else dict(enumerate(follow))
         self.picks: List[int] = []
         self.divergences: List[int] = []
 
     def pick(self, candidates: Sequence[Task]) -> Task:
-        """Delegate to the inner policy; log the chosen ``seq``."""
-        chosen = self.inner.pick(candidates)
-        if len(candidates) > 1:
-            fifo_seq = min(task.seq for task in candidates)
-            if chosen.seq != fifo_seq:
-                self.divergences.append(len(self.picks))
+        """The followed task if it is ready, else the fallback's pick."""
+        step = len(self.picks)
+        want = self.follow.get(step)
+        chosen = None
+        if want is not None:
+            chosen = next((task for task in candidates if task.seq == want), None)
+        if chosen is None:
+            if self.fallback is None:
+                raise ScheduleDivergence(_divergence(step, want, candidates))
+            chosen = self.fallback.pick(candidates)
+        if len(candidates) > 1 and chosen.seq != min(task.seq for task in candidates):
+            self.divergences.append(step)
         self.picks.append(chosen.seq)
         return chosen
 
-    def trace(
-        self,
-        policy: str = "",
-        seed: Optional[int] = None,
-        page: str = "",
-        tie_window: Optional[float] = None,
-    ) -> ScheduleTrace:
-        """Package the recorded picks as a :class:`ScheduleTrace`."""
+    def trace(self, **fields) -> ScheduleTrace:
+        """The recorded picks as a :class:`ScheduleTrace` with ``fields``
+        (``policy``, ``seed``, ``page``, ``tie_window``)."""
         return ScheduleTrace(
-            policy=policy or type(self.inner).__name__,
-            seed=seed,
-            page=page,
-            tie_window=tie_window,
-            picks=list(self.picks),
-            divergences=list(self.divergences),
+            picks=list(self.picks), divergences=list(self.divergences), **fields
         )
 
 
-class ReplayScheduler(Scheduler):
-    """Replay a recorded :class:`ScheduleTrace` bit-for-bit.
-
-    At every loop step the scheduler picks the task whose ``seq`` the
-    trace recorded for that step.  Any mismatch — the recorded task is
-    not among the candidates, or the trace runs out while tasks remain —
-    raises :class:`~repro.browser.event_loop.ScheduleDivergence`: replay
-    must reproduce the original run exactly or fail loudly, never settle
-    for a silently different execution.
-    """
-
-    def __init__(self, trace: ScheduleTrace):
-        self.trace = trace
-        self._index = 0
-
-    def pick(self, candidates: Sequence[Task]) -> Task:
-        """Pick the recorded task for this step, or diverge."""
-        if self._index >= len(self.trace.picks):
-            raise ScheduleDivergence(
-                f"schedule trace exhausted after {self._index} picks but "
-                f"{len(candidates)} task(s) are still ready"
-            )
-        want = self.trace.picks[self._index]
-        self._index += 1
-        for task in candidates:
-            if task.seq == want:
-                return task
-        raise ScheduleDivergence(
-            f"pick #{self._index - 1} wants task seq {want}, not among the "
-            f"{len(candidates)} ready candidate(s) "
-            f"{sorted(task.seq for task in candidates)}"
+def _divergence(step: int, want: Optional[int], candidates: Sequence[Task]) -> str:
+    """Why a strict replay cannot make pick number ``step``."""
+    if want is None:
+        return (
+            f"schedule trace exhausted after {step} picks but "
+            f"{len(candidates)} task(s) are still ready"
         )
-
-
-class DivergenceScheduler(Scheduler):
-    """Replay only a subset of a trace's divergences; FIFO everywhere else.
-
-    This is the test harness of schedule minimization (ddmin): each
-    candidate subset of the recorded FIFO-divergences is applied as "at
-    step *i*, prefer the recorded task if it is ready", with graceful
-    FIFO fallback when dropping earlier divergences has shifted the
-    execution so the recorded ``seq`` is absent.  Unlike
-    :class:`ReplayScheduler` this is deliberately tolerant — ground truth
-    is re-established by re-running the detector on the result, not by
-    trusting the trace.
-    """
-
-    def __init__(self, trace: ScheduleTrace, keep: Iterable[int] = ()):
-        self.trace = trace
-        self.keep: Set[int] = set(keep)
-        self._index = 0
-        #: Divergence indices that actually bound to a ready task.
-        self.applied: List[int] = []
-
-    def pick(self, candidates: Sequence[Task]) -> Task:
-        """Recorded pick at kept divergence steps, FIFO otherwise."""
-        step = self._index
-        self._index += 1
-        if step in self.keep and step < len(self.trace.picks):
-            want = self.trace.picks[step]
-            for task in candidates:
-                if task.seq == want:
-                    self.applied.append(step)
-                    return task
-        return min(candidates, key=lambda task: task.seq)
+    return (
+        f"pick #{step} wants task seq {want}, not among the "
+        f"{len(candidates)} ready candidate(s) "
+        f"{sorted(task.seq for task in candidates)}"
+    )
 
 
 def make_scheduler(policy: str = "fifo", seed: int = 0) -> Scheduler:

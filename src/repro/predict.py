@@ -5,7 +5,7 @@ one per schedule.  This pipeline extracts comparable coverage from **one**
 recorded execution:
 
 1. run the page once under FIFO, recording the schedule
-   (:class:`~repro.browser.scheduler.RecordingScheduler`) — this is the
+   (:class:`~repro.browser.scheduler.DecisionScheduler`) — this is the
    *observed* execution, the one the paper's tool would have seen;
 2. sweep the trace with the schedulable-happens-before analysis
    (:func:`repro.core.hb.shb.predict_races`): conflicting rule-concurrent
@@ -38,7 +38,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from .browser.scheduler import RecordingScheduler, ScheduleTrace
+from .browser.scheduler import DecisionScheduler, ScheduleTrace
 from .config import RunConfig, run_config
 from .core.hb.shb import (
     STATUS_CONDITIONAL,
@@ -230,7 +230,7 @@ def predict_page(
     )
     try:
         with obs.span("predict.base_run", cat="predict", page=page.url):
-            recorder = RecordingScheduler(ScheduleSpec("fifo", "fifo").build())
+            recorder = DecisionScheduler(ScheduleSpec("fifo", "fifo").build())
             page_obj, page_report, base_fps, base_races = run_page_once(
                 page, recorder, config, obs=obs
             )

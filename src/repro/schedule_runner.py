@@ -7,8 +7,8 @@ policies, stable race fingerprints, the fork-based process pool — into a
 **schedule exploration engine**:
 
 1. every page runs under a *matrix* of schedules (FIFO + adversarial +
-   N−2 seeded-random), each wrapped in a
-   :class:`~repro.browser.scheduler.RecordingScheduler` so the exact
+   N−2 seeded-random), each the fallback of a
+   :class:`~repro.browser.scheduler.DecisionScheduler` so the exact
    sequence of task picks is captured as a replayable
    :class:`~repro.browser.scheduler.ScheduleTrace`;
 2. the page×schedule matrix runs through the same fan-out as the corpus
@@ -20,13 +20,15 @@ policies, stable race fingerprints, the fork-based process pool — into a
    witnessing schedule ids and seeds;
 4. **schedule minimization**: ddmin over a recorded schedule's
    divergences from FIFO order finds the smallest reordering that still
-   reproduces a target fingerprint.
+   reproduces a target fingerprint;
+5. **schedule enumeration**: DFS over every interleaving of a small page
+   (:mod:`repro.browser.enumerate`), the ground-truth oracle.
 
-Exploration runs with ``tie_window=inf`` — ready times become lower
-bounds, so the scheduler chooses among *all* pending tasks and the matrix
-actually explores the interleaving space instead of only breaking exact
-ties (the same semantics :mod:`repro.browser.enumerate` uses for
-exhaustive enumeration).
+Every run — record, replay, ddmin attempt, enumeration path, predict's
+base and witness runs — goes through :func:`run_page_once`.  Runs use
+``tie_window=inf``: ready times become lower bounds, so the scheduler
+chooses among *all* pending tasks and the matrix actually explores the
+interleaving space instead of only breaking exact ties.
 """
 
 from __future__ import annotations
@@ -35,13 +37,13 @@ import functools
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from .browser.enumerate import ScheduleEnumerator
 from .browser.event_loop import ScheduleDivergence
 from .browser.scheduler import (
-    DivergenceScheduler,
-    RecordingScheduler,
-    ReplayScheduler,
+    DecisionScheduler,
+    FifoScheduler,
     ScheduleTrace,
     Scheduler,
     derive_page_seed,
@@ -235,9 +237,9 @@ def run_page_once(
 ) -> Tuple[Any, Any, List[str], Dict[str, Dict[str, Any]]]:
     """One instrumented exploration run under ``config``.
 
-    Every recording, replay, and minimization run goes through here, so
-    they all share the exact same page configuration — which is what
-    makes a recorded trace replayable at all.
+    Every recording, replay, minimization and enumeration run goes
+    through here, so they all share the exact same page configuration —
+    which is what makes a recorded trace replayable at all.
     """
     from .webracer import WebRacer
 
@@ -254,6 +256,39 @@ def run_page_once(
     report = racer.report_for(page_obj, page.url)
     races = report.races_by_fingerprint()
     return page_obj, report, sorted(races), races
+
+
+def _crash_outcome(page) -> Tuple[int, Tuple[str, ...]]:
+    """Default enumeration outcome: (race count, sorted crash kinds)."""
+    crashes = sorted({crash.kind for crash in page.trace.crashes})
+    return len(page.races), tuple(crashes)
+
+
+def enumerate_page_schedules(
+    page: PageInput,
+    config: RunConfig,
+    extract: Optional[Callable[[Any], Any]] = None,
+    max_runs: int = 200,
+) -> ScheduleEnumerator:
+    """Enumerate the interleavings of ``page`` under ``config`` (DFS).
+
+    Every path runs through :func:`run_page_once`, so it sees the same
+    page configuration as explore and predict runs, and each outcome's
+    pick list replays strictly.  ``extract(page)`` projects each finished
+    page onto a comparable outcome; the default captures (race count,
+    sorted crash kinds).
+    """
+    extract = extract or _crash_outcome
+
+    def run(scheduler: Scheduler):
+        page_obj, _report, _fingerprints, _races = run_page_once(
+            page, scheduler, config
+        )
+        return extract(page_obj)
+
+    enumerator = ScheduleEnumerator(run, max_runs=max_runs)
+    enumerator.explore()
+    return enumerator
 
 
 def run_page_schedule(
@@ -275,7 +310,7 @@ def run_page_schedule(
     config = run_config(config, **fields)
     obs = obs if obs is not None else NULL
     try:
-        recorder = RecordingScheduler(spec.build())
+        recorder = DecisionScheduler(spec.build())
         with obs.span(
             "explore.run", cat="explore", page=page.url, schedule=spec.sid
         ):
@@ -331,7 +366,7 @@ def replay_run(
     obs = obs if obs is not None else NULL
     with obs.span("explore.replay", cat="explore", page=page.url):
         _page_obj, _report, fingerprints, _races = run_page_once(
-            page, ReplayScheduler(trace), config, obs=obs
+            page, DecisionScheduler(follow=trace.picks), config, obs=obs
         )
     if obs.enabled:
         obs.count("explore.replays")
@@ -401,17 +436,33 @@ class ExploreReport:
         return sum(len(page.schedule_sensitive()) for page in self.pages)
 
     def find_witness(
-        self, fingerprint: str
-    ) -> Optional[Tuple[PageExploration, ScheduleRunResult]]:
-        """The first run witnessing ``fingerprint`` (prefix match allowed)."""
+        self, prefix: str
+    ) -> Tuple[PageExploration, ScheduleRunResult, str]:
+        """The one witnessed fingerprint starting with ``prefix``, and the
+        first run witnessing it.
+
+        Raises :class:`~repro.inputs.InputError` when no fingerprint or
+        more than one starts with ``prefix``.
+        """
+        witnesses: Dict[str, Tuple[PageExploration, ScheduleRunResult]] = {}
         for page in self.pages:
             for run in page.runs:
-                if not run.ok:
-                    continue
-                for fp in run.fingerprints:
-                    if fp == fingerprint or fp.startswith(fingerprint):
-                        return page, run
-        return None
+                for fingerprint in run.fingerprints:
+                    if fingerprint.startswith(prefix):
+                        witnesses.setdefault(fingerprint, (page, run))
+        if not witnesses:
+            raise InputError(
+                f"fingerprint {prefix!r} was not witnessed by any schedule; "
+                f"nothing to minimize"
+            )
+        if len(witnesses) > 1:
+            raise InputError(
+                f"fingerprint prefix {prefix!r} matches {len(witnesses)} "
+                f"fingerprints ({', '.join(sorted(witnesses))}); "
+                f"give more digits"
+            )
+        [(fingerprint, (page, run))] = witnesses.items()
+        return page, run, fingerprint
 
 
 def merge_runs(url: str, runs: List[ScheduleRunResult]) -> PageExploration:
@@ -592,8 +643,8 @@ def minimize_schedule(
     """The smallest FIFO-divergence subset still reproducing ``fingerprint``.
 
     ddmin over the recorded schedule's divergences from FIFO order: each
-    candidate subset replays via
-    :class:`~repro.browser.scheduler.DivergenceScheduler` (recorded picks
+    candidate subset replays under a
+    :class:`~repro.browser.scheduler.DecisionScheduler` (recorded picks
     at kept divergence steps, FIFO everywhere else) and passes when the
     re-run detector still reports the target fingerprint.  Ground truth
     is always the re-run, never the trace, so dropped divergences that
@@ -607,7 +658,9 @@ def minimize_schedule(
 
     def attempt(keep: Sequence[int]) -> Optional[ScheduleTrace]:
         tests["count"] += 1
-        recorder = RecordingScheduler(DivergenceScheduler(trace, keep))
+        recorder = DecisionScheduler(
+            FifoScheduler(), {step: trace.picks[step] for step in keep}
+        )
         _page_obj, _report, fingerprints, _races = run_page_once(
             page, recorder, config
         )

@@ -1,41 +1,72 @@
 """Tests for systematic schedule enumeration."""
 
+import pathlib
+
 import pytest
 
-from repro.browser.enumerate import (
-    DecisionPrefixScheduler,
-    ScheduleEnumerator,
-    enumerate_page_schedules,
-)
+from repro.browser.enumerate import ScheduleEnumerator
 from repro.browser.event_loop import EventLoop, Task
+from repro.browser.scheduler import DecisionScheduler, FifoScheduler
+from repro.config import RunConfig
+from repro.schedule_runner import (
+    PageInput,
+    ScheduleSpec,
+    enumerate_page_schedules,
+    load_page_inputs,
+    run_page_once,
+    run_page_schedule,
+)
+
+EXAMPLE_PAGES = load_page_inputs(
+    str(pathlib.Path(__file__).resolve().parents[2] / "examples" / "pages")
+)
+
+#: What the oracle enumerates: the page load, without auto-explored events.
+LOAD_ONLY = RunConfig(explore=False, eager=False)
+
+FIG4 = PageInput(
+    url="fig4.html",
+    html="""
+    <iframe id="i" src="sub.html" onload="setTimeout('doNextStep()', 6)"></iframe>
+    <script src="steps.js"></script>
+    """,
+    resources={
+        "sub.html": "<div></div>",
+        "steps.js": "function doNextStep() { window.stepDone = true; }",
+    },
+)
+
+
+def crash_kinds(page):
+    return tuple(sorted({crash.kind for crash in page.trace.crashes}))
 
 
 def make_task(seq, label):
     return Task(action=lambda: None, ready_time=0.0, label=label, seq=seq)
 
 
-class TestDecisionPrefixScheduler:
-    def test_single_candidate_not_logged(self):
-        scheduler = DecisionPrefixScheduler()
+class TestDecisionScheduler:
+    """The scheduler of an enumeration path: a pick prefix, then FIFO."""
+
+    def test_single_candidate_is_no_divergence(self):
+        scheduler = DecisionScheduler(FifoScheduler())
         task = make_task(0, "only")
         assert scheduler.pick([task]) is task
-        assert scheduler.log == []
+        assert (scheduler.picks, scheduler.divergences) == ([0], [])
 
     def test_fifo_fallback(self):
-        scheduler = DecisionPrefixScheduler()
+        scheduler = DecisionScheduler(FifoScheduler())
         tasks = [make_task(1, "b"), make_task(0, "a")]
         assert scheduler.pick(tasks).label == "a"
-        assert scheduler.log == [(0, 2)]
+        assert (scheduler.picks, scheduler.divergences) == ([0], [])
 
     def test_follows_decisions(self):
-        scheduler = DecisionPrefixScheduler([1])
+        scheduler = DecisionScheduler(FifoScheduler(), follow=[1])
         tasks = [make_task(0, "a"), make_task(1, "b")]
         assert scheduler.pick(tasks).label == "b"
-
-    def test_out_of_range_decision_clamped(self):
-        scheduler = DecisionPrefixScheduler([9])
-        tasks = [make_task(0, "a"), make_task(1, "b")]
-        assert scheduler.pick(tasks).label == "b"
+        assert (scheduler.picks, scheduler.divergences) == ([1], [0])
+        # Past the prefix the fallback decides.
+        assert scheduler.pick(tasks).label == "a"
 
 
 class TestEnumeratorMechanics:
@@ -116,19 +147,7 @@ class TestPageEnumeration:
         """Some interleaving of the Fig. 4 page crashes; enumeration finds
         it without seed luck."""
         enumerator = enumerate_page_schedules(
-            """
-            <iframe id="i" src="sub.html" onload="setTimeout('doNextStep()', 6)"></iframe>
-            <script src="steps.js"></script>
-            """,
-            resources={
-                "sub.html": "<div></div>",
-                "steps.js": "function doNextStep() { window.stepDone = true; }",
-            },
-            latencies={"sub.html": 5.0, "steps.js": 7.0},
-            extract=lambda page: tuple(
-                sorted({crash.kind for crash in page.trace.crashes})
-            ),
-            max_runs=60,
+            FIG4, LOAD_ONLY, extract=crash_kinds, max_runs=60
         )
         results = set(enumerator.distinct_results())
         assert ("ReferenceError",) in results, results
@@ -136,7 +155,51 @@ class TestPageEnumeration:
 
     def test_race_free_page_has_one_outcome(self):
         enumerator = enumerate_page_schedules(
-            "<div></div><script>x = 1;</script><p></p>",
+            PageInput("free.html", "<div></div><script>x = 1;</script><p></p>"),
+            LOAD_ONLY,
             max_runs=30,
         )
         assert len(enumerator.distinct_results()) == 1
+
+
+class TestOneRunAuthority:
+    """Enumeration paths are ordinary runs: they compare with explore's
+    cells and replay through the same run path."""
+
+    @pytest.mark.parametrize(
+        "page", EXAMPLE_PAGES, ids=lambda page: pathlib.Path(page.url).name
+    )
+    def test_first_path_is_the_explore_fifo_cell(self, page):
+        config = RunConfig(seed=3, network="connection")
+        enumerator = enumerate_page_schedules(page, config, max_runs=1)
+        cell = run_page_schedule(
+            page, ScheduleSpec("fifo", "fifo"), config, verify_replay=False
+        )
+        assert list(enumerator.outcomes[0].picks) == cell.trace().picks
+
+    def test_paths_see_the_network_model(self):
+        """Under ``tie_window=inf`` FIFO picks ignore ready times, so equal
+        picks cannot show the network model reached the run; the virtual
+        end time does (the HAR capture's 1.2 MB catalog)."""
+        [shop] = [page for page in EXAMPLE_PAGES if page.url.endswith(".har")]
+
+        def end_time(network):
+            enumerator = enumerate_page_schedules(
+                shop,
+                RunConfig(network=network),
+                extract=lambda page: page.loop.clock.now,
+                max_runs=1,
+            )
+            return enumerator.outcomes[0].result
+
+        assert end_time("uniform") < 700  # everything inside max latency
+        assert end_time("connection") > 800  # catalog transfer dominates
+
+    def test_fig4_outcomes_replay_strictly(self):
+        enumerator = enumerate_page_schedules(FIG4, LOAD_ONLY, extract=crash_kinds)
+        assert enumerator.exhausted
+        for outcome in enumerator.outcomes:
+            page, _report, _fingerprints, _races = run_page_once(
+                FIG4, DecisionScheduler(follow=outcome.picks), LOAD_ONLY
+            )
+            assert crash_kinds(page) == outcome.result

@@ -1,14 +1,17 @@
-"""Tests for schedule record/replay (ScheduleTrace and friends)."""
+"""Tests for schedule record/replay (ScheduleTrace and DecisionScheduler).
+
+The scheduler test classes are named for the roles DecisionScheduler
+plays: recording (a policy fallback), strict replay (no fallback) and
+ddmin's divergence-subset replay (kept divergences over a FIFO fallback).
+"""
 
 import pytest
 
 from repro.browser.event_loop import EventLoop, ScheduleDivergence
 from repro.browser.page import Browser
 from repro.browser.scheduler import (
-    DivergenceScheduler,
+    DecisionScheduler,
     FifoScheduler,
-    RecordingScheduler,
-    ReplayScheduler,
     ScheduleTrace,
     SeededRandomScheduler,
     derive_page_seed,
@@ -16,6 +19,16 @@ from repro.browser.scheduler import (
 from repro.webracer import WebRacer
 
 INF = float("inf")
+
+
+def replaying(trace):
+    """Strict replay of ``trace``."""
+    return DecisionScheduler(follow=trace.picks)
+
+
+def keeping(trace, keep):
+    """ddmin's partial replay: ``trace``'s picks at ``keep``, FIFO elsewhere."""
+    return DecisionScheduler(FifoScheduler(), {step: trace.picks[step] for step in keep})
 
 
 def run_loop(scheduler, tasks=6):
@@ -43,10 +56,6 @@ class TestScheduleTrace:
         assert again == trace
         assert again.tie_window == INF
 
-    def test_json_round_trip(self):
-        trace = ScheduleTrace(picks=[3, 1], divergences=[0], tie_window=0.5)
-        assert ScheduleTrace.from_json(trace.to_json()) == trace
-
     def test_save_load(self, tmp_path):
         trace = ScheduleTrace(policy="fifo", picks=[0, 1, 2])
         path = str(tmp_path / "trace.json")
@@ -66,7 +75,7 @@ class TestScheduleTrace:
 
 class TestRecordingScheduler:
     def test_records_every_pick(self):
-        recorder = RecordingScheduler(FifoScheduler())
+        recorder = DecisionScheduler(FifoScheduler())
         order = run_loop(recorder)
         # tie_window=inf offers every pending task; FIFO picks enqueue order.
         assert order == [0, 1, 2, 3, 4, 5]
@@ -74,7 +83,7 @@ class TestRecordingScheduler:
         assert recorder.divergences == []  # FIFO never diverges from FIFO
 
     def test_records_divergences_of_random_policy(self):
-        recorder = RecordingScheduler(SeededRandomScheduler(3))
+        recorder = DecisionScheduler(SeededRandomScheduler(3))
         run_loop(recorder)
         # Any non-FIFO pick among >1 candidates must be indexed.
         assert recorder.divergences
@@ -82,7 +91,7 @@ class TestRecordingScheduler:
             assert 0 <= index < len(recorder.picks)
 
     def test_trace_packaging(self):
-        recorder = RecordingScheduler(SeededRandomScheduler(5))
+        recorder = DecisionScheduler(SeededRandomScheduler(5))
         run_loop(recorder)
         trace = recorder.trace(policy="random", seed=5, page="x", tie_window=INF)
         assert trace.picks == recorder.picks
@@ -90,7 +99,7 @@ class TestRecordingScheduler:
         assert (trace.policy, trace.seed, trace.page) == ("random", 5, "x")
 
     def test_recording_is_pure_observation(self):
-        assert run_loop(RecordingScheduler(SeededRandomScheduler(9))) == run_loop(
+        assert run_loop(DecisionScheduler(SeededRandomScheduler(9))) == run_loop(
             SeededRandomScheduler(9)
         )
 
@@ -98,49 +107,51 @@ class TestRecordingScheduler:
 class TestReplayScheduler:
     @pytest.mark.parametrize("seed", range(6))
     def test_replay_reproduces_loop_order(self, seed):
-        recorder = RecordingScheduler(SeededRandomScheduler(seed))
+        recorder = DecisionScheduler(SeededRandomScheduler(seed))
         original = run_loop(recorder)
-        replayed = run_loop(ReplayScheduler(recorder.trace()))
+        replayed = run_loop(replaying(recorder.trace()))
         assert replayed == original
 
     def test_exhausted_trace_diverges(self):
-        recorder = RecordingScheduler(FifoScheduler())
+        recorder = DecisionScheduler(FifoScheduler())
         run_loop(recorder)
         trace = recorder.trace()
         trace.picks = trace.picks[:3]
         with pytest.raises(ScheduleDivergence, match="exhausted"):
-            run_loop(ReplayScheduler(trace))
+            run_loop(replaying(trace))
 
     def test_unknown_seq_diverges(self):
-        recorder = RecordingScheduler(FifoScheduler())
+        recorder = DecisionScheduler(FifoScheduler())
         run_loop(recorder)
         trace = recorder.trace()
         trace.picks[0] = 99
         with pytest.raises(ScheduleDivergence, match="seq 99"):
-            run_loop(ReplayScheduler(trace))
+            run_loop(replaying(trace))
 
 
 class TestDivergenceScheduler:
     def test_full_keep_reproduces_recorded_order(self):
-        recorder = RecordingScheduler(SeededRandomScheduler(4))
+        recorder = DecisionScheduler(SeededRandomScheduler(4))
         original = run_loop(recorder)
         trace = recorder.trace()
-        assert run_loop(DivergenceScheduler(trace, trace.divergences)) == original
+        assert run_loop(keeping(trace, trace.divergences)) == original
 
     def test_empty_keep_is_fifo(self):
-        recorder = RecordingScheduler(SeededRandomScheduler(4))
+        recorder = DecisionScheduler(SeededRandomScheduler(4))
         run_loop(recorder)
-        assert run_loop(DivergenceScheduler(recorder.trace(), [])) == run_loop(
+        assert run_loop(keeping(recorder.trace(), [])) == run_loop(
             FifoScheduler()
         )
 
     def test_applied_tracks_bound_divergences(self):
-        recorder = RecordingScheduler(SeededRandomScheduler(4))
+        recorder = DecisionScheduler(SeededRandomScheduler(4))
         run_loop(recorder)
         trace = recorder.trace()
-        scheduler = DivergenceScheduler(trace, trace.divergences)
+        scheduler = keeping(trace, trace.divergences)
         run_loop(scheduler)
-        assert scheduler.applied == trace.divergences
+        # Every kept divergence bound to a ready task, so the partial
+        # replay diverges from FIFO at exactly the kept steps.
+        assert scheduler.divergences == trace.divergences
 
 
 class TestPerPageDerivation:
@@ -213,7 +224,7 @@ class TestBrowserReplay:
         """The property the tentpole rests on: a recorded schedule replays
         to the identical operation stream, access count, races and
         fingerprints — for arbitrary random schedules."""
-        recorder = RecordingScheduler(SeededRandomScheduler(seed))
+        recorder = DecisionScheduler(SeededRandomScheduler(seed))
         browser = Browser(
             seed=0, scheduler=recorder, resources=dict(PAGE_RESOURCES),
             tie_window=INF,
@@ -229,7 +240,7 @@ class TestBrowserReplay:
             sorted({race_fingerprint(race, page.trace) for race in page.races}),
         )
         trace = recorder.trace(policy="random", seed=seed, tie_window=INF)
-        assert run_page(ReplayScheduler(trace)) == original
+        assert run_page(replaying(trace)) == original
 
     def test_different_seeds_really_explore(self):
         """Sanity: the matrix is not vacuous — some pair of seeds yields

@@ -190,7 +190,7 @@ class TestMinimization:
         sensitive = report.pages[0].schedule_sensitive()
         assert sensitive
         target = sensitive[0]["fingerprint"]
-        _page, run = report.find_witness(target)
+        _page, run, _fingerprint = report.find_witness(target)
         outcome = minimize_schedule(
             poll_page, run.trace(), target, RunConfig(seed=0)
         )
@@ -266,6 +266,20 @@ class TestExploreCli:
         err = capsys.readouterr().err
         assert "not witnessed" in err
         assert len(err.strip().splitlines()) == 1  # one-line diagnostic
+
+    def test_minimize_ambiguous_prefix_exits_2(self, pages_dir, capsys):
+        """A prefix several witnessed fingerprints share names no race in
+        particular: exit 2 naming the matches instead of minimizing the
+        first one found."""
+        status = main([
+            "explore", str(pages_dir), "--schedules", "8", "--minimize", "7",
+        ])
+        assert status == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.strip().splitlines()
+        assert line.startswith("error: ")
+        assert "matches 2 fingerprints (7448164d1285f269, 7829429f02d9fbde)" in line
+        assert "minimized" not in captured.out
 
     def test_minimize_unknown_fingerprint_exits_2_with_jobs(
         self, pages_dir, capsys

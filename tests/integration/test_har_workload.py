@@ -16,11 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.__main__ import main
-from repro.browser.scheduler import (
-    RecordingScheduler,
-    ReplayScheduler,
-    SeededRandomScheduler,
-)
+from repro.browser.scheduler import DecisionScheduler, SeededRandomScheduler
 from repro.config import RunConfig
 from repro.explain.schedule_report import assemble_explore_document
 from repro.schedule_runner import explore_pages, load_page_inputs, run_page_once
@@ -177,13 +173,13 @@ class TestReplayProperty:
         """Any recorded connection-model run must replay exactly: same
         schedule length, same operation count, same race fingerprints."""
         page = shop_page()
-        recorder = RecordingScheduler(SeededRandomScheduler(schedule_seed))
+        recorder = DecisionScheduler(SeededRandomScheduler(schedule_seed))
         recorded_page, _, recorded_fps, _ = run_page_once(
             page, recorder, CONNECTION
         )
         trace = recorder.trace(seed=schedule_seed, page=page.url)
         replayed_page, _, replayed_fps, _ = run_page_once(
-            page, ReplayScheduler(trace), CONNECTION
+            page, DecisionScheduler(follow=trace.picks), CONNECTION
         )
         assert replayed_fps == recorded_fps
         assert len(replayed_page.trace.accesses) == len(
