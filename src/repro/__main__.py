@@ -41,9 +41,9 @@ Commands
     (with the witness schedule, and a ddmin-minimized divergence set
     under ``--minimize``); the rest stay ``predicted-only``.
 
-``analyze TRACE.json [--no-filters] [--hb-backend {graph,shb}]``
+``analyze TRACE.json [--no-filters] [--predict]``
     Re-run detection, filtering and classification on a captured trace.
-    With ``--hb-backend shb`` the offline SHB prediction sweep runs too
+    With ``--predict`` the SHB prediction sweep runs over the trace too
     and predicted races print after the report (no replay confirmation —
     use ``predict`` for that).
 
@@ -74,12 +74,6 @@ digest, per-phase durations, counters, race fingerprints with verdicts)
 to ``DIR/ledger.jsonl`` — the persistent cross-run store ``history`` and
 ``diff`` read.  Without the flag nothing is recorded and the null-sink
 zero-overhead guarantee holds unchanged.
-
-``check``, ``corpus``, ``explore``, ``predict`` and ``analyze`` accept
-``--hb-backend {graph,shb}``.  Both record the happens-before graph and
-answer CHC queries from chain vector clocks; ``shb`` additionally runs
-the predictive SHB sweep after detection (``check`` / ``analyze`` print
-predicted races alongside observed ones).
 
 ``check`` and ``corpus`` also accept the profiling flags:
 
@@ -124,7 +118,6 @@ from typing import Dict, Iterable, List, Optional
 from . import WebRacer
 from .browser.scheduler import SCHEDULER_POLICIES
 from .config import RunConfig
-from .core.hb.backend import HB_BACKENDS
 from .core.render import render_crashes, render_race_report, render_table1, render_table2
 from .core.report import RACE_TYPES
 from .core.serialize import dump_trace, load_trace
@@ -247,18 +240,6 @@ def _parse_resources(mappings) -> Dict[str, str]:
     return resources
 
 
-def _print_predictions(predictions) -> None:
-    """Print SHB-predicted races (``--hb-backend shb`` runs)."""
-    if not predictions:
-        return
-    print(
-        f"\npredicted races (SHB; not reported in this schedule): "
-        f"{len(predictions)}"
-    )
-    for prediction in predictions:
-        print(f"  {prediction.describe()}")
-
-
 def _print_report(report) -> int:
     print(report.summary())
     print(render_race_report(report.classified))
@@ -359,9 +340,7 @@ def _emit_reports(args, page_reports, obs, mode: str) -> None:
         return
     from .explain import build_report_document
 
-    document = build_report_document(
-        page_reports, hb_backend=args.hb_backend, mode=mode, obs=obs
-    )
+    document = build_report_document(page_reports, mode=mode, obs=obs)
     _emit_document(args, document)
 
 
@@ -383,9 +362,7 @@ def _emit_corpus_reports(args, corpus_report) -> None:
         for result in corpus_report.reports
         if result.report_page is not None
     ]
-    document = assemble_report_document(
-        pages, mode="corpus", hb_backend=args.hb_backend
-    )
+    document = assemble_report_document(pages, mode="corpus")
     _emit_document(args, document)
 
 
@@ -423,7 +400,6 @@ def cmd_check(args) -> int:
         page.html, resources=page.resources, url=page.url, sizes=page.sizes or None
     )
     status = _print_report(report)
-    _print_predictions(report.predicted_races)
     if args.json:
         _write(
             args.json,
@@ -455,7 +431,6 @@ def cmd_check(args) -> int:
             "races_raw": len(report.raw_races),
             "races_filtered": len(report.filtered_races),
             "races_harmful": len(report.classified.harmful()),
-            "races_predicted": len(report.predicted_races),
         },
         obs=obs,
         started=started,
@@ -773,10 +748,16 @@ def cmd_analyze(args) -> int:
     print(f"{args.trace}: {len(loaded.trace.accesses)} accesses, "
           f"{len(loaded.trace.operations.operations)} operations")
     print(render_race_report(report, title=report.summary()))
-    if args.hb_backend == "shb":
+    if args.predict:
         analysis = loaded.predict()
         print(f"\n{analysis.summary()}")
-        _print_predictions(analysis.predictions)
+        if analysis.predictions:
+            print(
+                f"\npredicted races (SHB; not reported in this schedule): "
+                f"{len(analysis.predictions)}"
+            )
+            for prediction in analysis.predictions:
+                print(f"  {prediction.describe()}")
     return 1 if report.harmful() else 0
 
 
@@ -878,13 +859,6 @@ def cmd_diff(args) -> int:
     return 0
 
 
-def _add_hb_backend(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--hb-backend", choices=HB_BACKENDS,
-                        default=RunConfig.hb_backend,
-                        help="graph: the paper's detector; shb: also run "
-                             "the SHB prediction sweep")
-
-
 def _add_run_config(
     parser: argparse.ArgumentParser, scheduler: bool = True
 ) -> None:
@@ -923,7 +897,6 @@ def _add_run_config(
                             help="seed for --scheduler random; per-page "
                                  "seeds derive position-independently "
                                  "from it")
-    _add_hb_backend(parser)
 
 
 def _add_profiling(parser: argparse.ArgumentParser) -> None:
@@ -1038,7 +1011,11 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="analyse a captured trace")
     analyze.add_argument("trace", help="path to a trace JSON file")
     analyze.add_argument("--no-filters", action="store_true")
-    _add_hb_backend(analyze)
+    analyze.add_argument("--predict", action="store_true",
+                         help="also run the SHB prediction sweep over the "
+                              "trace and print the races it predicts for "
+                              "other schedules (unconfirmed; `repro predict` "
+                              "confirms by replay)")
     analyze.set_defaults(func=cmd_analyze)
 
     explain = sub.add_parser(

@@ -49,12 +49,11 @@ from ..obs import NULL
 class Monitor:
     """Central instrumentation hub for one browser/page run."""
 
-    def __init__(self, enabled: bool = True, hb_backend: str = "graph", obs=None):
+    def __init__(self, enabled: bool = True, obs=None):
         self.enabled = enabled
         self.obs = obs if obs is not None else NULL
         self.trace = Trace()
-        self.hb_backend = hb_backend
-        self.graph = make_backend(hb_backend, obs=self.obs)
+        self.graph = make_backend(obs=self.obs)
         self.detector = RaceDetector(self.trace, self.graph, obs=self.obs)
         self.trace.subscribe(self.detector.on_access)
         self._op_stack: List[Operation] = []

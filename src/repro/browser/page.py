@@ -105,7 +105,6 @@ class Browser:
         latencies: Optional[Dict[str, float]] = None,
         instrument: bool = True,
         tie_window: Optional[float] = None,
-        hb_backend: str = "graph",
         network: str = "uniform",
         sizes: Optional[Dict[str, float]] = None,
         bandwidth: float = DEFAULT_BANDWIDTH,
@@ -145,9 +144,7 @@ class Browser:
             rtt=rtt,
             connections_per_origin=connections_per_origin,
         )
-        self.monitor = Monitor(
-            enabled=instrument, hb_backend=hb_backend, obs=self.obs
-        )
+        self.monitor = Monitor(enabled=instrument, obs=self.obs)
 
     def open(self, html: str, url: str = "page.html") -> "Page":
         """Create a page and schedule its load (call :meth:`Page.run`)."""

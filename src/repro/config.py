@@ -20,14 +20,13 @@ from .browser.network import (
     DEFAULT_CONNECTIONS_PER_ORIGIN,
     DEFAULT_RTT,
 )
+from .core.hb.backend import HB_STORE, check_store
 from .inputs import InputError
 
 #: Connection-model tuning fields, meaningful only under ``--network connection``.
 NETWORK_TUNING = ("bandwidth", "rtt", "connections_per_origin")
 #: Fields the CLI sets (each is the flag's ``dest``).
-CLI_FIELDS = (
-    "seed", "scheduler", "schedule_seed", "hb_backend", "network", *NETWORK_TUNING
-)
+CLI_FIELDS = ("seed", "scheduler", "schedule_seed", "network", *NETWORK_TUNING)
 
 
 @dataclass(frozen=True)
@@ -41,8 +40,6 @@ class RunConfig:
     #: Base seed of ``random`` scheduling (``None``: ``seed``), so the
     #: schedule can vary while the latencies stay fixed.
     schedule_seed: Optional[int] = None
-    #: ``graph`` (the paper's pipeline) or ``shb`` (plus the SHB sweep).
-    hb_backend: str = "graph"
     #: ``uniform`` (seeded per-resource latencies) or ``connection``
     #: (per-origin pools, slow start, shared bandwidth, tuned below).
     network: str = "uniform"
@@ -96,14 +93,16 @@ class RunConfig:
     def ledger_fields(self, scheduler: bool = True) -> Dict[str, Any]:
         """The settings a ledger record's config digest covers.
 
-        ``seed`` and ``hb_backend`` always.  The scheduler keys only when
+        ``seed`` and ``hb_backend`` always; the latter is always
+        :data:`HB_STORE`, and stays so that digests match ledgers written
+        when the store was a setting.  The scheduler keys only when
         ``scheduler`` is set — ``check`` and ``corpus`` have scheduler
         flags, ``explore`` and ``predict`` do not.  The network keys only
         under the connection model, so uniform runs keep the digests of
         ledgers written before it existed.  The library-only settings
         cannot differ between CLI runs and are left out.
         """
-        fields: Dict[str, Any] = {"seed": self.seed, "hb_backend": self.hb_backend}
+        fields: Dict[str, Any] = {"seed": self.seed, "hb_backend": HB_STORE}
         if scheduler:
             fields["scheduler"] = self.scheduler
             fields["schedule_seed"] = self.schedule_seed
@@ -118,8 +117,12 @@ def run_config(config: Optional[RunConfig] = None, **fields) -> RunConfig:
     """``config`` (the defaults when ``None``) with ``fields`` replaced.
 
     Entry points take a :class:`RunConfig` or its fields as keywords:
-    ``WebRacer(seed=7)`` is ``WebRacer(RunConfig(seed=7))``.
+    ``WebRacer(seed=7)`` is ``WebRacer(RunConfig(seed=7))``.  They also
+    take ``hb_backend``, the store's name, which must be ``"graph"``
+    (:data:`~repro.core.hb.backend.HB_STORE`); any other value raises
+    ``ValueError``.
     """
+    check_store(fields.pop("hb_backend", HB_STORE))
     if config is None:
         config = RunConfig()
     return replace(config, **fields) if fields else config

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from .access import Access
-from .hb.backend import HBBackend
+from .hb.graph import HBGraph
 from .locations import Location
 from .trace import Trace
 from ..obs import NULL
@@ -80,7 +80,7 @@ class RaceDetector:
     def __init__(
         self,
         trace: Trace,
-        hb: HBBackend,
+        hb: HBGraph,
         report_all_per_location: bool = False,
         obs=None,
     ):

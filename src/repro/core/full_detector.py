@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Set, Tuple
 
 from .detector import READ_WRITE, WRITE_WRITE, Race
-from .hb.backend import HBBackend
+from .hb.graph import HBGraph
 from .trace import Trace
 from ..obs import NULL
 
@@ -29,7 +29,7 @@ class FullHistoryDetector:
     def __init__(
         self,
         trace: Trace,
-        hb: HBBackend,
+        hb: HBGraph,
         dedup_per_location: bool = False,
         obs=None,
     ):

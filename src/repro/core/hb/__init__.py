@@ -1,6 +1,6 @@
 """Happens-before machinery: the graph, the paper's rules, SHB, witnesses."""
 
-from .backend import HB_BACKENDS, HBBackend, make_backend
+from .backend import HB_STORE, make_backend
 from .graph import Edge, HBGraph
 from .rules import ALL_RULES
 from .shb import (
@@ -23,9 +23,8 @@ from .witness import (
 __all__ = [
     "ALL_RULES",
     "Edge",
-    "HBBackend",
     "HBGraph",
-    "HB_BACKENDS",
+    "HB_STORE",
     "RaceWitness",
     "ReadsFromEdge",
     "SHB_RF_RULE",

@@ -1,59 +1,33 @@
-"""The ``--hb-backend`` selector.
+"""The one happens-before store, and the name documents record it under.
 
-Every value builds the same store, :class:`~repro.core.hb.graph.HBGraph`;
-the name only selects the pipeline around it:
+Every run builds :class:`~repro.core.hb.graph.HBGraph`.  Report, explore
+and predict documents and ledger configs still carry an ``"hb_backend"``
+key, set to :data:`HB_STORE`, so their formats and config digests stay
+those of runs recorded when the store was a run setting.
 
-* ``"graph"`` — the paper's detection pipeline;
-* ``"shb"`` — the same detection, followed by the offline
-  schedulable-happens-before sweep (:func:`repro.core.hb.shb.predict_races`)
-  that reports races predicted for other schedules of the same trace.
-
-:class:`HBBackend` is the interface detectors and witness queries are
-typed against.
+SHB prediction is not a store: ``repro predict`` and ``repro analyze
+--predict`` sweep a recorded trace with
+:func:`repro.core.hb.shb.predict_races`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, runtime_checkable
-
 from .graph import HBGraph
 
-HB_BACKENDS = ("graph", "shb")
+#: The store's name, as documents and ledger configs record it.
+HB_STORE = "graph"
 
 
-@runtime_checkable
-class HBBackend(Protocol):
-    """What detectors and experiments require of a happens-before store.
-
-    ``predecessors``/``edge_rule`` are the witness-query surface
-    (:mod:`repro.core.hb.witness`): enough rule-labeled edge provenance to
-    reconstruct the HB ancestry evidence behind a race report.
-    """
-
-    def add_operation(self, op_id: int) -> None: ...
-
-    def add_edge(self, src: int, dst: int, rule: str = "") -> bool: ...
-
-    def happens_before(self, a: int, b: int) -> bool: ...
-
-    def concurrent(self, a: int, b: int) -> bool: ...
-
-    def chc(self, a: int, b: int) -> bool: ...
-
-    def memory_cells(self) -> int: ...
-
-    def predecessors(self, op_id: int) -> List[int]: ...
-
-    def edge_rule(self, src: int, dst: int) -> Optional[str]: ...
+def check_store(name: str) -> None:
+    """Raise ``ValueError`` unless ``name`` is :data:`HB_STORE`."""
+    if name != HB_STORE:
+        raise ValueError(f"unknown hb backend {name!r}; expected {HB_STORE!r}")
 
 
-def make_backend(name: str, assert_forward: bool = True, obs=None) -> HBGraph:
-    """Build the happens-before store for pipeline ``name``.
+def make_backend(name: str = HB_STORE, obs=None) -> HBGraph:
+    """Build the happens-before store; ``name`` must be :data:`HB_STORE`.
 
     ``obs`` is the instrumentation sink edge/chain counters report to.
     """
-    if name not in HB_BACKENDS:
-        raise ValueError(
-            f"unknown hb backend {name!r}; expected one of {', '.join(HB_BACKENDS)}"
-        )
-    return HBGraph(assert_forward=assert_forward, obs=obs)
+    check_store(name)
+    return HBGraph(obs=obs)

@@ -51,7 +51,6 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..detector import Race, RaceDetector
 from ..full_detector import FullHistoryDetector
 from ..trace import Trace
-from .backend import HBBackend
 from .graph import HBGraph
 
 #: Rule label carried by reads-from edges in the SHB graph, so witness
@@ -135,7 +134,7 @@ class ShbAnalysis:
         )
 
 
-def reads_from_edges(trace: Trace, hb: HBBackend) -> List[ReadsFromEdge]:
+def reads_from_edges(trace: Trace, hb: HBGraph) -> List[ReadsFromEdge]:
     """Observed data-flow edges: each read pairs with the last write to
     its location in trace order.  Deduplicated per ``(src, dst,
     location)``; same-operation pairs carry no scheduling constraint and
@@ -167,7 +166,7 @@ def reads_from_edges(trace: Trace, hb: HBBackend) -> List[ReadsFromEdge]:
 
 
 def build_shb(
-    trace: Trace, hb: HBBackend
+    trace: Trace, hb: HBGraph
 ) -> Tuple[HBGraph, List[ReadsFromEdge]]:
     """Build the SHB graph for one trace.
 
@@ -245,7 +244,7 @@ def classify_pair(
     return STATUS_CONDITIONAL, blocking
 
 
-def observed_races(trace: Trace, hb: HBBackend) -> List[Race]:
+def observed_races(trace: Trace, hb: HBGraph) -> List[Race]:
     """Replay the trace through a fresh exact (constant-memory) detector.
 
     This is the baseline "what the paper's tool reports in this
@@ -256,7 +255,7 @@ def observed_races(trace: Trace, hb: HBBackend) -> List[Race]:
 
 def predict_races(
     trace: Trace,
-    hb: HBBackend,
+    hb: HBGraph,
     observed: Optional[List[Race]] = None,
 ) -> ShbAnalysis:
     """Run the full SHB prediction pass over one recorded trace.

@@ -2,7 +2,7 @@
 
 A fingerprint identifies *what raced where*, not the particular execution
 that exposed it: two corpus runs (different seeds, different interleaving
-depths, different HB backends) that surface the same logical race should
+depths) that surface the same logical race should
 produce the same fingerprint, so reports can be deduplicated within a run
 and clustered across runs.
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from ..core.hb.backend import HB_STORE
 from ..obs import NULL
 from .evidence import RaceEvidence, attach_evidence
 from .schema import FORMAT_NAME, FORMAT_VERSION, validate_report
@@ -28,8 +29,9 @@ def collect_page_evidence(page_report, hb, obs=None) -> List[RaceEvidence]:
     )
 
 
-def page_evidence_dict(url: str, page_report, records: List[RaceEvidence],
-                       hb_backend: str) -> Dict[str, Any]:
+def page_evidence_dict(
+    url: str, page_report, records: List[RaceEvidence]
+) -> Dict[str, Any]:
     """One page's JSON-able report block (race totals + evidence records).
 
     This is the unit sharded corpus workers ship back to the parent —
@@ -37,7 +39,7 @@ def page_evidence_dict(url: str, page_report, records: List[RaceEvidence],
     """
     return {
         "url": url,
-        "hb_backend": hb_backend,
+        "hb_backend": HB_STORE,
         "races": {
             "raw": len(page_report.raw_races),
             "filtered": len(page_report.filtered_races),
@@ -78,9 +80,7 @@ def build_clusters(
 
 
 def assemble_report_document(
-    pages: List[Dict[str, Any]],
-    mode: str = "check",
-    hb_backend: str = "graph",
+    pages: List[Dict[str, Any]], mode: str = "check"
 ) -> Dict[str, Any]:
     """Assemble (and validate) the report document from serialized pages.
 
@@ -99,7 +99,7 @@ def assemble_report_document(
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "mode": mode,
-        "hb_backend": hb_backend,
+        "hb_backend": HB_STORE,
         "pages": pages,
         "clusters": clusters,
         "totals": {
@@ -114,14 +114,13 @@ def assemble_report_document(
 
 def build_report_document(
     page_reports: List[Tuple[str, Any]],
-    hb_backend: str = "graph",
     mode: str = "check",
     obs=None,
 ) -> Dict[str, Any]:
     """The full ``--report-json`` document for one or many pages.
 
     ``page_reports`` is a list of ``(url, PageReport)`` pairs; each page's
-    HB store is taken from its own monitor, so per-site backends stay
+    HB store is taken from its own monitor, so per-site stores stay
     independent.  The result is validated before being returned.
     """
     obs = obs if obs is not None else NULL
@@ -131,8 +130,8 @@ def build_report_document(
             records = collect_page_evidence(
                 page_report, page_report.page.monitor.graph, obs=obs
             )
-            pages.append(page_evidence_dict(url, page_report, records, hb_backend))
-    document = assemble_report_document(pages, mode=mode, hb_backend=hb_backend)
+            pages.append(page_evidence_dict(url, page_report, records))
+    document = assemble_report_document(pages, mode=mode)
     if obs.enabled:
         obs.count("explain.reports_built")
     return document

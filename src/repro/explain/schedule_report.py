@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
+from ..core.hb.backend import HB_STORE
 from .schema import PREDICT_FORMAT_NAME, PREDICT_FORMAT_VERSION
 
 EXPLORE_FORMAT_NAME = "webracer-explore-report"
@@ -79,7 +80,7 @@ def assemble_explore_document(
         "format": EXPLORE_FORMAT_NAME,
         "version": EXPLORE_FORMAT_VERSION,
         "seed": report.seed,
-        "hb_backend": report.hb_backend,
+        "hb_backend": HB_STORE,
         "schedules": [spec.to_dict() for spec in report.specs],
         "pages": pages,
         "totals": {
@@ -186,7 +187,7 @@ def assemble_predict_document(
     """The versioned JSON document for one prediction run.
 
     ``reports`` is a list of :class:`~repro.predict.PredictReport` (one
-    per page).  Seed/backend/budget are shared across pages by
+    per page).  Seed and budget are shared across pages by
     construction (one CLI invocation), so they live at top level; the
     document carries no wall-clock values and is deterministic in the
     prediction inputs alone.
@@ -224,7 +225,7 @@ def assemble_predict_document(
         "format": PREDICT_FORMAT_NAME,
         "version": PREDICT_FORMAT_VERSION,
         "seed": first.seed if first else 0,
-        "hb_backend": first.hb_backend if first else "graph",
+        "hb_backend": HB_STORE,
         "budget": first.budget if first else 0,
         "pages": pages,
         "totals": {

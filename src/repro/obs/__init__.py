@@ -14,8 +14,8 @@ and two exporters: a Chrome trace-event JSON file (loadable in
 ``chrome://tracing`` / Perfetto) and a plain-text/JSON stats summary.
 
 One :class:`Instrumentation` object is threaded through
-``WebRacer → Browser → Monitor → detector/filters`` exactly the way
-``hb_backend`` is.  The default sink is :data:`NULL`, a
+``WebRacer → Browser → Monitor → detector/filters``, each taking it as
+an ``obs`` argument.  The default sink is :data:`NULL`, a
 :class:`NullInstrumentation` whose every hook is a constant no-op — the
 zero-overhead contract the disabled-mode benchmark pins down
 (``benchmarks/test_obs_overhead.py``).

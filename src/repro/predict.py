@@ -107,7 +107,6 @@ class PredictReport:
 
     page: str
     seed: int
-    hb_backend: str
     budget: int
     #: Filtered fingerprints of the observed (FIFO) run.
     observed_fingerprints: List[str] = field(default_factory=list)
@@ -216,18 +215,10 @@ def predict_page(
     ``budget`` caps the number of witness schedules run; witness runs are
     shared across predictions (one adversarial run can confirm several),
     and the search stops early once every prediction is confirmed.
-    ``config.hb_backend`` is recorded in the report; ``"shb"``
-    additionally runs the SHB sweep inside every page report (prediction
-    is already this pipeline's job).
     """
     obs = obs if obs is not None else NULL
     started = time.perf_counter()
-    report = PredictReport(
-        page=page.url,
-        seed=config.seed,
-        hb_backend=config.hb_backend,
-        budget=budget,
-    )
+    report = PredictReport(page=page.url, seed=config.seed, budget=budget)
     try:
         with obs.span("predict.base_run", cat="predict", page=page.url):
             recorder = DecisionScheduler(ScheduleSpec("fifo", "fifo").build())

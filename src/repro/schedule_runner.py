@@ -424,7 +424,6 @@ class ExploreReport:
     seed: int
     specs: List[ScheduleSpec] = field(default_factory=list)
     pages: List[PageExploration] = field(default_factory=list)
-    hb_backend: str = "graph"
 
     def union_count(self) -> int:
         return sum(len(page.races) for page in self.pages)
@@ -545,9 +544,7 @@ def explore_pages(
     by_page: Dict[str, List[ScheduleRunResult]] = {}
     for result in results:
         by_page.setdefault(result.page, []).append(result)
-    report = ExploreReport(
-        seed=config.seed, specs=specs, hb_backend=config.hb_backend
-    )
+    report = ExploreReport(seed=config.seed, specs=specs)
     for page in pages:
         report.pages.append(merge_runs(page.url, by_page.get(page.url, [])))
     if obs.enabled:

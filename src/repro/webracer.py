@@ -66,12 +66,6 @@ class PageReport:
     raw_classified: RaceReport
     #: How many races each Section 5.3 filter suppressed (name -> count).
     filter_removed: Dict[str, int] = field(default_factory=dict)
-    #: SHB-predicted races (``--hb-backend shb`` only): conflicting pairs
-    #: the exact detector missed in this schedule but that other schedules
-    #: of the same trace can exhibit (:mod:`repro.core.hb.shb`).
-    predicted_races: List[Any] = field(default_factory=list)
-    #: The full :class:`~repro.core.hb.shb.ShbAnalysis` behind them.
-    shb_analysis: Optional[Any] = None
 
     @property
     def trace(self) -> Trace:
@@ -109,15 +103,10 @@ class PageReport:
 
     def summary(self) -> str:
         """One-line page summary."""
-        predicted = (
-            f", {len(self.predicted_races)} predicted (SHB)"
-            if self.predicted_races
-            else ""
-        )
         return (
             f"{self.url}: {len(self.raw_races)} raw races, "
             f"{len(self.filtered_races)} after filtering "
-            f"({len(self.classified.harmful())} harmful){predicted} — "
+            f"({len(self.classified.harmful())} harmful) — "
             + self.classified.summary()
         )
 
@@ -400,7 +389,6 @@ class WebRacer:
             latencies=latencies,
             sizes=sizes,
             tie_window=tie_window,
-            hb_backend=config.hb_backend,
             network=config.network,
             bandwidth=config.bandwidth,
             rtt=config.rtt,
@@ -447,8 +435,7 @@ class WebRacer:
 
     def report_for(self, page: Page, url: str = "page.html") -> PageReport:
         """Build a :class:`PageReport` from an already-run page: filter and
-        classify the online detector's races, then (``hb_backend="shb"``)
-        run the SHB prediction sweep over the recorded trace."""
+        classify the online detector's races."""
         raw_races = list(page.races)
         filter_removed: Dict[str, int] = {}
         if self.config.apply_filters:
@@ -460,24 +447,10 @@ class WebRacer:
         with self.obs.span("classify", cat="pipeline", races=len(raw_races)):
             classified = build_report(filtered, page.trace)
             raw_classified = build_report(raw_races, page.trace)
-        shb_analysis = None
-        predicted: List[Any] = []
-        if self.config.hb_backend == "shb":
-            from .core.hb.shb import predict_races
-
-            with self.obs.span(
-                "predict", cat="pipeline", races=len(raw_races)
-            ):
-                shb_analysis = predict_races(
-                    page.trace, page.monitor.graph, raw_races
-                )
-            predicted = list(shb_analysis.predictions)
         if self.obs.enabled:
             self.obs.count("races.raw", len(raw_races))
             self.obs.count("races.filtered", len(filtered))
             self.obs.count("races.harmful", len(classified.harmful()))
-            if predicted:
-                self.obs.count("races.predicted", len(predicted))
         return PageReport(
             url=url,
             page=page,
@@ -486,8 +459,6 @@ class WebRacer:
             classified=classified,
             raw_classified=raw_classified,
             filter_removed=filter_removed,
-            predicted_races=predicted,
-            shb_analysis=shb_analysis,
         )
 
     def check_site(
@@ -569,7 +540,7 @@ class WebRacer:
         records = collect_page_evidence(
             page_report, page_report.page.monitor.graph, obs=self.obs
         )
-        return page_evidence_dict(url, page_report, records, self.config.hb_backend)
+        return page_evidence_dict(url, page_report, records)
 
     def check_corpus(
         self,

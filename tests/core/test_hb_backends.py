@@ -1,76 +1,72 @@
-"""Tests for the ``--hb-backend`` selector and the incremental invariants of
-the store it builds: every pipeline name yields the same chain-clock
-:class:`HBGraph`, whose answers — given while the graph is still growing or
-over the finished graph of a real page load — equal the ancestor-set
-oracle's."""
+"""Tests for the happens-before store factory and the incremental
+invariants of the store it builds: ``make_backend`` yields the one
+chain-clock :class:`HBGraph`, whose answers — given while the graph is still
+growing or over the finished graph of a real page load — equal the
+ancestor-set oracle's."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.hb.backend import HB_BACKENDS, make_backend
+from repro.core.hb.backend import HB_STORE, make_backend
 from repro.core.hb.graph import HBGraph
 from repro.core.hb.witness import ancestor_closure
 
 from .hb_oracle import ReachabilityOracle
 
 
-def stores():
-    """One fresh store per ``--hb-backend`` name."""
-    return [make_backend(name) for name in HB_BACKENDS]
+@pytest.fixture
+def store():
+    """A fresh store, built the way every run builds it."""
+    return make_backend()
 
 
 class TestBackendFactory:
     def test_names(self):
-        assert HB_BACKENDS == ("graph", "shb")
-        for name in HB_BACKENDS:
-            assert type(make_backend(name)) is HBGraph
+        assert HB_STORE == "graph"
+        assert type(make_backend(HB_STORE)) is HBGraph
         with pytest.raises(ValueError, match="unknown hb backend"):
             make_backend("chains")
 
 
 class TestIncrementalInvariants:
-    def test_backward_edge_raises(self):
-        for store in stores():
-            with pytest.raises(ValueError, match="backward"):
-                store.add_edge(5, 3)
-            # The rejected edge leaves nothing behind.
-            assert store.edge_count() == 0
-            assert store.operation_ids() == []
+    def test_backward_edge_raises(self, store):
+        with pytest.raises(ValueError, match="backward"):
+            store.add_edge(5, 3)
+        # The rejected edge leaves nothing behind.
+        assert store.edge_count() == 0
+        assert store.operation_ids() == []
 
-    def test_chc_bottom_handling(self):
-        for store in stores():
-            store.add_edge(0, 1)
-            store.add_operation(2)
-            # ⊥ (id 0) is unordered with 2 yet never races with anything.
-            assert store.concurrent(0, 2)
-            assert not store.chc(0, 2) and not store.chc(2, 0)
-            assert not store.chc(0, 1)
-            assert store.chc(1, 2)
+    def test_chc_bottom_handling(self, store):
+        store.add_edge(0, 1)
+        store.add_operation(2)
+        # ⊥ (id 0) is unordered with 2 yet never races with anything.
+        assert store.concurrent(0, 2)
+        assert not store.chc(0, 2) and not store.chc(2, 0)
+        assert not store.chc(0, 1)
+        assert store.chc(1, 2)
 
-    def test_duplicate_edges_are_idempotent(self):
-        for store in stores():
-            single = make_backend("graph")
-            single.add_edge(1, 2, "a")
-            assert store.add_edge(1, 2, "a")
-            assert not store.add_edge(1, 2, "b")
-            assert store.edge_count() == 1
-            assert store.predecessors(2) == [1]
-            assert store.edge_rule(1, 2) == "a"
-            assert store.happens_before(1, 2) and single.happens_before(1, 2)
-            assert store.clock == single.clock
-            assert store.memory_cells() == single.memory_cells()
+    def test_duplicate_edges_are_idempotent(self, store):
+        single = make_backend()
+        single.add_edge(1, 2, "a")
+        assert store.add_edge(1, 2, "a")
+        assert not store.add_edge(1, 2, "b")
+        assert store.edge_count() == 1
+        assert store.predecessors(2) == [1]
+        assert store.edge_rule(1, 2) == "a"
+        assert store.happens_before(1, 2) and single.happens_before(1, 2)
+        assert store.clock == single.clock
+        assert store.memory_cells() == single.memory_cells()
 
-    def test_edge_into_finalized_operation_raises(self):
-        for store in stores():
-            store.add_operation(1)
-            store.add_operation(2)
-            store.add_edge(1, 3)
-            assert store.happens_before(1, 3)  # finalizes 3's clock
-            with pytest.raises(ValueError, match="was queried"):
-                store.add_edge(2, 3)
-            # The refused edge changed no answer.
-            assert store.predecessors(3) == [1]
-            assert store.concurrent(2, 3)
+    def test_edge_into_finalized_operation_raises(self, store):
+        store.add_operation(1)
+        store.add_operation(2)
+        store.add_edge(1, 3)
+        assert store.happens_before(1, 3)  # finalizes 3's clock
+        with pytest.raises(ValueError, match="was queried"):
+            store.add_edge(2, 3)
+        # The refused edge changed no answer.
+        assert store.predecessors(3) == [1]
+        assert store.concurrent(2, 3)
 
     def test_lazy_finalization_is_partial(self):
         graph = HBGraph()
@@ -81,36 +77,33 @@ class TestIncrementalInvariants:
         graph.finalize_all()
         assert sorted(graph.position) == [1, 2, 3, 4]
 
-    def test_memory_cells_counts_clock_entries(self):
-        for store in stores():
-            for src, dst in [(1, 2), (1, 3), (2, 4), (3, 4)]:
-                store.add_edge(src, dst)
-            assert store.memory_cells() == 0  # nothing finalized yet
-            assert store.happens_before(1, 2)
-            assert store.memory_cells() == 2  # {c0: 0} and {c0: 1}
-            store.finalize_all()
-            # 3 opens a second chain; 3 and 4 each cover both chains.
-            assert store.chain_count == 2
-            assert store.memory_cells() == 1 + 1 + 2 + 2
-            assert store.memory_cells() == sum(len(c) for c in store.clock.values())
+    def test_memory_cells_counts_clock_entries(self, store):
+        for src, dst in [(1, 2), (1, 3), (2, 4), (3, 4)]:
+            store.add_edge(src, dst)
+        assert store.memory_cells() == 0  # nothing finalized yet
+        assert store.happens_before(1, 2)
+        assert store.memory_cells() == 2  # {c0: 0} and {c0: 1}
+        store.finalize_all()
+        # 3 opens a second chain; 3 and 4 each cover both chains.
+        assert store.chain_count == 2
+        assert store.memory_cells() == 1 + 1 + 2 + 2
+        assert store.memory_cells() == sum(len(c) for c in store.clock.values())
 
-    def test_self_edge_rejected(self):
-        for store in stores():
-            assert not store.add_edge(4, 4)
-            assert store.edge_count() == 0
-            assert store.operation_ids() == []
-            assert not store.happens_before(4, 4)
+    def test_self_edge_rejected(self, store):
+        assert not store.add_edge(4, 4)
+        assert store.edge_count() == 0
+        assert store.operation_ids() == []
+        assert not store.happens_before(4, 4)
 
-    def test_unknown_operations_unordered(self):
-        for store in stores():
-            store.add_edge(1, 2)
-            assert not store.happens_before(1, 99)
-            assert not store.happens_before(99, 1)
-            assert not store.happens_before(98, 99)
-            assert not store.concurrent(7, 7)
-            # Asking about an unknown id registers and finalizes nothing.
-            assert 99 not in store.operation_ids()
-            assert store.memory_cells() == 0
+    def test_unknown_operations_unordered(self, store):
+        store.add_edge(1, 2)
+        assert not store.happens_before(1, 99)
+        assert not store.happens_before(99, 1)
+        assert not store.happens_before(98, 99)
+        assert not store.concurrent(7, 7)
+        # Asking about an unknown id registers and finalizes nothing.
+        assert 99 not in store.operation_ids()
+        assert store.memory_cells() == 0
 
 
 forward_edges = st.lists(

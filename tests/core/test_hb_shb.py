@@ -1,6 +1,6 @@
 """Tests for schedulable happens-before (SHB) race prediction.
 
-Covers the ``shb`` backend registration, reads-from extraction, the SHB
+Covers that ``shb`` names no store, reads-from extraction, the SHB
 graph construction (which must tolerate backward reads-from edges), pair
 classification into ``schedulable``/``conditional``, and the soundness
 property the predict pipeline relies on: predictions never overlap the
@@ -21,7 +21,7 @@ from repro.core.hb import (
     predict_races,
     reads_from_edges,
 )
-from repro.core.hb.backend import HB_BACKENDS, make_backend
+from repro.core.hb.backend import make_backend
 from repro.core.hb.graph import HBGraph
 from repro.core.hb.shb import (
     STATUS_CONDITIONAL,
@@ -56,12 +56,11 @@ def make_trace(n_ops, edges, accesses):
 
 
 class TestBackendRegistration:
-    def test_shb_listed(self):
-        assert "shb" in HB_BACKENDS
-
-    def test_make_backend_returns_shb_graph(self):
-        # One store serves every pipeline; ``shb`` only adds the sweep.
-        assert type(make_backend("shb")) is HBGraph
+    def test_shb_is_not_a_store(self):
+        # Prediction is a sweep over a recorded trace (``repro predict``,
+        # ``repro analyze --predict``), not a store a run selects.
+        with pytest.raises(ValueError, match="unknown hb backend 'shb'"):
+            make_backend("shb")
 
 
 class TestReadsFromEdges:

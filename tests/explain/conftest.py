@@ -1,4 +1,4 @@
-"""Shared fixtures: one racy page checked once per HB backend."""
+"""Shared fixtures: one racy page, checked once per module."""
 
 import pytest
 
@@ -17,16 +17,11 @@ document.getElementById('widget').onload = function () { widgetReady = true; };
 RESOURCES = {"hint.js": "document.getElementById('search').value = 'hint';"}
 
 
-def check_page(hb_backend="graph", **kwargs):
-    racer = WebRacer(seed=7, hb_backend=hb_backend, **kwargs)
+def check_page():
+    racer = WebRacer(seed=7)
     return racer.check_page(PAGE_HTML, resources=RESOURCES, url="racy.html")
 
 
 @pytest.fixture(scope="module")
 def page_report():
     return check_page()
-
-
-@pytest.fixture(scope="module", params=["graph", "shb"])
-def backend_report(request):
-    return request.param, check_page(hb_backend=request.param)

@@ -24,9 +24,8 @@ class TestEvidenceStructure:
             assert record.harmful == classified.harmful
             assert record.reason == classified.reason
 
-    def test_witness_paths_are_rule_labeled(self, backend_report):
-        _backend, report = backend_report
-        for record in evidence_for(report):
+    def test_witness_paths_are_rule_labeled(self, page_report):
+        for record in evidence_for(page_report):
             assert record.nca is not None
             for side in (record.prior, record.current):
                 assert side.path_from_nca, "racing op must descend from nca"
@@ -78,36 +77,6 @@ class TestEvidenceStructure:
                 assert operation.describe() in side.source
 
 
-def _normalized(value):
-    """Erase volatile element-allocation counters (id_key tuples serialize as
-    ["id", <alloc>, <name>]) so records from independent runs compare equal."""
-    if isinstance(value, dict):
-        return {key: _normalized(item) for key, item in value.items()}
-    if isinstance(value, list):
-        if (
-            len(value) == 3
-            and value[0] == "id"
-            and isinstance(value[1], int)
-        ):
-            return ["id", "*", value[2]]
-        return [_normalized(item) for item in value]
-    return value
-
-
-class TestBackendParity:
-    def test_graph_and_shb_evidence_agree(self):
-        from .conftest import check_page
-
-        records = {}
-        for backend in ("graph", "shb"):
-            report = check_page(hb_backend=backend)
-            records[backend] = [
-                _normalized(record.to_dict())
-                for record in evidence_for(report)
-            ]
-        assert records["graph"] == records["shb"]
-
-
 class TestObsHook:
     def test_evidence_counts_reported(self, page_report):
         obs = Instrumentation()
@@ -142,12 +111,10 @@ class TestJsonRoundTrip:
 class TestDisjointComponents:
     """A racing pair whose HB cones are disjoint (two independent root
     dispatches) must get a complete evidence record with an empty-prefix
-    witness — nca None, empty paths — on every backend, never a raise."""
+    witness — nca None, empty paths — never a raise."""
 
     @staticmethod
-    def _disjoint_classified(backend):
-        import pytest  # noqa: F401  (parametrize import kept local)
-
+    def _disjoint_classified():
         from repro.core.access import READ, WRITE, Access
         from repro.core.detector import RaceDetector
         from repro.core.hb.backend import make_backend
@@ -160,7 +127,7 @@ class TestDisjointComponents:
         trace = Trace()
         for _ in range(4):
             trace.operations.create("dispatch")
-        hb = make_backend(backend)
+        hb = make_backend()
         hb.add_edge(1, 2, "8:target-created-before-dispatch")
         hb.add_edge(3, 4, "8:target-created-before-dispatch")
         location = VarLocation(cell_id=1, name="x")
@@ -175,19 +142,18 @@ class TestDisjointComponents:
         return report.races[0], trace, hb
 
     def test_empty_prefix_witness_on_every_backend(self):
-        for backend in ("graph", "shb"):
-            classified, trace, hb = self._disjoint_classified(backend)
-            record = build_race_evidence(classified, trace, hb)
-            assert record.nca is None, backend
-            assert record.common_ancestor_count == 0
-            assert record.prior.path_from_nca == []
-            assert record.current.path_from_nca == []
-            assert "disjoint" in record.explanation
+        classified, trace, hb = self._disjoint_classified()
+        record = build_race_evidence(classified, trace, hb)
+        assert record.nca is None
+        assert record.common_ancestor_count == 0
+        assert record.prior.path_from_nca == []
+        assert record.current.path_from_nca == []
+        assert "disjoint" in record.explanation
 
     def test_disjoint_record_serializes(self):
         import json
 
-        classified, trace, hb = self._disjoint_classified("graph")
+        classified, trace, hb = self._disjoint_classified()
         record = build_race_evidence(classified, trace, hb)
         dumped = json.loads(json.dumps(record.to_dict()))
         assert dumped["nca"] is None

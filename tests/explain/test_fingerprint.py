@@ -105,13 +105,3 @@ class TestEndToEndStability:
             ))
         assert fingerprints[0] == fingerprints[1]
         assert fingerprints[0]  # the page does race
-
-    def test_backends_produce_identical_fingerprints(self):
-        per_backend = {}
-        for backend in ("graph", "shb"):
-            report = check_page(hb_backend=backend)
-            per_backend[backend] = sorted(
-                race_fingerprint(race, report.trace)
-                for race in report.filtered_races
-            )
-        assert per_backend["graph"] == per_backend["shb"]

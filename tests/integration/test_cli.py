@@ -81,10 +81,21 @@ class TestAnalyze:
 
 
 class TestHbBackend:
-    def test_unknown_backend_rejected(self, buggy_page):
+    def test_unknown_backend_rejected(self, buggy_page, capsys):
+        """No command selects an HB store any more: the flag is unknown to
+        all five that took it, even with its old default value."""
         page, _hint = buggy_page
-        with pytest.raises(SystemExit):
-            main(["check", str(page), "--hb-backend", "bogus"])
+        for command in (
+            ["check", str(page)],
+            ["corpus"],
+            ["explore", str(page)],
+            ["predict", str(page)],
+            ["analyze", "trace.json"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main([*command, "--hb-backend", "graph"])
+            assert exit_info.value.code == 2, command
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCorpus:

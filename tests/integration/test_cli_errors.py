@@ -68,7 +68,7 @@ class TestAnalyzeExplainErrors:
 
     @pytest.mark.parametrize(
         "argv",
-        [["analyze"], ["analyze", "--hb-backend", "shb"], ["explain"]],
+        [["analyze"], ["analyze", "--predict"], ["explain"]],
     )
     def test_happens_before_cycle_rejected(self, argv, tmp_path, capsys):
         """A trace whose edges form a cycle exits 2 (it used to hang or

@@ -51,40 +51,20 @@ class TestCheckReports:
     ):
         """Report generation must not perturb detection (acceptance
         criterion): stdout race output is byte-identical modulo the two
-        "report written" lines, under both HB backends."""
-        for backend in ("graph", "shb"):
-            main(check_args(buggy_page, "--hb-backend", backend))
-            plain = capsys.readouterr().out
-            main(check_args(
-                buggy_page, "--hb-backend", backend,
-                "--report-json", str(tmp_path / f"{backend}.json"),
-                "--report-html", str(tmp_path / f"{backend}.html"),
-            ))
-            with_reports = capsys.readouterr().out
-            stripped = "".join(
-                line for line in with_reports.splitlines(keepends=True)
-                if not line.startswith("race report (")
-            )
-            assert stripped == plain
-
-    def test_backends_report_identical_fingerprints(
-        self, buggy_page, tmp_path, capsys
-    ):
-        fingerprints = {}
-        for backend in ("graph", "shb"):
-            out = tmp_path / f"{backend}.json"
-            main(check_args(
-                buggy_page, "--hb-backend", backend,
-                "--report-json", str(out),
-            ))
-            document = validate_report_file(str(out))
-            assert document["hb_backend"] == backend
-            fingerprints[backend] = sorted(
-                evidence["fingerprint"]
-                for page in document["pages"]
-                for evidence in page["evidence"]
-            )
-        assert fingerprints["graph"] == fingerprints["shb"]
+        "report written" lines."""
+        main(check_args(buggy_page))
+        plain = capsys.readouterr().out
+        main(check_args(
+            buggy_page,
+            "--report-json", str(tmp_path / "report.json"),
+            "--report-html", str(tmp_path / "report.html"),
+        ))
+        with_reports = capsys.readouterr().out
+        stripped = "".join(
+            line for line in with_reports.splitlines(keepends=True)
+            if not line.startswith("race report (")
+        )
+        assert stripped == plain
 
 
 class TestExplain:

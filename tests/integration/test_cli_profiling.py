@@ -3,7 +3,7 @@
 Pins down the contract of the observability layer end to end:
 ``--profile``/``--trace-out``/``--stats-json`` must never change what the
 detector reports, the exported trace must pass schema validation, and the
-corpus/analyze satellites (``corpus --json``, ``analyze --hb-backend``,
+corpus/analyze satellites (``corpus --json``, ``analyze --predict``,
 the full-run gating fix) behave as documented.
 """
 
@@ -223,7 +223,7 @@ class TestFullRunGating:
 
 
 class TestAnalyzeHbBackend:
-    def test_backends_agree_on_loaded_trace(self, buggy_page, tmp_path, capsys):
+    def test_predict_appends_shb_summary(self, buggy_page, tmp_path, capsys):
         page, hint = buggy_page
         trace_path = tmp_path / "trace.json"
         main([
@@ -232,14 +232,13 @@ class TestAnalyzeHbBackend:
             "--json", str(trace_path),
         ])
         capsys.readouterr()
-        outputs = {}
-        for backend in ("graph", "shb"):
-            status = main(["analyze", str(trace_path), "--hb-backend", backend])
-            outputs[backend] = capsys.readouterr().out
-            assert status == 1
-        # shb prints the same observed report, then its SHB summary.
-        assert outputs["shb"].startswith(outputs["graph"])
-        assert "SHB:" in outputs["shb"]
+        assert main(["analyze", str(trace_path)]) == 1
+        plain = capsys.readouterr().out
+        assert main(["analyze", str(trace_path), "--predict"]) == 1
+        predicted = capsys.readouterr().out
+        # --predict prints the same observed report, then its SHB summary.
+        assert predicted.startswith(plain)
+        assert "SHB:" in predicted[len(plain):]
 
     def test_bad_backend_rejected(self, buggy_page, tmp_path, capsys):
         page, hint = buggy_page
@@ -249,5 +248,7 @@ class TestAnalyzeHbBackend:
             "--resource", f"hint.js={hint}",
             "--json", str(trace_path),
         ])
-        with pytest.raises(SystemExit):
+        # analyze selects no HB store, so any --hb-backend is a usage error.
+        with pytest.raises(SystemExit) as exit_info:
             main(["analyze", str(trace_path), "--hb-backend", "nonsense"])
+        assert exit_info.value.code == 2

@@ -157,7 +157,7 @@ class TestJobsByteIdentity:
         from repro.browser.scheduler import FifoScheduler
 
         uniform_page, _, _, _ = run_page_once(
-            shop_page(), FifoScheduler(), RunConfig(seed=0, hb_backend="graph")
+            shop_page(), FifoScheduler(), RunConfig(seed=0)
         )
         connection_page, _, _, _ = run_page_once(
             shop_page(), FifoScheduler(), CONNECTION

@@ -7,11 +7,15 @@ replay-confirms it — coverage the explore matrix needs N runs to reach.
 """
 
 import json
+import pathlib
 
 import pytest
 
+from repro import WebRacer
 from repro.__main__ import main
 from repro.config import RunConfig
+from repro.core.hb.shb import predict_races
+from repro.core.serialize import dumps_trace, loads_trace
 from repro.explain.schedule_report import (
     assemble_predict_document,
     render_predict_text,
@@ -24,9 +28,13 @@ from repro.predict import (
     predict_pages,
     witness_schedule_specs,
 )
-from repro.schedule_runner import PageInput
+from repro.schedule_runner import PageInput, load_page_inputs
 
 from .test_explore import POLL_HTML, POLL_RESOURCES
+
+EXAMPLE_PAGES = load_page_inputs(
+    str(pathlib.Path(__file__).resolve().parents[2] / "examples" / "pages")
+)
 
 
 @pytest.fixture
@@ -124,12 +132,6 @@ class TestPredictPage:
         assert not report.ok
         assert report.error
         assert report.predictions == []
-
-    def test_shb_online_backend_accepted(self, poll_page):
-        report = predict_page(
-            poll_page, RunConfig(seed=0, hb_backend="shb"), budget=2
-        )
-        assert report.ok
 
 
 class TestPredictDocument:
@@ -238,17 +240,6 @@ class TestPredictCli:
 
 
 class TestShbBackendCli:
-    def test_check_surfaces_predictions(self, pages_dir, capsys):
-        status = main([
-            "check", str(pages_dir / "poll.html"), "--hb-backend", "shb",
-            "--resource", f"lib.js={pages_dir / 'lib.js'}",
-            "--resource", f"boot.js={pages_dir / 'boot.js'}",
-        ])
-        assert status in (0, 1)
-        out = capsys.readouterr().out
-        assert "predicted (SHB)" in out
-        assert "[schedulable]" in out or "[conditional]" in out
-
     def test_check_plain_backend_prints_no_predictions(self, pages_dir, capsys):
         main([
             "check", str(pages_dir / "poll.html"),
@@ -268,8 +259,31 @@ class TestShbBackendCli:
             "--json", str(trace_json),
         ])
         capsys.readouterr()
-        status = main(["analyze", str(trace_json), "--hb-backend", "shb"])
+        status = main(["analyze", str(trace_json), "--predict"])
         assert status in (0, 1)
         out = capsys.readouterr().out
         assert "SHB:" in out
         assert "predicted races (SHB" in out
+        assert "[schedulable]" in out
+
+
+class TestOfflinePrediction:
+    """``analyze --predict`` sweeps a captured trace: reloading the trace
+    must predict exactly what the sweep over the live run predicts."""
+
+    @pytest.mark.parametrize("network", ["uniform", "connection"])
+    @pytest.mark.parametrize(
+        "page", EXAMPLE_PAGES, ids=lambda page: pathlib.Path(page.url).name
+    )
+    def test_reloaded_trace_predicts_what_the_live_run_does(self, page, network):
+        report = WebRacer(seed=0, network=network).check_page(
+            page.html, resources=page.resources, url=page.url,
+            sizes=page.sizes or None,
+        )
+        graph = report.page.monitor.graph
+        offline = loads_trace(dumps_trace(report.trace, graph)).predict()
+        live = predict_races(report.trace, graph, report.raw_races)
+        assert [p.describe() for p in offline.predictions] == [
+            p.describe() for p in live.predictions
+        ]
+        assert offline.summary() == live.summary()

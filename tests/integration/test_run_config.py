@@ -3,14 +3,14 @@ every ``--jobs`` worker intact, whatever its field values."""
 
 import pickle
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.__main__ import build_parser
 from repro.browser.network import NETWORK_MODELS
 from repro.browser.scheduler import SCHEDULER_POLICIES
-from repro.config import CLI_FIELDS, NETWORK_TUNING, RunConfig
-from repro.core.hb.backend import HB_BACKENDS
+from repro.config import CLI_FIELDS, NETWORK_TUNING, RunConfig, run_config
 from repro.schedule_runner import PageInput, ScheduleSpec, run_page_schedule
 from repro.sites import build_corpus, corpus_builders
 from repro.webracer import WebRacer
@@ -36,7 +36,6 @@ def run_configs(draw):
         seed=draw(st.integers(0, 10_000)),
         scheduler=scheduler,
         schedule_seed=schedule_seed,
-        hb_backend=draw(st.sampled_from(HB_BACKENDS)),
         network=network,
         **tuning,
         explore=draw(st.booleans()),
@@ -74,7 +73,6 @@ def test_config_pickles_and_round_trips_the_cli(config):
         seed=3,
         scheduler="random",
         schedule_seed=5,
-        hb_backend="shb",
         network="connection",
         bandwidth=700.0,
         max_run_ms=40.0,
@@ -107,11 +105,22 @@ def test_run_page_schedule_takes_fields_as_keywords():
         resources={"hint.js": "document.getElementById('q').value = 'hint';"},
     )
     spec = ScheduleSpec("adversarial", "adversarial")
-    config = RunConfig(seed=4, hb_backend="shb")
+    config = RunConfig(seed=4, network="connection")
     by_config = run_page_schedule(page, spec, config, verify_replay=False)
     by_fields = run_page_schedule(
-        page, spec, seed=4, hb_backend="shb", verify_replay=False
+        page, spec, seed=4, network="connection", verify_replay=False
     )
     assert by_config.ok and by_config.fingerprints
     assert by_fields.fingerprints == by_config.fingerprints
     assert by_fields.trace_dict == by_config.trace_dict
+
+
+def test_the_store_name_is_an_input_not_a_setting():
+    """``hb_backend`` left the config; entry points still accept the one
+    store's name as a keyword, and refuse any other."""
+    assert "hb_backend" not in RunConfig.__dataclass_fields__
+    assert run_config(hb_backend="graph") == RunConfig()
+    assert run_config(RunConfig(seed=3), hb_backend="graph") == RunConfig(seed=3)
+    for entry in (run_config, WebRacer):
+        with pytest.raises(ValueError, match="unknown hb backend 'shb'"):
+            entry(hb_backend="shb")
