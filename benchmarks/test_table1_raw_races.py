@@ -8,8 +8,6 @@ HTML/function medians are zero, and a few heavy sites create the long tail.
 
 import statistics
 
-import pytest
-
 from repro import WebRacer
 from repro.core.report import RACE_TYPES
 from repro.sites import PAPER_TABLE1, build_corpus

@@ -19,7 +19,7 @@ returns the identical wrapper (JS ``===`` works).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from ..core.locations import ATTR_SLOT
 from ..dom.document import Document

@@ -7,7 +7,8 @@ through one object, the :class:`Monitor`:
 
 * it owns the execution :class:`~repro.core.trace.Trace`, the happens-before
   store (:class:`~repro.core.hb.graph.HBGraph`, whose edges the browser
-  adds labelled with the paper's rules), and the race detector;
+  adds labelled with the paper's rules), and the race detector, which it
+  hands each access row right after recording it;
 * it tracks the *current operation* (operations are atomic; a stack is still
   needed because inline event dispatch nests handler execution inside a
   script — Appendix A);
@@ -55,7 +56,6 @@ class Monitor:
         self.trace = Trace()
         self.graph = make_backend(obs=self.obs)
         self.detector = RaceDetector(self.trace, self.graph, obs=self.obs)
-        self.trace.subscribe(self.detector.on_access)
         self._op_stack: List[Operation] = []
         #: Location ids read by each operation on the stack (parallel to
         #: ``_op_stack``), for read-before-write details.  A set goes when
@@ -159,7 +159,9 @@ class Monitor:
                     detail.setdefault("read_before_write", True)
                 if delayed:
                     detail.setdefault("deliberate_delay", True)
-        return trace.record(op_id, loc, is_read, bits, detail)
+        row = trace.record(op_id, loc, is_read, bits, detail)
+        self.detector.on_access(row)
+        return row
 
     def record_crash(self, error: Any, where: str = "") -> None:
         """Record a hidden script crash for the current operation."""

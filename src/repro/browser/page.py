@@ -63,7 +63,6 @@ from .network import (
     DEFAULT_CONNECTIONS_PER_ORIGIN,
     DEFAULT_RTT,
     FetchResult,
-    NetworkSimulator,
     make_network,
 )
 from .scheduler import Scheduler, make_scheduler
@@ -1035,6 +1034,18 @@ class Page:
     def loaded(self) -> bool:
         """Has the window load event fired?"""
         return self.window.load_fired
+
+    def close(self) -> None:
+        """Drop the monitor's trace, HB store and detector (idempotent).
+
+        The run's owner calls this once it has read what it needs.  Those
+        three hold no reference cycle, so they are freed at once unless a
+        reader still holds one.  The page, its DOM and its JS heap are
+        cyclic and wait for the collector.  ``trace`` and ``races`` are
+        gone afterwards.
+        """
+        monitor = self.monitor
+        monitor.trace = monitor.graph = monitor.detector = None
 
 
 def _num(args, index: int) -> float:

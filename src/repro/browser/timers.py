@@ -14,7 +14,7 @@ cleared timer's task is cancelled and never becomes an operation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from .event_loop import EventLoop, Task

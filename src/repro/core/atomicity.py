@@ -30,7 +30,7 @@ entirely, which we also report (the schedule could serialize ``B`` into
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .access import Access
 from .hb.graph import HBGraph

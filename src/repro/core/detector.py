@@ -133,7 +133,7 @@ class RaceDetector:
         )
 
     def on_access(self, row: int) -> None:
-        """Process one trace row (subscribe this to the trace)."""
+        """Process one trace row (the monitor calls this as it records)."""
         trace = self.trace
         loc = trace.locs[row]
         op_id = trace.ops[row]

@@ -29,7 +29,6 @@ from .locations import DomPropLocation, HandlerLocation
 from ..obs import NULL
 from .report import (
     EVENT_DISPATCH,
-    FUNCTION,
     HTML,
     SINGLE_DISPATCH_EVENTS,
     VARIABLE,

@@ -84,11 +84,15 @@ class HBGraph:
         #: op -> {other chain index -> max covered position}: the clock
         #: without the op's own chain.  Shared, never mutated.
         self._clocks: Dict[int, Dict[int, int]] = {}
-        #: op -> full clock {chain index -> max covered position}, own
-        #: chain included (finalized ops only; read-only).
-        self.clock: Mapping[int, Dict[int, int]] = _FullClocks(self)
         self._chain_tail: Dict[int, int] = {}
         self.chain_count = 0
+
+    @property
+    def clock(self) -> Mapping[int, Dict[int, int]]:
+        """op -> full clock {chain index -> max covered position}, own
+        chain included (finalized ops only; read-only).  A fresh view, so
+        the graph does not reference itself."""
+        return _FullClocks(self)
 
     # ------------------------------------------------------------------
     # construction

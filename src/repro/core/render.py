@@ -6,7 +6,7 @@ tables always print in one consistent format.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 from .report import RACE_TYPES, RaceReport
 

@@ -30,7 +30,6 @@ from .detector import Race
 from .locations import (
     DomPropLocation,
     HandlerLocation,
-    HElemLocation,
     location_family,
 )
 from .trace import Trace

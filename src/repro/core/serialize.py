@@ -17,7 +17,7 @@ the races the online run produced (a property the tests pin down).
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, Mapping
 
 from ..inputs import InputError, read_text
 from .access import READ

@@ -3,11 +3,15 @@
 A :class:`Trace` is the complete observable record of one page execution:
 the operations that ran, every logical memory access they performed, and the
 script crashes that were hidden from the user.  WebRacer's detector runs
-*online* (it sees each access as it happens, like the paper's
-instrumentation communicating directly with the detector rather than
-generating a separate event trace — Section 5.2.1), but the trace is kept
+*online*: the monitor hands it each row right after recording it, like the
+paper's instrumentation communicating directly with the detector rather
+than generating a separate event trace (Section 5.2.1).  The trace is kept
 anyway: the full-history detector, the filters, and the experiment harness
 all consume it after the fact.
+
+A trace holds no reference back to itself or to its readers, so it is
+freed the moment its last owner drops it, without waiting for the cycle
+collector.
 
 Accesses are stored as columns of plain integers, one *row* per access:
 operation id, location id, read flag and call/declaration bits, plus a
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import fields
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .access import READ, WRITE, Access
 from .locations import Location
@@ -78,16 +82,16 @@ class Trace:
         self._location_ids: Dict[LocationKey, int] = {}
         #: location id -> [rows scanned, rows at the location].
         self._location_rows: Dict[int, list] = {}
-        self.accesses = AccessView(self)
         self.crashes: List = []  # repro.js.errors.ScriptCrash values
-        self._listeners: List[Callable[[int], None]] = []
+
+    @property
+    def accesses(self) -> AccessView:
+        """Every access as an :class:`Access` sequence (a fresh view, so
+        the trace does not reference itself)."""
+        return AccessView(self)
 
     # ------------------------------------------------------------------
     # recording
-
-    def subscribe(self, listener: Callable[[int], None]) -> None:
-        """Register an online consumer of rows (e.g. the race detector)."""
-        self._listeners.append(listener)
 
     def intern(self, key: LocationKey) -> int:
         """The dense id of location ``key``, building it on first sight."""
@@ -105,7 +109,7 @@ class Trace:
         bits: int = 0,
         detail: Optional[dict] = None,
     ) -> int:
-        """Append one access row, fan it out, and return its index."""
+        """Append one access row and return its index."""
         row = len(self.ops)
         self.ops.append(op_id)
         self.locs.append(loc)
@@ -113,8 +117,6 @@ class Trace:
         self.bits.append(bits)
         if detail:
             self.details[row] = detail
-        for listener in self._listeners:
-            listener(row)
         return row
 
     def record_crash(self, crash) -> None:

@@ -18,7 +18,7 @@ attribute, node-keyed otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ..core.locations import ElementKey, id_key, node_key

@@ -11,7 +11,7 @@ is written, so an emitted file that loads is by construction schema-valid.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from ..core.hb.backend import HB_STORE
 from ..obs import NULL

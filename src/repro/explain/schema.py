@@ -12,7 +12,7 @@ report before writing it, and the tests validate emitted files end to end.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from ..obs.ledger import (
     RACE_VERDICTS,

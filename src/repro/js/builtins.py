@@ -22,7 +22,7 @@ from typing import Any, List, Optional
 
 from .errors import JSErrorValue, JSThrow
 from .interpreter import Interpreter, format_number, to_number, to_string
-from .values import NULL, UNDEFINED, JSArray, JSObject, NativeFunction
+from .values import UNDEFINED, JSArray, JSObject, NativeFunction
 
 
 def install_builtins(

@@ -22,7 +22,7 @@ Two scope flavours exist:
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Set, Tuple
 
 from . import ast
 from .values import UNDEFINED, Cell, JSObject
@@ -111,47 +111,58 @@ def hoisted_declarations(
     real JavaScript).
     """
     var_names: List[str] = []
-    seen = set()
     functions: List[ast.FunctionDeclaration] = []
-
-    def note_var(name: str) -> None:
-        if name not in seen:
-            seen.add(name)
-            var_names.append(name)
-
-    def walk(node: ast.Node) -> None:
-        if node is None:
-            return
-        if isinstance(node, ast.VariableDeclaration):
-            for name, _init in node.declarations:
-                note_var(name)
-        elif isinstance(node, ast.FunctionDeclaration):
-            functions.append(node)
-        elif isinstance(node, ast.BlockStatement):
-            for child in node.body:
-                walk(child)
-        elif isinstance(node, ast.IfStatement):
-            walk(node.consequent)
-            walk(node.alternate)
-        elif isinstance(node, (ast.WhileStatement, ast.DoWhileStatement)):
-            walk(node.body)
-        elif isinstance(node, ast.ForStatement):
-            walk(node.init)
-            walk(node.body)
-        elif isinstance(node, ast.ForInStatement):
-            if node.declares:
-                note_var(node.name)
-            walk(node.body)
-        elif isinstance(node, ast.TryStatement):
-            walk(node.block)
-            walk(node.catch_block)
-            walk(node.finally_block)
-        elif isinstance(node, ast.SwitchStatement):
-            for case in node.cases:
-                for child in case.body:
-                    walk(child)
-        # Expression statements and leaves declare nothing.
-
+    seen: Set[str] = set()
     for statement in body:
-        walk(statement)
+        _walk_hoisted(statement, var_names, seen, functions)
     return var_names, functions
+
+
+def _note_var(name: str, var_names: List[str], seen: Set[str]) -> None:
+    if name not in seen:
+        seen.add(name)
+        var_names.append(name)
+
+
+def _walk_hoisted(
+    node: Optional[ast.Node],
+    var_names: List[str],
+    seen: Set[str],
+    functions: List[ast.FunctionDeclaration],
+) -> None:
+    """One statement of :func:`hoisted_declarations`' walk.
+
+    A module-level function, not a closure: a recursive nested function
+    is a reference cycle, one per executed body, left for the collector.
+    """
+    if node is None:
+        return
+    if isinstance(node, ast.VariableDeclaration):
+        for name, _init in node.declarations:
+            _note_var(name, var_names, seen)
+    elif isinstance(node, ast.FunctionDeclaration):
+        functions.append(node)
+    elif isinstance(node, ast.BlockStatement):
+        for child in node.body:
+            _walk_hoisted(child, var_names, seen, functions)
+    elif isinstance(node, ast.IfStatement):
+        _walk_hoisted(node.consequent, var_names, seen, functions)
+        _walk_hoisted(node.alternate, var_names, seen, functions)
+    elif isinstance(node, (ast.WhileStatement, ast.DoWhileStatement)):
+        _walk_hoisted(node.body, var_names, seen, functions)
+    elif isinstance(node, ast.ForStatement):
+        _walk_hoisted(node.init, var_names, seen, functions)
+        _walk_hoisted(node.body, var_names, seen, functions)
+    elif isinstance(node, ast.ForInStatement):
+        if node.declares:
+            _note_var(node.name, var_names, seen)
+        _walk_hoisted(node.body, var_names, seen, functions)
+    elif isinstance(node, ast.TryStatement):
+        _walk_hoisted(node.block, var_names, seen, functions)
+        _walk_hoisted(node.catch_block, var_names, seen, functions)
+        _walk_hoisted(node.finally_block, var_names, seen, functions)
+    elif isinstance(node, ast.SwitchStatement):
+        for case in node.cases:
+            for child in case.body:
+                _walk_hoisted(child, var_names, seen, functions)
+    # Expression statements and leaves declare nothing.

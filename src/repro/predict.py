@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -220,11 +221,35 @@ def predict_page(
     started = time.perf_counter()
     report = PredictReport(page=page.url, seed=config.seed, budget=budget)
     try:
-        with obs.span("predict.base_run", cat="predict", page=page.url):
-            recorder = DecisionScheduler(ScheduleSpec("fifo", "fifo").build())
-            page_obj, page_report, base_fps, base_races = run_page_once(
-                page, recorder, config, obs=obs
-            )
+        _observe(page, report, config, obs)
+        _confirm_predictions(page, report, config, obs)
+        if minimize:
+            _minimize_confirmed(page, report, config, obs)
+        if obs.enabled:
+            obs.count("predict.pages")
+            obs.count("predict.predicted", len(report.predictions))
+            obs.count("predict.confirmed", len(report.confirmed()))
+    except Exception as exc:  # crash isolation, as in the explore matrix
+        report.error = crash_line(exc)
+    report.duration_ms = (time.perf_counter() - started) * 1000.0
+    return report
+
+
+def _observe(
+    page: PageInput, report: PredictReport, config: RunConfig, obs
+) -> None:
+    """Record the observed FIFO run, sweep it, and fill in ``report``'s
+    observed races and predictions.
+
+    The run is closed, and its page, report and SHB analysis dropped,
+    before this returns, so no witness run shares the process with them.
+    """
+    with obs.span("predict.base_run", cat="predict", page=page.url):
+        recorder = DecisionScheduler(ScheduleSpec("fifo", "fifo").build())
+        page_obj, page_report, base_fps, base_races = run_page_once(
+            page, recorder, config, obs=obs
+        )
+    with closing(page_obj):
         report.runs_executed += 1
         report.observed_fingerprints = base_fps
         report.observed_races = base_races
@@ -243,17 +268,6 @@ def predict_page(
         report.rf_edges = len(analysis.rf_edges)
         report.rf_racy = sum(1 for edge in analysis.rf_edges if edge.racy)
         report.predictions = _prediction_entries(analysis, page_obj, base_fps)
-        _confirm_predictions(page, report, config, obs)
-        if minimize:
-            _minimize_confirmed(page, report, config, obs)
-        if obs.enabled:
-            obs.count("predict.pages")
-            obs.count("predict.predicted", len(report.predictions))
-            obs.count("predict.confirmed", len(report.confirmed()))
-    except Exception as exc:  # crash isolation, as in the explore matrix
-        report.error = crash_line(exc)
-    report.duration_ms = (time.perf_counter() - started) * 1000.0
-    return report
 
 
 def _confirm_predictions(

@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import os
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -258,6 +259,17 @@ def run_page_once(
     return page_obj, report, sorted(races), races
 
 
+def _run_fingerprints(
+    page: PageInput, scheduler: Scheduler, config: RunConfig, obs=None
+) -> List[str]:
+    """One :func:`run_page_once` run, closed; its sorted fingerprints."""
+    page_obj, _report, fingerprints, _races = run_page_once(
+        page, scheduler, config, obs=obs
+    )
+    page_obj.close()
+    return fingerprints
+
+
 def _crash_outcome(page) -> Tuple[int, Tuple[str, ...]]:
     """Default enumeration outcome: (race count, sorted crash kinds)."""
     crashes = sorted({crash.kind for crash in page.trace.crashes})
@@ -284,7 +296,8 @@ def enumerate_page_schedules(
         page_obj, _report, _fingerprints, _races = run_page_once(
             page, scheduler, config
         )
-        return extract(page_obj)
+        with closing(page_obj):
+            return extract(page_obj)
 
     enumerator = ScheduleEnumerator(run, max_runs=max_runs)
     enumerator.explore()
@@ -310,13 +323,39 @@ def run_page_schedule(
     config = run_config(config, **fields)
     obs = obs if obs is not None else NULL
     try:
-        recorder = DecisionScheduler(spec.build())
-        with obs.span(
-            "explore.run", cat="explore", page=page.url, schedule=spec.sid
-        ):
-            page_obj, _report, fingerprints, races = run_page_once(
-                page, recorder, config, obs=obs
+        result, trace = _record_schedule(page, spec, config, obs)
+        if verify_replay:
+            result.replay_ok = replay_reproduces(
+                page, trace, result.fingerprints, config, obs=obs
             )
+        if obs.enabled:
+            obs.count("explore.schedules_run")
+    except Exception as exc:  # crash isolation: record, don't propagate
+        result = ScheduleRunResult(
+            page=page.url,
+            sid=spec.sid,
+            policy=spec.policy,
+            seed=spec.seed,
+            error=crash_line(exc),
+        )
+    result.duration_ms = (time.perf_counter() - started) * 1000.0
+    return result
+
+
+def _record_schedule(
+    page: PageInput, spec: ScheduleSpec, config: RunConfig, obs
+) -> Tuple[ScheduleRunResult, ScheduleTrace]:
+    """Run ``page`` under ``spec``, recording its schedule.
+
+    The run is closed, and its page dropped, before this returns, so a
+    replay that follows never shares the process with it.
+    """
+    recorder = DecisionScheduler(spec.build())
+    with obs.span("explore.run", cat="explore", page=page.url, schedule=spec.sid):
+        page_obj, _report, fingerprints, races = run_page_once(
+            page, recorder, config, obs=obs
+        )
+    with closing(page_obj):
         trace = recorder.trace(
             policy=spec.policy,
             seed=spec.seed,
@@ -334,22 +373,7 @@ def run_page_schedule(
             operations=len(page_obj.trace.operations.operations),
             choice_points=page_obj.loop.choice_points,
         )
-        if verify_replay:
-            result.replay_ok = replay_reproduces(
-                page, trace, fingerprints, config, obs=obs
-            )
-        if obs.enabled:
-            obs.count("explore.schedules_run")
-    except Exception as exc:  # crash isolation: record, don't propagate
-        result = ScheduleRunResult(
-            page=page.url,
-            sid=spec.sid,
-            policy=spec.policy,
-            seed=spec.seed,
-            error=crash_line(exc),
-        )
-    result.duration_ms = (time.perf_counter() - started) * 1000.0
-    return result
+    return result, trace
 
 
 def replay_run(
@@ -365,7 +389,7 @@ def replay_run(
     """
     obs = obs if obs is not None else NULL
     with obs.span("explore.replay", cat="explore", page=page.url):
-        _page_obj, _report, fingerprints, _races = run_page_once(
+        fingerprints = _run_fingerprints(
             page, DecisionScheduler(follow=trace.picks), config, obs=obs
         )
     if obs.enabled:
@@ -658,10 +682,7 @@ def minimize_schedule(
         recorder = DecisionScheduler(
             FifoScheduler(), {step: trace.picks[step] for step in keep}
         )
-        _page_obj, _report, fingerprints, _races = run_page_once(
-            page, recorder, config
-        )
-        if fingerprint not in fingerprints:
+        if fingerprint not in _run_fingerprints(page, recorder, config):
             return None
         return recorder.trace(
             policy="replay-min",

@@ -527,6 +527,8 @@ class WebRacer:
             duration_ms=(time.perf_counter() - started) * 1000.0,
             keep_page=keep_page,
         )
+        if not keep_page:
+            page_report.page.close()
         result.report_page = report_page
         if report_page is not None:
             for race, evidence in zip(result.races, report_page["evidence"]):

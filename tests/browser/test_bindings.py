@@ -1,7 +1,5 @@
 """Tests for the JS <-> DOM bindings (host objects)."""
 
-import pytest
-
 from repro.browser.page import Browser
 from repro.core.locations import DomPropLocation, HandlerLocation
 

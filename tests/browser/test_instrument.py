@@ -113,8 +113,10 @@ class TestRecording:
         op2 = begin_op(monitor)
         monitor_record(monitor, WRITE, VarLocation(1, "x"))
         monitor.end_operation(op2)
-        # No HB edges between the two ops -> race.
-        assert len(monitor.races) == 1
+        # No HB edges between the two ops -> race, reported on the second
+        # row as it is recorded.
+        [race] = monitor.races
+        assert (race.prior.seq, race.current.seq) == (0, 1)
 
 
 class TestCrashRecording:

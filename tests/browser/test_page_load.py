@@ -5,8 +5,6 @@ formalize — run order of sync/async/defer scripts, DOMContentLoaded and
 load timing, iframe nesting — plus the HB edges themselves via the graph.
 """
 
-import pytest
-
 from repro.browser.page import Browser
 
 

@@ -1,7 +1,5 @@
 """Tests for the timer registry and Window objects."""
 
-import pytest
-
 from repro.browser.event_loop import EventLoop
 from repro.browser.timers import TimerRegistry
 from repro.browser.window import Window

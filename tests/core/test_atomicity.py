@@ -1,7 +1,5 @@
 """Tests for the atomicity-violation (lost update) checker."""
 
-import pytest
-
 from repro.browser.page import Browser
 from repro.core.access import READ, WRITE, Access
 from repro.core.atomicity import AtomicityChecker, check_atomicity

@@ -16,7 +16,6 @@ from repro.core.detector import RaceDetector
 from repro.core.full_detector import FullHistoryDetector
 from repro.core.hb import (
     SHB_RF_RULE,
-    ReadsFromEdge,
     build_shb,
     predict_races,
     reads_from_edges,

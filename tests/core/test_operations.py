@@ -67,13 +67,6 @@ class TestTrace:
         second = record(trace, Access(kind=READ, op_id=2, location=location))
         assert (first.seq, second.seq) == (0, 1)
 
-    def test_listeners_called_in_order(self):
-        trace = Trace()
-        seen = []
-        trace.subscribe(seen.append)
-        record(trace, Access(kind=WRITE, op_id=1, location=VarLocation(1, "x")))
-        assert seen == [0]
-
     def test_accesses_to(self):
         trace = Trace()
         x = VarLocation(1, "x")

@@ -1,6 +1,6 @@
 """Tests for the Document: structure mutation + instrumented queries."""
 
-from repro.core.locations import CollectionLocation, HElemLocation, id_key
+from repro.core.locations import id_key
 from repro.dom.document import Document, DomInstrumentation
 
 

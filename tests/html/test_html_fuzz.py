@@ -8,7 +8,6 @@ tree on any input.
 from hypothesis import given, settings, strategies as st
 
 from repro.dom.document import Document
-from repro.dom.element import Element
 from repro.html.parser import IncrementalHtmlParser, parse_html
 from repro.html.tokenizer import tokenize_html
 

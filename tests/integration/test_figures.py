@@ -5,8 +5,6 @@ and checks that the exact race the paper describes is detected, correctly
 classified, and (where the figure implies it) judged harmful.
 """
 
-import pytest
-
 from repro import WebRacer
 from repro.browser.page import Browser
 from repro.core.report import (

@@ -25,7 +25,7 @@ from repro import WebRacer
 from repro.__main__ import main
 from repro.pool import resolve_jobs
 from repro.sites import corpus_builders
-from repro.webracer import CorpusReport, SiteResult
+from repro.webracer import CorpusReport
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 

@@ -23,7 +23,6 @@ from repro.explain.schedule_report import (
 )
 from repro.predict import (
     OUTCOME_CONFIRMED,
-    OUTCOME_PREDICTED_ONLY,
     predict_page,
     predict_pages,
     witness_schedule_specs,

@@ -3,7 +3,7 @@
 from repro import WebRacer
 from repro.core.report import EVENT_DISPATCH, FUNCTION, HTML, VARIABLE
 from repro.sites import SiteSpec, build_site
-from repro.webracer import CorpusReport, PageReport
+from repro.webracer import CorpusReport
 
 
 class TestCheckPage:

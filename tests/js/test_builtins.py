@@ -8,7 +8,6 @@ import pytest
 from repro.js import evaluate, JSThrow
 from repro.js.builtins import install_builtins
 from repro.js.interpreter import Interpreter
-from repro.js.parser import parse
 
 
 def run(source):

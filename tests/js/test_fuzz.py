@@ -4,7 +4,6 @@ The engine runs arbitrary generated site code during corpus experiments;
 it must never hang or crash with anything other than its own error types.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.js.errors import JSSyntaxError, JSThrow

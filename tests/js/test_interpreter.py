@@ -9,7 +9,6 @@ from repro.js import (
     UNDEFINED,
     NULL,
     JSArray,
-    JSObject,
     evaluate,
 )
 from repro.js.builtins import install_builtins

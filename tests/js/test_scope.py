@@ -1,6 +1,5 @@
 """Tests for scopes and hoisting analysis."""
 
-from repro.js import ast
 from repro.js.parser import parse
 from repro.js.scope import ObjectScope, Scope, hoisted_declarations
 from repro.js.values import UNDEFINED, JSObject

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.report import EVENT_DISPATCH, FUNCTION, HTML, VARIABLE
+from repro.core.report import EVENT_DISPATCH, HTML, VARIABLE
 from repro.sites.corpus import (
     CLEAN_SITES,
     PAPER_TABLE2_TOTALS,
