@@ -37,9 +37,15 @@ class ScheduleDivergence(RuntimeError):
     """
 
 
-@dataclass
+@dataclass(eq=False)
 class Task:
-    """A unit of work for the event loop."""
+    """A unit of work for the event loop.
+
+    Tasks compare by identity: ``seq`` is unique, so no two tasks are
+    ever equal by value, and the loop's ``list.remove`` finds the chosen
+    task without calling a field-by-field ``__eq__`` on each task ahead
+    of it.
+    """
 
     action: Callable[[], None]
     ready_time: float

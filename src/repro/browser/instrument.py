@@ -8,7 +8,8 @@ through one object, the :class:`Monitor`:
 * it owns the execution :class:`~repro.core.trace.Trace`, the happens-before
   store (:class:`~repro.core.hb.graph.HBGraph`, whose edges the browser
   adds labelled with the paper's rules), and the race detector, which it
-  hands each access row right after recording it;
+  hands each access row right after recording it (a run built with
+  ``detect=False`` records the same rows and edges but has no detector);
 * it tracks the *current operation* (operations are atomic; a stack is still
   needed because inline event dispatch nests handler execution inside a
   script — Appendix A);
@@ -50,12 +51,16 @@ from ..obs import NULL
 class Monitor:
     """Central instrumentation hub for one browser/page run."""
 
-    def __init__(self, enabled: bool = True, obs=None):
+    def __init__(self, enabled: bool = True, obs=None, detect: bool = True):
         self.enabled = enabled
         self.obs = obs if obs is not None else NULL
         self.trace = Trace()
         self.graph = make_backend(obs=self.obs)
-        self.detector = RaceDetector(self.trace, self.graph, obs=self.obs)
+        #: None when the run only records (``detect=False``): a replay that
+        #: verifies a schedule compares traces, not races.
+        self.detector = (
+            RaceDetector(self.trace, self.graph, obs=self.obs) if detect else None
+        )
         self._op_stack: List[Operation] = []
         #: Location ids read by each operation on the stack (parallel to
         #: ``_op_stack``), for read-before-write details.  A set goes when
@@ -160,7 +165,9 @@ class Monitor:
                 if delayed:
                     detail.setdefault("deliberate_delay", True)
         row = trace.record(op_id, loc, is_read, bits, detail)
-        self.detector.on_access(row)
+        detector = self.detector
+        if detector is not None:
+            detector.on_access(row)
         return row
 
     def record_crash(self, error: Any, where: str = "") -> None:

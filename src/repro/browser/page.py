@@ -36,7 +36,7 @@ from ..core.operations import CB, CBI, EXE, PARSE
 from ..core.hb import rules as R
 from ..dom.document import Document
 from ..dom.element import Element
-from ..html.parser import IncrementalHtmlParser
+from ..html.parser import IncrementalHtmlParser, clear_token_cache
 from ..html.tokenizer import tokenize_html, StartTag, EndTag, Text as TextToken
 from ..js.builtins import install_builtins
 from ..js.errors import JSSyntaxError, JSThrow
@@ -85,12 +85,20 @@ PARSE_CACHE_SIZE = 64
 #: and one AST serves them all because nothing mutates AST nodes after
 #: parsing.  Exceptions are not cached: a broken script fails, and is
 #: recorded as a crash, on every run.  Each corpus check, exploration and
-#: prediction empties the cache first, as a new process would, so its
-#: cost does not depend on what ran before it in the process.
+#: prediction empties the cache first (:func:`clear_parse_cache`), as a
+#: new process would, so its cost does not depend on what ran before it
+#: in the process.
 parse_js = functools.lru_cache(maxsize=PARSE_CACHE_SIZE)(js_parser.parse)
-#: Empties the cache.  Bound here so that code which wraps ``parse_js``
-#: (a tracer, a test) still leaves the real cache reachable.
-clear_parse_cache = parse_js.cache_clear
+#: Bound here so that code which wraps ``parse_js`` (a tracer, a test)
+#: still leaves the real cache reachable.
+_clear_script_cache = parse_js.cache_clear
+
+
+def clear_parse_cache() -> None:
+    """Empty the script cache and the HTML token cache
+    (:func:`repro.html.parser.clear_token_cache`)."""
+    _clear_script_cache()
+    clear_token_cache()
 
 
 class Browser:
@@ -110,6 +118,7 @@ class Browser:
         rtt: float = DEFAULT_RTT,
         connections_per_origin: int = DEFAULT_CONNECTIONS_PER_ORIGIN,
         obs=None,
+        detect: bool = True,
     ):
         # One Browser is one page-load experiment: restart the allocation
         # id spaces (objects, cells, DOM nodes, windows) so every run of a
@@ -143,7 +152,7 @@ class Browser:
             rtt=rtt,
             connections_per_origin=connections_per_origin,
         )
-        self.monitor = Monitor(enabled=instrument, obs=self.obs)
+        self.monitor = Monitor(enabled=instrument, obs=self.obs, detect=detect)
 
     def open(self, html: str, url: str = "page.html") -> "Page":
         """Create a page and schedule its load (call :meth:`Page.run`)."""

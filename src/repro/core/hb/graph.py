@@ -274,6 +274,11 @@ class HBGraph:
         """All edges, with their rule labels, in insertion order."""
         return [Edge(src, dst, rule) for (src, dst), rule in self._edge_rules.items()]
 
+    def rule_edges(self) -> List[Tuple[Tuple[int, int], str]]:
+        """``((src, dst), rule)`` per edge, in insertion order: :attr:`edges`
+        without building an :class:`Edge` each, for comparing two runs."""
+        return list(self._edge_rules.items())
+
     def edges_by_rule(self, rule: str) -> List[Edge]:
         """Edges introduced by one named rule."""
         return [edge for edge in self.edges if edge.rule == rule]

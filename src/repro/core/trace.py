@@ -180,6 +180,27 @@ class Trace:
         """All accesses performed by one operation."""
         return [self.access(row) for row, op in enumerate(self.ops) if op == op_id]
 
+    def identity(self) -> Tuple:
+        """What a replay of this run must reproduce, as one comparable value.
+
+        Operations as ``(kind, label, parent)`` in id order, location keys
+        in first-touch order, the four row columns, the detail dicts, and
+        crashes as ``(operation, kind, where)``.  The detector, the filters
+        and classification read nothing else of a trace, so two runs with
+        equal identities and equal HB edges report the same races.  The
+        columns are shared, not copied: take it once the run has finished.
+        """
+        return (
+            [(op.kind, op.label, op.parent) for op in self.operations],
+            list(self._location_ids),
+            self.ops,
+            self.locs,
+            self.reads,
+            self.bits,
+            self.details,
+            [(crash.operation, crash.kind, crash.where) for crash in self.crashes],
+        )
+
     def __len__(self) -> int:
         return len(self.ops)
 

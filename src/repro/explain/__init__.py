@@ -49,6 +49,7 @@ from .schedule_report import (
     write_predict_json,
 )
 from .schema import (
+    EXPLORE_SCHEMA,
     HISTORY_FORMAT_NAME,
     HISTORY_FORMAT_VERSION,
     HISTORY_SCHEMA,
@@ -57,6 +58,7 @@ from .schema import (
     PREDICT_SCHEMA,
     REPORT_SCHEMA,
     RUN_RECORD_SCHEMA,
+    validate_explore_report,
     validate_history_report,
     validate_predict_report,
     validate_report,
@@ -74,6 +76,7 @@ from .trend_report import (
 __all__ = [
     "EXPLORE_FORMAT_NAME",
     "EXPLORE_FORMAT_VERSION",
+    "EXPLORE_SCHEMA",
     "HISTORY_FORMAT_NAME",
     "HISTORY_FORMAT_VERSION",
     "HISTORY_SCHEMA",
@@ -94,6 +97,7 @@ __all__ = [
     "render_explore_text",
     "render_predict_text",
     "validate_explore_document",
+    "validate_explore_report",
     "validate_predict_document",
     "validate_predict_report",
     "write_explore_json",

@@ -7,7 +7,9 @@ inputs alone: schedule order is matrix order, races sort by fingerprint,
 and no wall-clock value is ever included, so two explorations with the
 same pages/seed/width emit byte-identical JSON (the property CI pins).
 
-The same treatment applies to :class:`~repro.predict.PredictReport`:
+The explore document's schema is
+:data:`repro.explain.schema.EXPLORE_SCHEMA`.  The same treatment applies
+to :class:`~repro.predict.PredictReport`:
 :func:`assemble_predict_document` emits the ``repro predict --json``
 document (schema: :data:`repro.explain.schema.PREDICT_SCHEMA`), splitting
 predictions into ``predicted+confirmed`` and ``predicted-only``, and
@@ -23,20 +25,12 @@ import json
 from typing import Any, Dict, List, Optional
 
 from ..core.hb.backend import HB_STORE
-from .schema import PREDICT_FORMAT_NAME, PREDICT_FORMAT_VERSION
-
-EXPLORE_FORMAT_NAME = "webracer-explore-report"
-EXPLORE_FORMAT_VERSION = 1
-
-#: Keys every assembled document carries at top level.
-_REQUIRED_KEYS = (
-    "format",
-    "version",
-    "seed",
-    "hb_backend",
-    "schedules",
-    "pages",
-    "totals",
+from .schema import (
+    EXPLORE_FORMAT_NAME,
+    EXPLORE_FORMAT_VERSION,
+    PREDICT_FORMAT_NAME,
+    PREDICT_FORMAT_VERSION,
+    validate_explore_report,
 )
 
 
@@ -105,23 +99,8 @@ def assemble_explore_document(
 
 
 def validate_explore_document(document: Dict[str, Any]) -> None:
-    """Structural check; raises ``ValueError`` on a malformed document."""
-    if not isinstance(document, dict):
-        raise ValueError("explore document must be an object")
-    for key in _REQUIRED_KEYS:
-        if key not in document:
-            raise ValueError(f"explore document missing key {key!r}")
-    if document["format"] != EXPLORE_FORMAT_NAME:
-        raise ValueError(f"unexpected format {document['format']!r}")
-    if document["version"] != EXPLORE_FORMAT_VERSION:
-        raise ValueError(f"unexpected version {document['version']!r}")
-    for page in document["pages"]:
-        for race in page["races"]:
-            for key in ("fingerprint", "stable", "witnesses"):
-                if key not in race:
-                    raise ValueError(
-                        f"race entry missing key {key!r} on {page['url']!r}"
-                    )
+    """Schema check; raises ``ValueError`` on a malformed document."""
+    validate_explore_report(document)
 
 
 def write_explore_json(document: Dict[str, Any], path: str) -> None:

@@ -8,6 +8,10 @@ package, so a small structural validator covering the subset the schema
 uses — ``type``, ``properties``, ``required``, ``items``, ``enum``,
 ``additionalProperties`` — is implemented here).  The CLI validates every
 report before writing it, and the tests validate emitted files end to end.
+The explore, predict, ledger and history documents have schemas here too
+(:data:`EXPLORE_SCHEMA`, :data:`PREDICT_SCHEMA`, :data:`RUN_RECORD_SCHEMA`,
+:data:`HISTORY_SCHEMA`); ``description`` keys document a field's meaning
+and are not checked.
 """
 
 from __future__ import annotations
@@ -83,6 +87,11 @@ _SIDE = {
     },
 }
 
+_RACE_TYPE = {
+    "type": "string",
+    "enum": ["variable", "html", "function", "event_dispatch"],
+}
+
 _EVIDENCE = {
     "type": "object",
     "required": [
@@ -104,10 +113,7 @@ _EVIDENCE = {
                 },
             },
         },
-        "race_type": {
-            "type": "string",
-            "enum": ["variable", "html", "function", "event_dispatch"],
-        },
+        "race_type": _RACE_TYPE,
         "harmful": {"type": "boolean"},
         "reason": {"type": "string"},
         "nca": {"type": ["object", "null"]},
@@ -191,6 +197,20 @@ _RF_EDGE = {
     },
 }
 
+#: A recorded run's replay verification (explore cells, predict witnesses).
+_REPLAY_OK = {
+    "type": ["boolean", "null"],
+    "description": (
+        "Trace identity: replaying the recorded schedule, with no race "
+        "detector, recorded the same operations (kind, label, parent), HB "
+        "edges with their rules in insertion order, location keys in "
+        "first-touch order, access rows, detail dicts and crashes as the "
+        "recorded run. Races and fingerprints are a function of these, so "
+        "true implies the replay reports the recorded run's races. Null "
+        "when no replay was attempted."
+    ),
+}
+
 _WITNESS_RUN = {
     "type": "object",
     "required": ["schedule", "policy", "seed", "error", "fingerprints",
@@ -201,7 +221,7 @@ _WITNESS_RUN = {
         "seed": {"type": ["integer", "null"]},
         "error": {"type": ["string", "null"]},
         "fingerprints": {"type": "array", "items": {"type": "string"}},
-        "replay_ok": {"type": ["boolean", "null"]},
+        "replay_ok": _REPLAY_OK,
         "picks": {"type": "integer"},
         "divergences": {"type": "integer"},
     },
@@ -240,10 +260,7 @@ _PREDICTION = {
         "location": {"type": "string"},
         "description": {"type": "string"},
         "op_pair": {"type": "array", "items": {"type": "integer"}},
-        "race_type": {
-            "type": "string",
-            "enum": ["variable", "html", "function", "event_dispatch"],
-        },
+        "race_type": _RACE_TYPE,
         "harmful": {"type": "boolean"},
         "blocking_rf": {"type": "array", "items": _RF_EDGE},
         "confirmed": {"type": "boolean"},
@@ -256,7 +273,7 @@ _PREDICTION = {
                 "seed": {"type": ["integer", "null"]},
             },
         },
-        "replay_ok": {"type": ["boolean", "null"]},
+        "replay_ok": _REPLAY_OK,
         "minimized": dict(_MINIMIZATION, type=["object", "null"]),
         "evidence": dict(_EVIDENCE, type=["object", "null"]),
     },
@@ -323,6 +340,112 @@ PREDICT_SCHEMA: Dict[str, Any] = {
                 "predicted_only": {"type": "integer"},
             },
         },
+    },
+}
+
+EXPLORE_FORMAT_NAME = "webracer-explore-report"
+EXPLORE_FORMAT_VERSION = 1
+
+_SCHEDULE_SPEC = {
+    "type": "object",
+    "required": ["id", "policy", "seed"],
+    "properties": {
+        "id": {"type": "string"},
+        "policy": {"type": "string"},
+        "seed": {"type": ["integer", "null"]},
+    },
+}
+
+_EXPLORE_RUN = {
+    "type": "object",
+    "required": [
+        "schedule", "policy", "seed", "error", "fingerprints", "picks",
+        "divergences", "choice_points", "operations", "replay_ok",
+    ],
+    "properties": {
+        "schedule": {"type": "string"},
+        "policy": {"type": "string"},
+        "seed": {"type": ["integer", "null"]},
+        "error": {"type": ["string", "null"]},
+        "fingerprints": {"type": "array", "items": {"type": "string"}},
+        "picks": {"type": "integer"},
+        "divergences": {"type": "integer"},
+        "choice_points": {"type": "integer"},
+        "operations": {"type": "integer"},
+        "replay_ok": _REPLAY_OK,
+    },
+}
+
+_EXPLORE_RACE = {
+    "type": "object",
+    "required": [
+        "fingerprint", "race_type", "harmful", "location", "description",
+        "stable", "witnesses", "witness_seeds", "replay_verified",
+    ],
+    "properties": {
+        "fingerprint": {"type": "string"},
+        "race_type": _RACE_TYPE,
+        "harmful": {"type": "boolean"},
+        "location": {"type": "string"},
+        "description": {"type": "string"},
+        "stable": {"type": "boolean"},
+        "witnesses": {"type": "array", "items": {"type": "string"}},
+        "witness_seeds": {
+            "type": "array",
+            "items": {"type": ["integer", "null"]},
+        },
+        "replay_verified": {
+            "type": ["boolean", "null"],
+            "description": (
+                "Every witnessing run's replay_ok is true; null when a "
+                "witnessing run attempted no replay."
+            ),
+        },
+    },
+}
+
+#: The ``repro explore --json`` document contract.
+EXPLORE_SCHEMA: Dict[str, Any] = {
+    "type": "object",
+    "required": [
+        "format", "version", "seed", "hb_backend", "schedules", "pages",
+        "totals",
+    ],
+    "properties": {
+        "format": {"type": "string", "enum": [EXPLORE_FORMAT_NAME]},
+        "version": {"type": "integer", "enum": [EXPLORE_FORMAT_VERSION]},
+        "seed": {"type": "integer"},
+        "hb_backend": {"type": "string"},
+        "schedules": {"type": "array", "items": _SCHEDULE_SPEC},
+        "pages": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["url", "runs", "races"],
+                "properties": {
+                    "url": {"type": "string"},
+                    "runs": {"type": "array", "items": _EXPLORE_RUN},
+                    "races": {"type": "array", "items": _EXPLORE_RACE},
+                },
+            },
+        },
+        "totals": {
+            "type": "object",
+            "required": [
+                "pages", "schedules_run", "schedules_failed", "races_union",
+                "races_stable", "races_schedule_sensitive",
+            ],
+            "properties": {
+                "pages": {"type": "integer"},
+                "schedules_run": {"type": "integer"},
+                "schedules_failed": {"type": "integer"},
+                "races_union": {"type": "integer"},
+                "races_stable": {"type": "integer"},
+                "races_schedule_sensitive": {"type": "integer"},
+            },
+        },
+        # Present only when ``--minimize`` ran.
+        "minimizations": {"type": "array", "items": _MINIMIZATION},
     },
 }
 
@@ -505,6 +628,11 @@ def validate_report(document: Dict[str, Any]) -> None:
 def validate_predict_report(document: Dict[str, Any]) -> None:
     """Raise ``ValueError`` when ``document`` violates the predict schema."""
     _validate(document, PREDICT_SCHEMA, "$")
+
+
+def validate_explore_report(document: Dict[str, Any]) -> None:
+    """Raise ``ValueError`` when ``document`` violates the explore schema."""
+    _validate(document, EXPLORE_SCHEMA, "$")
 
 
 def validate_run_record(record: Dict[str, Any]) -> None:

@@ -20,8 +20,9 @@ their content is complete (end tag seen).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..dom.document import Document
 from ..dom.element import Element
@@ -30,6 +31,54 @@ from .tokenizer import Comment, Doctype, EndTag, StartTag, Text, Token, tokenize
 
 #: Tags folded into the implicit document scaffold.
 _SCAFFOLD_TAGS = frozenset(["html", "head", "body"])
+
+#: Sources whose tokens the cache keeps, and sources it remembers as
+#: tokenized once.  explore and predict parse each document of a page
+#: 13-16 times, one page after another, and every run parses them in the
+#: same order, so the cache must hold all of a page's documents (itself
+#: and its iframes; at most 3 on the benchmark pages).
+TOKEN_CACHE_SIZE = 16
+
+#: ``hash(source)`` of sources tokenized once, oldest first.
+_seen_once: "OrderedDict[int, None]" = OrderedDict()
+#: source -> its tokens, last first, for sources tokenized twice.
+_shared: "OrderedDict[str, Tuple[Token, ...]]" = OrderedDict()
+
+
+def _tokens_of(source: str) -> List[Token]:
+    """``source``'s tokens, last first, in a list the parser may pop.
+
+    A source's first parse keeps its tokens nowhere else, so they die as
+    the parser passes them (``check``, ``corpus`` and one-off pages never
+    hold a document's tokens).  Its second parse admits them to a small
+    LRU, and later parses copy the cached sequence: a list of references,
+    not a tokenization.  Nothing mutates a token after tokenizing
+    (``Element`` copies its attribute dict), so every parse of a source
+    may share them.
+    """
+    shared = _shared.get(source)
+    if shared is not None:
+        _shared.move_to_end(source)
+        return list(shared)
+    tokens = tokenize_html(source)
+    tokens.reverse()
+    key = hash(source)
+    if key in _seen_once:
+        del _seen_once[key]
+        _shared[source] = tuple(tokens)
+        if len(_shared) > TOKEN_CACHE_SIZE:
+            _shared.popitem(last=False)
+    else:
+        _seen_once[key] = None
+        if len(_seen_once) > TOKEN_CACHE_SIZE:
+            _seen_once.popitem(last=False)
+    return tokens
+
+
+def clear_token_cache() -> None:
+    """Forget every source seen and every token sequence kept."""
+    _seen_once.clear()
+    _shared.clear()
 
 
 @dataclass
@@ -53,9 +102,8 @@ class IncrementalHtmlParser:
     def __init__(self, document: Document, source: str):
         self.document = document
         #: Tokens not yet consumed, last first: each is popped as it is
-        #: read, so a token lives only until the parser passes it.
-        self.tokens: List[Token] = tokenize_html(source)
-        self.tokens.reverse()
+        #: read, so the parser holds a token only until it passes it.
+        self.tokens: List[Token] = _tokens_of(source)
         document.ensure_root()
         self._stack: List[Node] = [document.body]
         self._order = 0

@@ -76,7 +76,7 @@ def fan_out(
     the number of items; one worker runs in-process.  A pooled run needs
     ``lane(result)``, the trace-lane name of an item's merged
     instrumentation, and ``failed(item, message)``, the result of an item
-    whose worker died.  The parse cache starts cold either way, as a CLI
+    whose worker died.  The parse caches start cold either way, as a CLI
     run does.
     """
     clear_parse_cache()

@@ -17,7 +17,7 @@ recorded execution:
    randoms up to ``budget``) run until one's filtered fingerprints
    contain the predicted fingerprint and
    :func:`~repro.schedule_runner.replay_reproduces` verifies the recorded
-   witness replays to the same outcome.  Confirmed predictions can be
+   witness replays to the same trace.  Confirmed predictions can be
    ddmin-minimized (:func:`~repro.schedule_runner.minimize_schedule`)
    down to the smallest FIFO-divergence set that still fires the race.
 

@@ -29,6 +29,14 @@ base and witness runs — goes through :func:`run_page_once`.  Runs use
 ``tie_window=inf``: ready times become lower bounds, so the scheduler
 chooses among *all* pending tasks and the matrix actually explores the
 interleaving space instead of only breaking exact ties.
+
+A replay that verifies a recorded schedule (:func:`replay_reproduces`)
+records but does not detect: it passes when its trace equals the
+recorded run's (:func:`run_identity`).  Races, filters, classification
+and fingerprints are a function of that trace, so equal traces report
+equal races; the check is stricter than comparing fingerprints, since it
+also fails a replay that drifts in accesses no race touches.  Runs that
+need races — recordings, :func:`replay_run`, ddmin attempts — detect.
 """
 
 from __future__ import annotations
@@ -216,7 +224,8 @@ class ScheduleRunResult:
     races: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: ``ScheduleTrace.to_dict()`` of the recorded schedule.
     trace_dict: Optional[Dict[str, Any]] = None
-    #: Replay verification outcome (None = not attempted).
+    #: Did the replay reproduce the recorded trace exactly (None = not
+    #: attempted)?  See :func:`replay_reproduces`.
     replay_ok: Optional[bool] = None
     operations: int = 0
     choice_points: int = 0
@@ -234,13 +243,20 @@ class ScheduleRunResult:
 
 
 def run_page_once(
-    page: PageInput, scheduler: Scheduler, config: RunConfig, obs=None
+    page: PageInput,
+    scheduler: Scheduler,
+    config: RunConfig,
+    obs=None,
+    detect: bool = True,
 ) -> Tuple[Any, Any, List[str], Dict[str, Dict[str, Any]]]:
-    """One instrumented exploration run under ``config``.
+    """One instrumented exploration run under ``config``: the page, its
+    report, its sorted fingerprints and its races by fingerprint.
 
     Every recording, replay, minimization and enumeration run goes
     through here, so they all share the exact same page configuration —
     which is what makes a recorded trace replayable at all.
+    ``detect=False`` only records: no detector sees the accesses, and
+    the report is None, with no fingerprints or races.
     """
     from .webracer import WebRacer
 
@@ -253,10 +269,21 @@ def run_page_once(
         tie_window=EXPLORE_TIE_WINDOW,
         resources=dict(page.resources),
         sizes=dict(page.sizes) if page.sizes else None,
+        detect=detect,
     )
+    if not detect:
+        return page_obj, None, [], {}
     report = racer.report_for(page_obj, page.url)
     races = report.races_by_fingerprint()
     return page_obj, report, sorted(races), races
+
+
+def run_identity(page_obj) -> Tuple[Any, Any]:
+    """What a replay must reproduce of a finished run: its trace's
+    :meth:`~repro.core.trace.Trace.identity` and its HB edges with their
+    rules, in insertion order."""
+    monitor = page_obj.monitor
+    return monitor.trace.identity(), monitor.graph.rule_edges()
 
 
 def _run_fingerprints(
@@ -323,10 +350,10 @@ def run_page_schedule(
     config = run_config(config, **fields)
     obs = obs if obs is not None else NULL
     try:
-        result, trace = _record_schedule(page, spec, config, obs)
+        result, trace, identity = _record_schedule(page, spec, config, obs)
         if verify_replay:
             result.replay_ok = replay_reproduces(
-                page, trace, result.fingerprints, config, obs=obs
+                page, trace, identity, config, obs=obs
             )
         if obs.enabled:
             obs.count("explore.schedules_run")
@@ -344,8 +371,9 @@ def run_page_schedule(
 
 def _record_schedule(
     page: PageInput, spec: ScheduleSpec, config: RunConfig, obs
-) -> Tuple[ScheduleRunResult, ScheduleTrace]:
-    """Run ``page`` under ``spec``, recording its schedule.
+) -> Tuple[ScheduleRunResult, ScheduleTrace, Tuple[Any, Any]]:
+    """Run ``page`` under ``spec``, recording its schedule; the result,
+    the schedule and the run's :func:`run_identity`.
 
     The run is closed, and its page dropped, before this returns, so a
     replay that follows never shares the process with it.
@@ -373,7 +401,8 @@ def _record_schedule(
             operations=len(page_obj.trace.operations.operations),
             choice_points=page_obj.loop.choice_points,
         )
-    return result, trace
+        identity = run_identity(page_obj)
+    return result, trace, identity
 
 
 def replay_run(
@@ -382,7 +411,8 @@ def replay_run(
     config: RunConfig = RunConfig(),
     obs=None,
 ) -> List[str]:
-    """Replay a recorded schedule; returns the run's race fingerprints.
+    """Replay a recorded schedule, detecting; returns the run's race
+    fingerprints.
 
     Raises :class:`~repro.browser.event_loop.ScheduleDivergence` when the
     trace no longer matches the page — replay never silently drifts.
@@ -400,22 +430,36 @@ def replay_run(
 def replay_reproduces(
     page: PageInput,
     trace: ScheduleTrace,
-    fingerprints: Sequence[str],
+    recorded: Tuple[Any, Any],
     config: RunConfig = RunConfig(),
     obs=None,
 ) -> bool:
-    """Does replaying ``trace`` reproduce exactly these fingerprints?"""
+    """Does replaying ``trace`` reproduce the recorded run's trace exactly?
+
+    ``recorded`` is the recorded run's :func:`run_identity`.  The replay
+    records with no race detector, and nothing is filtered, classified or
+    fingerprinted: equal identities imply equal races (module doc).
+    """
     obs = obs if obs is not None else NULL
     try:
-        reproduced = replay_run(page, trace, config, obs=obs) == sorted(
-            fingerprints
-        )
+        with obs.span("explore.replay", cat="explore", page=page.url):
+            page_obj, _report, _fingerprints, _races = run_page_once(
+                page,
+                DecisionScheduler(follow=trace.picks),
+                config,
+                obs=obs,
+                detect=False,
+            )
+            with closing(page_obj):
+                reproduced = run_identity(page_obj) == recorded
     except ScheduleDivergence:
         if obs.enabled:
             obs.count("explore.replay_diverged")
         return False
-    if obs.enabled and not reproduced:
-        obs.count("explore.replay_mismatched")
+    if obs.enabled:
+        obs.count("explore.replays")
+        if not reproduced:
+            obs.count("explore.replay_mismatched")
     return reproduced
 
 

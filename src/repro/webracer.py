@@ -374,12 +374,15 @@ class WebRacer:
         resources: Optional[Dict[str, str]] = None,
         latencies: Optional[Dict[str, float]] = None,
         sizes: Optional[Dict[str, float]] = None,
+        detect: bool = True,
     ) -> Page:
         """Load ``html`` in a Browser built from this config and run it.
 
         The one place a run builds its Browser: :meth:`check_page` and
         every explore/predict run
         (:func:`repro.schedule_runner.run_page_once`) come through here.
+        ``detect=False`` records the trace without a race detector; the
+        page then has no ``races`` and :meth:`report_for` cannot read it.
         """
         config = self.config
         browser = Browser(
@@ -394,6 +397,7 @@ class WebRacer:
             rtt=config.rtt,
             connections_per_origin=config.connections_per_origin,
             obs=self.obs,
+            detect=detect,
         )
         page = browser.open(html, url=url)
         page.auto_explore = config.explore

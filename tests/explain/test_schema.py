@@ -5,7 +5,13 @@ import copy
 import pytest
 
 from repro.explain import build_report_document, validate_report
-from repro.explain.schema import FORMAT_NAME, FORMAT_VERSION, REPORT_SCHEMA
+from repro.explain.schema import (
+    EXPLORE_SCHEMA,
+    FORMAT_NAME,
+    FORMAT_VERSION,
+    PREDICT_SCHEMA,
+    REPORT_SCHEMA,
+)
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +83,8 @@ class TestValidatorRejects:
 
 class TestSchemaShape:
     def test_schema_is_self_consistent(self):
-        """Every required key of every object schema has a property spec."""
+        """Every required key of every object schema has a property spec,
+        in the race report, explore and predict schemas."""
 
         def walk(schema):
             if not isinstance(schema, dict):
@@ -89,4 +96,5 @@ class TestSchemaShape:
                 walk(sub_schema)
             walk(schema.get("items"))
 
-        walk(REPORT_SCHEMA)
+        for schema in (REPORT_SCHEMA, EXPLORE_SCHEMA, PREDICT_SCHEMA):
+            walk(schema)

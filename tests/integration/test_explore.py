@@ -1,18 +1,26 @@
 """Integration tests for multi-schedule exploration (`repro explore`)."""
 
+import itertools
 import json
+from collections import Counter
 
 import pytest
 
+from repro import schedule_runner
 from repro.__main__ import main
-from repro.browser.scheduler import ScheduleTrace
+from repro.browser.instrument import Monitor
+from repro.browser.scheduler import DecisionScheduler, ScheduleTrace
 from repro.config import RunConfig
+from repro.core.access import READ
+from repro.core.detector import RaceDetector
+from repro.core.locations import VarLocation
 from repro.explain.schedule_report import (
     EXPLORE_FORMAT_NAME,
     assemble_explore_document,
     validate_explore_document,
 )
 from repro.inputs import InputError
+from repro.obs import Instrumentation
 from repro.schedule_runner import (
     PageInput,
     ScheduleSpec,
@@ -23,6 +31,7 @@ from repro.schedule_runner import (
     run_page_schedule,
     schedule_matrix,
 )
+from repro.webracer import WebRacer
 
 # The paper's Section 2.3 hidden-crash mechanism, which is what makes
 # races *schedule-sensitive*: boot.js calls initWidget() eagerly, which
@@ -170,6 +179,14 @@ class TestExplorePages:
         validate_explore_document(document)
         assert document["format"] == EXPLORE_FORMAT_NAME
 
+    def test_schema_rejects_a_malformed_run(self, poll_page):
+        document = assemble_explore_document(
+            explore_pages([poll_page], schedules=2, seed=0)
+        )
+        document["pages"][0]["runs"][0]["replay_ok"] = "yes"
+        with pytest.raises(ValueError, match=r"runs\[0\]\.replay_ok"):
+            validate_explore_document(document)
+
 
 class TestTraceReplayFromDisk:
     def test_saved_trace_replays_to_same_fingerprints(self, poll_page, tmp_path):
@@ -182,6 +199,105 @@ class TestTraceReplayFromDisk:
         result.trace().save(path)
         loaded = ScheduleTrace.load(path)
         assert replay_run(poll_page, loaded, RunConfig(seed=0)) == result.fingerprints
+
+
+@pytest.fixture
+def one_extra_access(monkeypatch):
+    """Runs whose monitor is the n-th built, for each n added to the
+    returned set, record one extra read right after their first access,
+    of a location nothing else touches: a drift no race can see."""
+    drifting = set()
+    built = itertools.count()
+    init, record = Monitor.__init__, Monitor.record
+
+    def numbered_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.drifts = next(built) in drifting
+
+    def drifting_record(self, kind, key, bits=0, detail=None):
+        row = record(self, kind, key, bits, detail)
+        if row == 0 and self.drifts:
+            record(self, READ, (VarLocation, -1, "drift"))
+        return row
+
+    monkeypatch.setattr(Monitor, "__init__", numbered_init)
+    monkeypatch.setattr(Monitor, "record", drifting_record)
+    return drifting
+
+
+class TestReplayVerification:
+    """``replay_ok`` is trace identity: a replay passes only when it
+    records the recorded run's trace again, and it does not detect."""
+
+    FIFO = ScheduleSpec("fifo", "fifo")
+
+    def test_drift_no_race_touches_fails_the_replay(
+        self, poll_page, one_extra_access
+    ):
+        one_extra_access.add(1)  # the replay; monitor 0 records
+        result = run_page_schedule(poll_page, self.FIFO, RunConfig(seed=0))
+        assert result.ok and result.fingerprints
+        assert result.replay_ok is False
+        # The same drift in a detected replay leaves every fingerprint
+        # as recorded, so comparing fingerprints could not have caught it.
+        one_extra_access.add(2)
+        assert (
+            replay_run(poll_page, result.trace(), RunConfig(seed=0))
+            == result.fingerprints
+        )
+
+    def test_verified_replay_does_not_detect(self, poll_page, monkeypatch):
+        calls = Counter()
+        replaying = []
+        replay = schedule_runner.replay_reproduces
+
+        def marked_replay(*args, **kwargs):
+            replaying.append(True)
+            try:
+                return replay(*args, **kwargs)
+            finally:
+                replaying.pop()
+
+        def counted(name, method):
+            def wrapper(*args, **kwargs):
+                calls[name, bool(replaying)] += 1
+                return method(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(schedule_runner, "replay_reproduces", marked_replay)
+        monkeypatch.setattr(
+            RaceDetector, "on_access", counted("on_access", RaceDetector.on_access)
+        )
+        monkeypatch.setattr(
+            WebRacer, "report_for", counted("report_for", WebRacer.report_for)
+        )
+        result = run_page_schedule(poll_page, self.FIFO, RunConfig(seed=0))
+        assert result.replay_ok is True
+        assert calls["on_access", False] > 0 and calls["report_for", False] == 1
+        assert calls["on_access", True] == calls["report_for", True] == 0
+
+    def test_divergence_fails_the_replay(self, poll_page, monkeypatch):
+        trace = DecisionScheduler.trace
+
+        def unreadable(self, **fields):
+            recorded = trace(self, **fields)
+            recorded.picks.insert(0, -1)  # no task ever has seq -1
+            return recorded
+
+        monkeypatch.setattr(DecisionScheduler, "trace", unreadable)
+        obs = Instrumentation()
+        result = run_page_schedule(poll_page, self.FIFO, RunConfig(seed=0), obs=obs)
+        assert result.ok and result.replay_ok is False
+        assert obs.counter("explore.replay_diverged") == 1
+        assert obs.counter("explore.replay_mismatched") == 0
+
+    def test_replay_run_returns_the_recorded_fingerprints(self, poll_page):
+        report = explore_pages([poll_page], schedules=8, seed=0)
+        for run in report.pages[0].runs:
+            assert run.replay_ok is True
+            replayed = replay_run(poll_page, run.trace(), RunConfig(seed=0))
+            assert replayed == sorted(replayed) == run.fingerprints
 
 
 class TestMinimization:

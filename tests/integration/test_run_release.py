@@ -6,7 +6,8 @@ HB store, detector and operations hold no reference cycle, so closing a
 run frees them at once; only the page, its DOM and its JS heap wait for
 the collector.  Each owner runs here with automatic collection off and
 ``gc.DEBUG_SAVEALL`` on, so one ``gc.collect()`` afterwards lists every
-object that only the collector could have freed.
+object that only the collector could have freed.  A page parsed once
+keeps none of its HTML tokens, even while its run is live.
 """
 
 import gc
@@ -25,6 +26,8 @@ from repro.core.hb.graph import HBGraph
 from repro.core.locations import Location
 from repro.core.operations import Operation
 from repro.core.trace import Trace
+from repro.html.parser import clear_token_cache
+from repro.html.tokenizer import Comment, Doctype, EndTag, StartTag, Text
 from repro.predict import predict_page
 from repro.schedule_runner import ScheduleSpec, load_page_inputs, run_page_schedule
 from repro.sites import corpus_builders
@@ -116,3 +119,21 @@ def test_close_is_idempotent():
     page.close()
     page.close()
     assert page.trace is None
+
+
+def test_a_page_checked_once_keeps_no_tokens():
+    marker = "only-this-page-says-so"
+    html = (
+        f"<!doctype {marker}><div id='{marker}'>{marker}</div>"
+        f"<!-- {marker} --><script>var said = '{marker}';</script>"
+    )
+    clear_token_cache()
+    report = WebRacer().check_page(html)
+    assert report.page.loaded()
+    gc.collect()
+    tokens = (Comment, Doctype, EndTag, StartTag, Text)
+    assert [
+        obj
+        for obj in gc.get_objects()
+        if isinstance(obj, tokens) and marker in repr(obj)
+    ] == []
