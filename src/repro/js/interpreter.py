@@ -96,6 +96,12 @@ class _Return(Exception):
         self.value = value
 
 
+#: The completions that leave a statement early.  A step budget running
+#: out (:class:`BudgetExceeded`) ends the script instead, and runs no
+#: ``finally`` block.
+_ABRUPT = (JSThrow, _Return, _Break, _Continue)
+
+
 class Interpreter:
     """Evaluates programs and functions against a shared global object.
 
@@ -264,9 +270,8 @@ class Interpreter:
         if node.declares and not isinstance(scope, ObjectScope):
             scope.declare(node.name)
         keys: List[str]
-        if isinstance(obj, JSArray):
-            keys = [str(i) for i in range(obj.length)]
-        elif isinstance(obj, JSObject):
+        if isinstance(obj, JSObject):
+            # An array's elements are its index properties.
             keys = obj.own_keys()
         elif isinstance(obj, HostObject):
             keys = obj.js_keys()
@@ -303,24 +308,23 @@ class Interpreter:
 
     def _exec_try(self, node: ast.TryStatement, scope: Scope, this: Any) -> Any:
         try:
-            self._exec(node.block, scope, this)
-        except JSThrow as thrown:
-            if node.catch_block is not None:
+            try:
+                self._exec(node.block, scope, this)
+            except JSThrow as thrown:
+                if node.catch_block is None:
+                    raise
                 catch_scope = Scope(parent=scope)
                 catch_scope.declare(node.catch_param, thrown.value)
-                try:
-                    self._exec(node.catch_block, catch_scope, this)
-                finally:
-                    if node.finally_block is not None:
-                        self._exec(node.finally_block, scope, this)
-                return UNDEFINED
+                self._exec(node.catch_block, catch_scope, this)
+        except _ABRUPT:
+            # A throw, return, break or continue leaves through the finally
+            # block; an abrupt exit from that block replaces it.
             if node.finally_block is not None:
                 self._exec(node.finally_block, scope, this)
             raise
-        else:
-            if node.finally_block is not None:
-                self._exec(node.finally_block, scope, this)
-            return UNDEFINED
+        if node.finally_block is not None:
+            self._exec(node.finally_block, scope, this)
+        return UNDEFINED
 
     def _exec_switch(self, node: ast.SwitchStatement, scope: Scope, this: Any) -> Any:
         value = self._eval(node.discriminant, scope, this)
@@ -907,16 +911,42 @@ def to_string(value: Any) -> str:
 
 
 def format_number(number: float) -> str:
-    """Format a float the way JavaScript prints numbers (42 not 42.0)."""
+    """Format a float the way JavaScript prints numbers (Number::toString):
+    ``42`` not ``42.0``, ``0.000001`` and ``5e-7`` not ``1e-06`` and
+    ``5e-07``, and ``123456789012345680000`` for ``1.2345678901234568e20``.
+    """
     if number != number:
         return "NaN"
     if number == float("inf"):
         return "Infinity"
     if number == float("-inf"):
         return "-Infinity"
-    if number == int(number) and abs(number) < 1e21:
+    if -_EXACT_INTEGERS < number < _EXACT_INTEGERS and number == int(number):
+        # Every integer below 2**53 is a double; its shortest round-trip
+        # digits are its own (-0 prints as 0).
         return str(int(number))
-    return repr(number)
+    if number < 0:
+        return "-" + format_number(-number)
+    # repr gives the shortest digits that read back as ``number``: the
+    # value is 0.<digits> * 10**point.
+    mantissa, _e, exponent = repr(number).partition("e")
+    whole, _dot, fraction = mantissa.partition(".")
+    digits = whole + fraction
+    significant = digits.lstrip("0")
+    point = len(whole) + int(exponent or 0) - (len(digits) - len(significant))
+    digits = significant.rstrip("0")
+    if len(digits) <= point <= 21:
+        return digits + "0" * (point - len(digits))
+    if 0 < point <= 21:
+        return digits[:point] + "." + digits[point:]
+    if -6 < point <= 0:
+        return "0." + "0" * -point + digits
+    mantissa = digits[0] + ("." + digits[1:] if len(digits) > 1 else "")
+    return f"{mantissa}e{'+' if point > 0 else '-'}{abs(point - 1)}"
+
+
+#: Integers of smaller magnitude are exact doubles (2**53).
+_EXACT_INTEGERS = 9007199254740992.0
 
 
 def strict_equals(left: Any, right: Any) -> bool:

@@ -12,11 +12,12 @@ Regex literals are deliberately unsupported — none of the paper's examples
 need them and they complicate lexing disproportionately; scripts use string
 methods instead.
 
-:func:`tokenize` matches one compiled master pattern at the current
-position: the pattern skips whitespace and comments and captures one token
-in a named group, and the loop dispatches on that group's name.  A token's
-line and column come from the newlines between it and the previous token;
-only strings with escapes are decoded outside the pattern.
+:func:`tokenize` walks the matches of one compiled master pattern: each
+match skips whitespace and comments and captures one token in a named
+group, and the loop dispatches on that group's name.  A token's line and
+column come from the newlines between it and the previous token, counted
+only when the next newline lies before the token; only strings with
+escapes are decoded outside the pattern.
 """
 
 from __future__ import annotations
@@ -60,57 +61,6 @@ KEYWORDS = frozenset(
     ]
 )
 
-#: Multi-character punctuators, longest first so maximal munch works.
-_PUNCTUATORS = [
-    "===",
-    "!==",
-    ">>>",
-    "<<=",
-    ">>=",
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "&&",
-    "||",
-    "++",
-    "--",
-    "+=",
-    "-=",
-    "*=",
-    "/=",
-    "%=",
-    "&=",
-    "|=",
-    "^=",
-    "<<",
-    ">>",
-    "{",
-    "}",
-    "(",
-    ")",
-    "[",
-    "]",
-    ";",
-    ",",
-    "<",
-    ">",
-    "+",
-    "-",
-    "*",
-    "/",
-    "%",
-    "=",
-    "!",
-    "?",
-    ":",
-    ".",
-    "&",
-    "|",
-    "^",
-    "~",
-]
-
 _STRING_ESCAPES = {
     "n": "\n",
     "t": "\t",
@@ -148,19 +98,33 @@ class Token(NamedTuple):
         return f"Token({self.type!r}, {self.value!r}, {self.line}:{self.column})"
 
 
+#: The punctuators, each matched by maximal munch: ``{ } ( ) [ ] ; , ? :
+#: ~ .``, ``= == === ! != !==``, ``< << <= <<=``, ``> >> >>> >= >>=``,
+#: ``& && &=``, ``| || |=``, ``+ ++ +=``, ``- -- -=`` and ``* / % ^`` with
+#: or without ``=`` (``>>>=`` is ``>>>`` then ``=``).  A dot before a digit
+#: starts a number.
+_PUNCTUATOR_PATTERN = (
+    r"[{}()\[\];,?:~]|\.(?![0-9])|[=!]=?=?|<<?=?|>(?:>[>=]?|=)?"
+    r"|&[&=]?|\|[|=]?|\+[+=]?|-[-=]?|[*/%^]=?"
+)
+
 _MASTER = re.compile(
     # Trivia: whitespace, line comments and closed block comments.
     r"(?:[ \t\r\n\f\v]+|//[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)*"
+    # The first alternative that matches wins; the commonest kinds,
+    # identifiers and punctuators, come first.
     r"(?:(?P<ident>[A-Za-z_$][\w$]*)"
+    # A block comment that never closes; it must precede the "/" punctuator.
+    r"|(?P<comment>/\*)"
+    r"|(?P<punct>" + _PUNCTUATOR_PATTERN + ")"
+    r"""|(?P<str>'[^'\\\n]*'|"[^"\\\n]*")"""
     # Digits are ASCII: float() would also read other Unicode digits.
     r"|(?P<hex>0[xX][0-9a-fA-F]*)"
     r"|(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]*)?)"
-    r"""|(?P<str>'[^'\\\n]*'|"[^"\\\n]*")"""
-    # A string with escapes, or one that never closes: see _read_string.
+    # A string with escapes, decoded by _decode_string.
+    r"""|(?P<escaped>'(?:[^'\\\n]|\\[\s\S])*'|"(?:[^"\\\n]|\\[\s\S])*")"""
+    # A string that never closes, or meets a raw line break.
     r"""|(?P<quote>['"])"""
-    # A block comment that never closes.
-    r"|(?P<comment>/\*)"
-    r"|(?P<punct>" + "|".join(map(re.escape, _PUNCTUATORS)) + ")"
     # \w less digits still takes numerics such as "²" that isalpha()
     # rejects, so tokenize checks the first character.
     r"|(?P<uident>[^\W\d][\w$]*)"
@@ -182,67 +146,75 @@ def tokenize(source: str) -> List[Token]:
     """Tokenize ``source`` into a token list ending in an ``eof`` token."""
     tokens: List[Token] = []
     append = tokens.append
-    match = _MASTER.match
-    pos = 0
-    # ``line`` and ``line_start`` (the index of its first character) hold
-    # at ``mark``, the previous token's start.  A string with escaped line
-    # breaks is the one token that spans newlines; counting from its start
-    # takes them in.
-    line, line_start, mark = 1, 0, 0
-    while True:
-        found = match(source, pos)
+    # Token's own constructor is a Python function; this skips it.
+    new = tuple.__new__
+    # A token starting at ``start`` is on ``line``, at column
+    # ``start - base``: ``base`` is the index of the newline that begins
+    # the line (-1 on the first).  ``newline`` is the first newline after
+    # the last recount, so a token that starts before it skips the count.
+    # A string with escaped line breaks is the one token that spans
+    # newlines; the next token's count takes them in.
+    line, base = 1, -1
+    newline = source.find("\n")
+    if newline < 0:
+        newline = len(source)
+    for found in _MASTER.finditer(source):
         kind = found.lastgroup
-        start, pos = found.span(kind)
-        newlines = source.count("\n", mark, start)
-        if newlines:
-            line += newlines
-            line_start = source.rfind("\n", mark, start) + 1
-        mark = start
-        column = start - line_start + 1
-        if kind == "ident":
-            text = source[start:pos]
-            append(Token(text if text in KEYWORDS else "ident", text, line, column))
-        elif kind == "punct":
-            append(Token("punct", source[start:pos], line, column))
-        elif kind == "str":
-            append(Token("str", source[start + 1 : pos - 1], line, column))
+        start = found.start(kind)
+        if start > newline:
+            line += source.count("\n", newline, start)
+            base = source.rfind("\n", newline, start)
+            newline = source.find("\n", start)
+            if newline < 0:
+                newline = len(source)
+        column = start - base
+        # The commonest kinds first.
+        if kind == "punct":
+            append(new(Token, ("punct", found[kind], line, column)))
+        elif kind == "ident":
+            text = found[kind]
+            type_ = text if text in KEYWORDS else "ident"
+            append(new(Token, (type_, text, line, column)))
         elif kind == "num":
             try:
-                value = float(source[start:pos])
+                value = float(found[kind])
             except ValueError:  # an exponent without digits
                 raise JSSyntaxError(
-                    "malformed exponent", line, column + pos - start
+                    "malformed exponent", line, found.end() - base
                 ) from None
-            append(Token("num", value, line, column))
-        elif kind == "quote":
-            value, pos = _read_string(source, start, line, column)
-            append(Token("str", value, line, column))
-        elif kind == "hex":
-            if pos - start == 2:
-                raise JSSyntaxError("malformed hex literal", line, column + 2)
-            append(Token("num", float(int(source[start:pos], 16)), line, column))
+            append(new(Token, ("num", value, line, column)))
+        elif kind == "str":
+            append(new(Token, ("str", found[kind][1:-1], line, column)))
         elif kind == "eof":
-            append(Token("eof", None, line, column))
-            return tokens
+            append(new(Token, ("eof", None, line, column)))
+            break
+        elif kind == "hex":
+            text = found[kind]
+            if len(text) == 2:
+                raise JSSyntaxError("malformed hex literal", line, column + 2)
+            append(new(Token, ("num", float(int(text, 16)), line, column)))
+        elif kind == "escaped" or kind == "quote":
+            # A ``quote`` is a string the pattern could not close, which
+            # _decode_string rejects.
+            value = _decode_string(source, start, line, column)
+            append(new(Token, ("str", value, line, column)))
         elif kind == "uident" and source[start].isalpha():
-            append(Token("ident", source[start:pos], line, column))
+            append(new(Token, ("ident", found[kind], line, column)))
         elif kind == "comment":
             raise JSSyntaxError("unterminated block comment", line, column)
         else:
             raise JSSyntaxError(
                 f"unexpected character {source[start]!r}", line, column
             )
+    return tokens
 
 
-def _read_string(
-    source: str, start: int, line: int, column: int
-) -> Tuple[str, int]:
-    """Decode the string literal whose quote is at ``start``.
+def _decode_string(source: str, start: int, line: int, column: int) -> str:
+    """The value of the string literal whose quote is at ``start``.
 
-    Returns the value and the index past the closing quote.  A string that
-    never closes, or that meets a raw line break, is reported at its quote
-    (``line``, ``column``); a malformed ``\\u``/``\\x`` escape at its first
-    digit.
+    A string that never closes, or that meets a raw line break, is
+    reported at its quote (``line``, ``column``); a malformed ``\\u``/``\\x``
+    escape at its first digit.
     """
     quote = source[start]
     run = _STRING_RUN[quote].match
@@ -253,7 +225,7 @@ def _read_string(
         parts.append(source[pos:end])
         char = source[end : end + 1]
         if char == quote:
-            return "".join(parts), end + 1
+            return "".join(parts)
         if char == "\n":
             raise JSSyntaxError("newline in string literal", line, column)
         # A backslash, or the end of the input.

@@ -141,8 +141,15 @@ class JSObject:
         return False
 
     def own_keys(self) -> List[str]:
-        """Own property names in insertion order."""
-        return list(self.properties.keys())
+        """Own property names in JS enumeration order: array indices
+        ascending, then the other names in insertion order."""
+        indices = [name for name in self.properties if _is_array_index(name)]
+        if not indices:
+            return list(self.properties)
+        indices.sort(key=int)
+        return indices + [
+            name for name in self.properties if not _is_array_index(name)
+        ]
 
     def __repr__(self) -> str:
         return f"JSObject#{self.object_id}({len(self.properties)} props)"
@@ -277,6 +284,16 @@ class HostObject:
     def js_keys(self) -> List[str]:
         """Keys for for-in enumeration."""
         return []
+
+
+def _is_array_index(name: str) -> bool:
+    """Is ``name`` the canonical text of an integer below 2**32 - 1?"""
+    return (
+        name.isascii()
+        and name.isdigit()
+        and (name == "0" or name[0] != "0")
+        and int(name) < 4294967295
+    )
 
 
 def is_callable(value: Any) -> bool:

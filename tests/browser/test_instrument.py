@@ -10,6 +10,7 @@ from repro.core.locations import (
     DomPropLocation,
     HandlerLocation,
     HElemLocation,
+    PropLocation,
     VarLocation,
     id_key,
 )
@@ -117,6 +118,21 @@ class TestRecording:
         # row as it is recorded.
         [race] = monitor.races
         assert (race.prior.seq, race.current.seq) == (0, 1)
+
+
+    def test_finally_after_return_is_recorded(self):
+        """A ``finally`` block runs, and its writes are recorded, when its
+        ``try`` block returns."""
+        page = Browser(seed=0).load(
+            "<script>(function () {"
+            " try { return 'a'; } finally { r2 = 'f'; } })();</script>"
+        )
+        writes = [
+            access.location
+            for access in page.monitor.trace.accesses
+            if access.is_write and isinstance(access.location, PropLocation)
+        ]
+        assert [location.name for location in writes] == ["r2"]
 
 
 class TestCrashRecording:

@@ -37,12 +37,17 @@ def test_parser_total(source):
         pass
 
 
+#: Generated expressions combine these leaves (``x`` is 3) with these
+#: operators, each application parenthesized.
+EXPRESSION_LEAVES = ["1", "2.5", "'s'", "true", "null", "undefined", "x"]
+EXPRESSION_OPERATORS = ["+", "-", "*", "/", "%", "==", "===", "<", ">", "&&", "||"]
+
 _EXPR = st.recursive(
-    st.sampled_from(["1", "2.5", "'s'", "true", "null", "undefined", "x"]),
+    st.sampled_from(EXPRESSION_LEAVES),
     lambda inner: st.builds(
         lambda a, op, b: f"({a} {op} {b})",
         inner,
-        st.sampled_from(["+", "-", "*", "/", "%", "==", "===", "<", ">", "&&", "||"]),
+        st.sampled_from(EXPRESSION_OPERATORS),
         inner,
     ),
     max_leaves=12,

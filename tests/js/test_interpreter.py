@@ -27,6 +27,26 @@ class TestArithmeticAndCoercion:
     def test_string_concatenation_with_number(self):
         assert run("'5' + 1") == "51"
 
+    @pytest.mark.parametrize(
+        "expression, text",
+        [
+            ("0.000001", "0.000001"),
+            ("5e-7", "5e-7"),
+            ("123456789012345680000", "123456789012345680000"),
+            ("1e21", "1e+21"),
+            ("1.5e300", "1.5e+300"),
+            ("-1.23e-18", "-1.23e-18"),
+            ("0.1 + 0.2", "0.30000000000000004"),
+            ("100.5", "100.5"),
+            ("-0", "0"),
+            ("9007199254740993", "9007199254740992"),
+        ],
+    )
+    def test_number_to_string_follows_js(self, expression, text):
+        """Number::toString: the shortest round-trip digits, laid out in
+        fixed notation for exponents -7 < e < 21."""
+        assert run(f"'' + ({expression})") == text
+
     def test_subtraction_coerces(self):
         assert run("'5' - 1") == 4.0
 
@@ -175,6 +195,24 @@ class TestControlFlow:
     def test_for_in_over_array_gives_indices(self):
         assert run("var s = ''; for (var i in [9, 8]) s += i; s") == "01"
 
+    def test_for_in_over_array_skips_missing_indices(self):
+        source = "var a = [1, 2]; a[4] = 5; a.x = 1; a.length = 7; var s = []; for (var k in a) s.push(k); s.join(',')"
+        assert run(source) == "0,1,4,x"
+
+    def test_for_in_visits_array_indices_first_ascending(self):
+        source = "var s = []; for (var k in {2: 1, x: 1, 1: 1}) s.push(k); s.join(',')"
+        assert run(source) == "1,2,x"
+
+    def test_for_in_keeps_non_canonical_integer_keys_in_order(self):
+        """Only canonical integer names below 2**32 - 1 are indices;
+        "01", "-1" and 4294967295 enumerate in insertion order."""
+        source = """
+        var o = {b: 1};
+        o['01'] = 1; o[10] = 1; o['-1'] = 1; o[4294967295] = 1; o[3] = 1;
+        var s = []; for (var k in o) s.push(k); s.join(',')
+        """
+        assert run(source) == "3,10,b,01,-1,4294967295"
+
     def test_switch_fallthrough(self):
         source = "var s = ''; switch (1) { case 1: s += 'a'; case 2: s += 'b'; break; case 3: s += 'c'; } s"
         assert run(source) == "ab"
@@ -202,6 +240,40 @@ class TestExceptions:
         log
         """
         assert run(source) == "fc"
+
+    def test_finally_runs_on_return(self):
+        source = """
+        var r1 = (function () { try { return 'a'; } finally { r2 = 'f'; } })();
+        r1 + r2
+        """
+        assert run(source) == "af"
+
+    def test_finally_runs_on_break_and_continue(self):
+        source = """
+        var s = '';
+        for (var i = 0; i < 2; i++) { try { continue; } finally { s += 'f'; } }
+        while (true) { try { break; } finally { s += 'b'; } }
+        s
+        """
+        assert run(source) == "ffb"
+
+    def test_finally_runs_when_catch_returns(self):
+        source = """
+        var log = '';
+        function f() { try { throw 1; } catch (e) { return 'c'; } finally { log += 'f'; } }
+        f() + log
+        """
+        assert run(source) == "cf"
+
+    def test_abrupt_exit_from_finally_replaces_the_pending_one(self):
+        source = """
+        function f() { try { return 'try'; } finally { return 'finally'; } }
+        function g() { try { throw 1; } finally { return 'swallowed'; } }
+        var s = '';
+        for (var i = 0; i < 3; i++) { try { throw i; } finally { continue; } }
+        f() + ',' + g() + ',' + i
+        """
+        assert run(source) == "finally,swallowed,3"
 
     def test_uncaught_throw_propagates(self):
         with pytest.raises(JSThrow):

@@ -31,8 +31,11 @@ FRAGMENTS = [
     "/*", "*/", "//", "/", "*",
     # whitespace
     " ", "\t", "\r", "\n", "\f", "\v",
-    # punctuators, and a character no rule takes
-    "=", ">>>=", "!==", "(", "}", ";", "@",
+    # punctuators: every character that starts one, and the longest
+    # of each family; a character no rule takes
+    "=", ">>>=", "!==", "<<=", "&&", "&=", "||", "|=", "++", "+", "--",
+    "-=", "%=", "*=", "^=", "^", "~", "?", ":", ",", "[", "]", "{", "(",
+    ")", "}", ";", "<", ">", "!", "&", "|", "@",
 ]
 
 

@@ -1,10 +1,156 @@
 """Tests for the JavaScript parser."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.js import ast
 from repro.js.errors import JSSyntaxError
 from repro.js.parser import parse, parse_expression
+
+from . import parser_oracle
+from .test_lexer import page_scripts
+
+#: What generated sources are made of, joined by spaces: single tokens of
+#: every kind and the multi-token shapes where the grammar's rules meet.
+FRAGMENTS = [
+    # operands, and keywords that may name a property
+    "a", "b", "1", "2.5", "'s'", "this", "null", "true", "undefined",
+    "catch", "default",
+    # operators: binary, assignment, prefix and postfix
+    "+", "-", "*", "%", "<", ">>>", "==", "!==", "&", "|", "&&", "||",
+    "in", "instanceof", "=", "+=", "<<=", "!", "~", "typeof", "void",
+    "delete", "++", "--", "?", ":", ",",
+    # brackets and separators
+    "(", ")", "[", "]", "{", "}", ".", ";",
+    # statement keywords
+    "var", "function", "return", "if", "else", "while", "do", "for",
+    "break", "continue", "new", "throw", "try", "finally", "switch",
+    "case",
+    # line breaks, where automatic semicolon insertion and the no-newline
+    # rules (postfix ++, return, throw) apply
+    "\n", "a\n++b", "return\na", "throw\na", "x\n--",
+    # for heads: for-in with and without var, and `in` nested in a
+    # three-clause initializer
+    "for (var k in o)", "for (k in o)", "for (var i = 0; i < n; i++)",
+    "for (x = ('a' in o); x; )", "for (var f = function () { return 'a' in o; };;)",
+    # new chains, member names and calls
+    "new A", "new A()", "new new A()()", "new a.b[c](1).d", "a.b.c", "a[b]",
+    "f(a, b)", "o.catch()", "++a.b", "a++",
+    # literals
+    "{a: 1, 'b': 2, 3: c, in: d}", "[1, , 2]", "[,]", "function f(a, b) {",
+    "function () {", "switch (x) {", "case 1:", "default:",
+    "try {} catch (e) {}", "try {} finally {}",
+]
+
+
+#: Stands for the space between two tokens of a generated program; each
+#: becomes a space or a line break.
+GAP = "\x00"
+
+_OPERANDS = st.sampled_from(
+    [
+        "a", "b", "1", "'s'", "this", "null", "true", "undefined",
+        f"[1,{GAP},{GAP}2]", f"[{GAP},]",
+        f"{{a:{GAP}1,{GAP}'b':{GAP}c,{GAP}3:{GAP}d,{GAP}in:{GAP}e}}",
+        f"function{GAP}(x){GAP}{{{GAP}return{GAP}x;{GAP}}}",
+    ]
+)
+_BINARY = st.sampled_from(
+    ["+", "-", "*", "/", "%", "<", ">=", "<<", ">>>", "==", "!==", "&", "^",
+     "|", "&&", "||", "in", "instanceof"]
+)
+_PREFIX = st.sampled_from(["-", "+", "!", "~", "typeof", "void", "delete"])
+_ASSIGN = st.sampled_from(["=", "+=", "<<=", "|="])
+_UPDATE = st.sampled_from(["++", "--"])
+_NAMES = st.sampled_from(["x", "catch", "in"])
+
+
+def _compound(inner):
+    # What assignments and ++/-- may target.
+    reference = st.one_of(
+        st.sampled_from(["a", "b"]),
+        st.builds(f"({{}}){GAP}.{GAP}{{}}".format, inner, _NAMES),
+        st.builds(f"({{}})[{GAP}{{}}{GAP}]".format, inner, inner),
+    )
+    return st.one_of(
+        reference,
+        st.builds(f"{{}}{GAP}.{GAP}{{}}".format, inner, _NAMES),
+        st.builds(f"{{}}{GAP}{{}}{GAP}{{}}".format, inner, _BINARY, inner),
+        st.builds(f"{{}}{GAP}{{}}{GAP}{{}}".format, reference, _ASSIGN, inner),
+        st.builds(f"{{}}{GAP}{{}}".format, _PREFIX, inner),
+        st.builds("{}{}".format, _UPDATE, reference),
+        st.builds("{}{}".format, reference, _UPDATE),
+        st.builds(f"{{}}{GAP}?{GAP}{{}}{GAP}:{GAP}{{}}".format, inner, inner, inner),
+        st.builds("({})".format, inner),
+        st.builds(f"{{}}({{}},{GAP}{{}})".format, inner, inner, inner),
+        st.builds(f"new{GAP}{{}}".format, inner),
+    )
+
+
+_EXPRESSIONS = st.recursive(_OPERANDS, _compound, max_leaves=5)
+_SIMPLE_STATEMENTS = st.one_of(
+    st.builds("{};".format, _EXPRESSIONS),
+    # No semicolon: the next token must start a line, or close a block.
+    _EXPRESSIONS,
+    st.builds(f"{{}},{GAP}{{}};".format, _EXPRESSIONS, _EXPRESSIONS),
+    st.builds(f"var{GAP}a{GAP}={GAP}{{}},{GAP}b;".format, _EXPRESSIONS),
+    st.builds(f"return{GAP}{{}};".format, _EXPRESSIONS),
+    st.builds("throw {};".format, _EXPRESSIONS),
+    st.sampled_from(["break;", "continue;", ";", "return;", f"return{GAP}a"]),
+)
+
+
+def _compound_statements(inner):
+    head = _EXPRESSIONS
+    return st.one_of(
+        st.builds(f"if{GAP}({{}}){GAP}{{}}{GAP}else{GAP}{{}}".format, head, inner, inner),
+        st.builds(f"while{GAP}({{}}){GAP}{{}}".format, head, inner),
+        st.builds(f"do{GAP}{{}}{GAP}while{GAP}({{}});".format, inner, head),
+        st.builds(f"for{GAP}(var{GAP}k{GAP}in{GAP}{{}}){GAP}{{}}".format, head, inner),
+        st.builds(f"for{GAP}(k{GAP}in{GAP}{{}}){GAP}{{}}".format, head, inner),
+        st.builds(
+            f"for{GAP}(var{GAP}i{GAP}={GAP}{{}};{GAP}{{}};{GAP}{{}}){GAP}{{}}".format,
+            head, head, head, inner,
+        ),
+        st.builds(f"for{GAP}({{}};{GAP};){GAP}{{}}".format, head, inner),
+        st.builds(f"{{{{{GAP}{{}}{GAP}{{}}{GAP}}}}}".format, inner, inner),
+        st.builds(f"function{GAP}f(a,{GAP}b){GAP}{{{{{GAP}{{}}{GAP}}}}}".format, inner),
+        st.builds(
+            f"try{GAP}{{{{{GAP}{{}}{GAP}}}}}{GAP}catch{GAP}(e){GAP}{{{{{GAP}{{}}{GAP}}}}}"
+            f"{GAP}finally{GAP}{{{{{GAP}{{}}{GAP}}}}}".format,
+            inner, inner, inner,
+        ),
+        st.builds(
+            f"switch{GAP}({{}}){GAP}{{{{{GAP}case{GAP}1:{GAP}{{}}{GAP}default:{GAP}{{}}{GAP}}}}}".format,
+            head, inner, inner,
+        ),
+    )
+
+
+_STATEMENTS = st.recursive(_SIMPLE_STATEMENTS, _compound_statements, max_leaves=4)
+
+
+def _lay_out(template, random):
+    """Turn each gap into a space or, one time in six, a line break."""
+    return "".join(
+        ("\n" if random.random() < 1 / 6 else " ") if char == GAP else char
+        for char in template
+    )
+
+
+#: Programs that mostly parse, laid out over several lines.
+PROGRAMS = st.builds(
+    _lay_out, st.lists(_STATEMENTS, max_size=4).map(GAP.join), st.randoms()
+)
+
+
+def parsed(parse_source, source):
+    """The AST's ``repr`` (``line`` included), or the error's text and
+    position."""
+    try:
+        return repr(parse_source(source))
+    except JSSyntaxError as error:
+        return str(error), error.line, error.column
 
 
 def stmt(source):
@@ -365,3 +511,54 @@ class TestInOperatorInForHeads:
                 )
             ),
         )
+
+
+class TestAgainstReferenceParser:
+    """The flattened parser against the one-method-per-level parser it
+    replaced (``parser_oracle``): the same AST, node for node and line for
+    line, or the same error at the same place."""
+
+    @given(st.lists(st.sampled_from(FRAGMENTS), max_size=30).map(" ".join))
+    @settings(max_examples=800, deadline=None)
+    def test_generated_sources(self, source):
+        assert parsed(parse, source) == parsed(parser_oracle.parse, source)
+
+    @given(PROGRAMS)
+    @settings(max_examples=200, deadline=None)
+    def test_generated_programs(self, source):
+        assert parsed(parse, source) == parsed(parser_oracle.parse, source)
+
+    @given(st.lists(st.sampled_from(FRAGMENTS), min_size=1, max_size=12).map(" ".join))
+    @settings(max_examples=300, deadline=None)
+    def test_generated_expressions(self, source):
+        assert parsed(parse_expression, source) == parsed(
+            parser_oracle.parse_expression, source
+        )
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "new new A().b;",
+            "new new A()();",
+            "new a.b[c](1).d(2);",
+            "new A\n(1);",
+            "a - b - c * d / e % f;",
+            "a = b += c ? d : e ? f : g;",
+            "a\n++\nb;",
+            "a.\nb\n[c]\n(d);",
+            "x = {\nin: 1,\n3: [1,\n,\n2]};",
+            "for (var i = g('a' in o), j = o['a' in p];\ni; i++) ;",
+            "for (\nk\nin\no) ;",
+            "(function () {\nreturn\n});",
+            "switch (x) {\ncase 1:\ndefault:\n}",
+            "if (a) b\nelse c",
+        ],
+    )
+    def test_grammar_corners(self, source):
+        assert parsed(parse, source) == parsed(parser_oracle.parse, source)
+
+    def test_every_page_script(self):
+        scripts = page_scripts()
+        assert len(scripts) > 100
+        for source in scripts:
+            assert parsed(parse, source) == parsed(parser_oracle.parse, source)
