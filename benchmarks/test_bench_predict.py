@@ -42,7 +42,7 @@ def predict_coverage(reports):
     prediction a witness schedule confirmed."""
     keys = set()
     for report in reports:
-        for info in report.observed_races.values():
+        for info in report.observed_race_info.values():
             keys.add(_key(info))
         for prediction in report.confirmed():
             run = next(

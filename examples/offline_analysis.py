@@ -20,6 +20,7 @@ import os
 import tempfile
 
 from repro import WebRacer
+from repro.core.full_detector import FullHistoryDetector
 from repro.core.serialize import dump_trace, load_trace
 
 PAGE = """
@@ -65,9 +66,10 @@ def main():
     for classified in offline_report.races:
         print(f"  {classified.describe()}")
 
-    constant = loaded.detect(full_history=False)
-    full = loaded.detect(full_history=True)
-    missed = full.missed_by(constant.races)
+    constant = loaded.detect()
+    full = FullHistoryDetector(loaded.trace, loaded.graph).replay()
+    reported = {race.location for race in constant.races}
+    missed = [race for race in full.races if race.location not in reported]
     print()
     print(f"Detector comparison on the same trace:")
     print(f"  constant-memory (paper): {len(constant.races)} races, "

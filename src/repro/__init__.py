@@ -14,8 +14,8 @@ Typical use::
 
     racer = WebRacer(seed=7)
     report = racer.check_page(html_text)
-    for race in report.races:
-        print(race)
+    for race in report.classified.races:
+        print(race.describe())
 """
 
 from __future__ import annotations

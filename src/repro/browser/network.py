@@ -9,9 +9,10 @@ supplies the network half in two interchangeable models:
   map, and each fetch completes after a *seeded pseudo-random latency*, so
   the same page under different seeds loads its sub-resources in different
   orders — the substitution for the authors' real Fortune-100 page loads
-  (see DESIGN.md).  Latency: uniform in ``[min_latency, max_latency]`` ms,
-  overridable per-URL (``latencies``) for experiments that need a specific
-  winner — e.g. forcing the Fig. 4 iframe to load faster than 20ms.
+  (see DESIGN.md).  Latency: uniform in ``[MIN_LATENCY, MAX_LATENCY]``
+  (5–120 ms), overridable per-URL (``latencies``) for experiments that need
+  a specific winner — e.g. forcing the Fig. 4 iframe to load faster than
+  20ms.
 
 * :class:`ConnectionNetworkSimulator` — the **connection** model: a
   discrete-event simulation of per-origin connection pools (HTTP/1.1-style,
@@ -26,7 +27,9 @@ supplies the network half in two interchangeable models:
   defaulting to the body length) are what make arrival order physical: a
   large script on a congested origin arrives late no matter how early the
   parser requested it — the orderings the paper's Section 2.1 mechanism
-  needs and the uniform model cannot produce.
+  needs and the uniform model cannot produce.  The initial congestion
+  window and the request-latency jitter are the constants
+  ``INITIAL_WINDOW`` and ``DEFAULT_JITTER``.
 
 Both simulators expose the same surface (``fetch``/``add_resource``/
 ``resources``/``fetch_count``); :func:`make_network` picks one by name.
@@ -44,6 +47,10 @@ from .event_loop import EventLoop, Task
 
 #: Network models `make_network` accepts (the CLI's `--network` choices).
 NETWORK_MODELS = ("uniform", "connection")
+
+#: Latency range of the uniform model, virtual milliseconds.
+MIN_LATENCY = 5.0
+MAX_LATENCY = 120.0
 
 #: Shared downlink of the connection model, kilobytes/second (numerically
 #: equal to bytes per virtual millisecond) — a mid-band ~12 Mbit/s link.
@@ -94,15 +101,11 @@ class NetworkSimulator:
         loop: EventLoop,
         resources: Optional[Dict[str, str]] = None,
         seed: int = 0,
-        min_latency: float = 5.0,
-        max_latency: float = 120.0,
         latencies: Optional[Dict[str, float]] = None,
     ):
         self.loop = loop
         self.resources: Dict[str, str] = dict(resources) if resources else {}
         self.rng = random.Random(seed)
-        self.min_latency = min_latency
-        self.max_latency = max_latency
         self.latencies: Dict[str, float] = dict(latencies) if latencies else {}
         self.fetch_count = 0
 
@@ -115,18 +118,14 @@ class NetworkSimulator:
     def latency_for(self, url: str) -> float:
         """The latency a fetch of ``url`` will take (pinned or drawn).
 
-        Non-pinned URLs always consume exactly one RNG draw, even when the
-        range is degenerate (``max_latency <= min_latency``): skipping the
-        draw would shift every subsequent latency for unrelated URLs, so
-        toggling the range mid-experiment silently changed the whole run.
+        A pinned URL consumes no RNG draw and every other URL exactly one,
+        so a run's latencies depend only on the seed and the order of its
+        unpinned fetches.
         """
         fixed = self.latencies.get(url)
         if fixed is not None:
             return fixed
-        draw = self.rng.uniform(self.min_latency, self.max_latency)
-        if self.max_latency <= self.min_latency:
-            return self.min_latency
-        return draw
+        return self.rng.uniform(MIN_LATENCY, MAX_LATENCY)
 
     def fetch(
         self,
@@ -293,8 +292,6 @@ class ConnectionNetworkSimulator:
         bandwidth: float = DEFAULT_BANDWIDTH,
         rtt: float = DEFAULT_RTT,
         connections_per_origin: int = DEFAULT_CONNECTIONS_PER_ORIGIN,
-        jitter: float = DEFAULT_JITTER,
-        initial_window: float = INITIAL_WINDOW,
     ):
         if bandwidth <= 0:
             raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
@@ -312,8 +309,6 @@ class ConnectionNetworkSimulator:
         self.bandwidth = bandwidth
         self.rtt = rtt
         self.connections_per_origin = connections_per_origin
-        self.jitter = jitter
-        self.initial_window = initial_window
         self.fetch_count = 0
         #: Total bytes delivered (completed transfers only).
         self.bytes_delivered = 0.0
@@ -369,9 +364,7 @@ class ConnectionNetworkSimulator:
             result = FetchResult(url=url, ok=True, content=self.resources[url])
         else:
             result = FetchResult(url=url, ok=False, content="", status=404)
-        factor = 1.0
-        if self.jitter > 0:
-            factor = self.rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
+        factor = self.rng.uniform(1.0 - DEFAULT_JITTER, 1.0 + DEFAULT_JITTER)
         transfer = Transfer(
             sim=self,
             url=url,
@@ -386,7 +379,7 @@ class ConnectionNetworkSimulator:
         if idle is not None:
             self._assign(transfer, idle, reused=True)
         elif len(pool) < self.connections_per_origin:
-            connection = Connection(transfer.origin, self.initial_window)
+            connection = Connection(transfer.origin, INITIAL_WINDOW)
             pool.append(connection)
             self._assign(transfer, connection, reused=False)
         else:

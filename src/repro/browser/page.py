@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import random
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.operations import CB, CBI, EXE, PARSE
 from ..core.hb import rules as R
@@ -39,7 +39,8 @@ from ..dom.element import Element
 from ..html.parser import IncrementalHtmlParser, clear_token_cache
 from ..html.tokenizer import tokenize_html, StartTag, EndTag, Text as TextToken
 from ..js.builtins import install_builtins
-from ..js.errors import JSSyntaxError, JSThrow
+from ..js.ast import Program
+from ..js.errors import JSErrorValue, JSSyntaxError, JSThrow
 from ..js.interpreter import BudgetExceeded, Interpreter, to_string
 from ..js import parser as js_parser
 from ..dom.node import reset_node_ids
@@ -542,26 +543,53 @@ class Page:
             self.monitor.end_operation(op)
         return op.op_id
 
-    def run_source_in_current_op(self, source: str, where: str = "script") -> None:
-        """Parse and execute JS inside the current operation, hiding crashes.
+    def _parse_script(self, source: str, where: str) -> Optional[Program]:
+        """Parse ``source``, or record why it cannot run and return None.
 
-        A thrown error terminates the script but every mutation it made
-        persists — the paper's "hidden crashes" (Section 2.3).
+        A syntax error, or nesting deeper than the parser can recurse, is
+        the script's crash: the script does not run at all.
         """
         try:
-            program = parse_js(source)
+            return parse_js(source)
         except JSSyntaxError as error:
-            self.monitor.record_crash(error, where=where)
-            return
+            crash = error
+        except RecursionError:
+            crash = JSSyntaxError("nesting too deep to parse")
+        self.monitor.record_crash(crash, where=where)
+        return None
+
+    def _run_script(self, where: str, run: Callable[..., Any], *args: Any) -> None:
+        """Call ``run(*args)`` on a fresh step budget, hiding a crash.
+
+        A thrown error terminates the script but every mutation it made
+        persists — the paper's "hidden crashes" (Section 2.3).  Running
+        out of Python stack is the script overflowing its call stack,
+        which browsers report as a ``RangeError``; JS ``try`` cannot
+        catch it here.
+        """
         self.interpreter.reset_budget()
         try:
-            self.interpreter.execute_body(
-                program.body, self.interpreter.global_scope, self.interpreter.this_value
-            )
+            run(*args)
         except JSThrow as thrown:
             self.monitor.record_crash(thrown.value, where=where)
         except BudgetExceeded as error:
             self.monitor.record_crash(error, where=where)
+        except RecursionError:
+            overflow = JSErrorValue("RangeError", "Maximum call stack size exceeded")
+            self.monitor.record_crash(overflow, where=where)
+
+    def run_source_in_current_op(self, source: str, where: str = "script") -> None:
+        """Parse and execute JS inside the current operation, hiding crashes."""
+        program = self._parse_script(source, where)
+        if program is not None:
+            interpreter = self.interpreter
+            self._run_script(
+                where,
+                interpreter.execute_body,
+                program.body,
+                interpreter.global_scope,
+                interpreter.this_value,
+            )
 
     def run_handler_value(
         self, handler: Any, current_target: Any, event, event_binding=None
@@ -578,22 +606,20 @@ class Page:
         if event_binding is None:
             event_binding = self.bindings.wrap_event(event)
         event_binding.current_target = this
-        self.interpreter.reset_budget()
-        try:
-            self.interpreter.call_function(fn, this, [event_binding])
-        except JSThrow as thrown:
-            self.monitor.record_crash(thrown.value, where=f"handler for {event.type}")
-        except BudgetExceeded as error:
-            self.monitor.record_crash(error, where=f"handler for {event.type}")
+        self._run_script(
+            f"handler for {event.type}",
+            self.interpreter.call_function,
+            fn,
+            this,
+            [event_binding],
+        )
 
     def compile_handler(self, source: str) -> Optional[JSFunction]:
         """Compile (and cache) an attribute-handler source string."""
         fn = self._compiled_handlers.get(source)
         if fn is None:
-            try:
-                program = parse_js(source)
-            except JSSyntaxError as error:
-                self.monitor.record_crash(error, where="handler attribute")
+            program = self._parse_script(source, "handler attribute")
+            if program is None:
                 return None
             fn = JSFunction(
                 None, ["event"], program.body, self.interpreter.global_scope
@@ -630,7 +656,11 @@ class Page:
         return result.all_ops
 
     def _start_image(self, loader: DocumentLoader, element: Element) -> None:
-        loader.note_pending()
+        # An image inserted after window load fetches and dispatches its
+        # load/error event without gating anything.
+        blocks_load = not loader.window.load_fired
+        if blocks_load:
+            loader.note_pending()
         src = element.get_attribute("src") or ""
 
         def on_image(result: FetchResult) -> None:
@@ -638,7 +668,8 @@ class Page:
                 self._dispatch_element_load(loader, element)
             else:
                 self._dispatch_element_error(loader, element)
-            loader.resource_loaded()
+            if blocks_load:
+                loader.resource_loaded()
 
         self.network.fetch(src, on_image)
 
@@ -652,7 +683,7 @@ class Page:
             child_document = Document(src)
             child_window = Window(child_document, parent=loader.window, url=src)
             child_window.frame_element = element
-            child_loader = self._start_document(
+            self._start_document(
                 child_window,
                 result.content if result.ok else "",
                 iframe_element=element,
@@ -828,15 +859,13 @@ class Page:
                         entry.callback, where="timer source"
                     )
                 elif is_callable(entry.callback):
-                    self.interpreter.reset_budget()
-                    try:
-                        self.interpreter.call_function(
-                            entry.callback, self.interpreter.this_value, []
-                        )
-                    except JSThrow as thrown:
-                        monitor.record_crash(thrown.value, where="timer callback")
-                    except BudgetExceeded as error:
-                        monitor.record_crash(error, where="timer callback")
+                    self._run_script(
+                        "timer callback",
+                        self.interpreter.call_function,
+                        entry.callback,
+                        self.interpreter.this_value,
+                        [],
+                    )
         finally:
             monitor.end_operation(op)
 
@@ -890,10 +919,7 @@ class Page:
         if element.is_script and run_scripts:
             self._handle_inserted_script(loader, element, create_op)
         elif element.tag == "img" and element.get_attribute("src"):
-            if not loader.window.load_fired:
-                self._start_image(loader, element)
-            else:
-                self._start_late_image(loader, element)
+            self._start_image(loader, element)
         elif element.tag == "iframe" and element.get_attribute("src"):
             self._start_iframe(loader, element, create_op or 0)
 
@@ -906,11 +932,9 @@ class Page:
             self.run_source_in_current_op(element.text, where="inserted inline script")
             return
         src = element.get_attribute("src") or ""
-        if not loader.window.load_fired:
+        blocks_load = not loader.window.load_fired
+        if blocks_load:
             loader.note_pending()
-            blocks_load = True
-        else:
-            blocks_load = False
 
         def on_script(result: FetchResult) -> None:
             if result.ok:
@@ -929,18 +953,6 @@ class Page:
 
         self.network.fetch(src, on_script)
 
-    def _start_late_image(self, loader: DocumentLoader, element: Element) -> None:
-        """Image inserted after window load: fetch + load, no load gating."""
-
-        def on_image(result: FetchResult) -> None:
-            if result.ok:
-                result_ops = self.dispatcher.dispatch("load", element)
-                element.load_fired = True
-            else:
-                self.dispatcher.dispatch("error", element)
-
-        self.network.fetch(element.get_attribute("src") or "", on_image)
-
     def element_src_changed(self, element: Element) -> None:
         """A script set el.src; (re)start the load if el is in a document."""
         if not element.inserted:
@@ -950,10 +962,7 @@ class Page:
         if loader is None:
             return
         if element.tag == "img":
-            if not loader.window.load_fired:
-                self._start_image(loader, element)
-            else:
-                self._start_late_image(loader, element)
+            self._start_image(loader, element)
         elif element.tag == "iframe":
             create_op = self.monitor.create_op_of(element) or 0
             self._start_iframe(loader, element, create_op)

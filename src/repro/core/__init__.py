@@ -12,7 +12,6 @@ from .detector import READ_WRITE, WRITE_WRITE, Race, RaceDetector
 from .filters import (
     DEFAULT_FILTERS,
     FilterChain,
-    apply_default_filters,
     form_race_filter,
     single_dispatch_filter,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "VarLocation",
     "WRITE",
     "WRITE_WRITE",
-    "apply_default_filters",
     "build_report",
     "check_atomicity",
     "classify_race",

@@ -12,8 +12,8 @@ Concurrently* (CHC) with the current one and reports a race if so:
 
 The paper notes (and we reproduce in ``full_detector``/E10) that keeping
 only the most recent access per slot can miss races.  Like the paper's
-tool, at most one race is reported per location per run (footnote 13);
-``report_all_per_location=True`` lifts that for experiments.
+tool, at most one race is reported per location per run (footnote 13):
+a write that races with both slots reports the write-write race.
 
 The detector works on trace rows (:mod:`repro.core.trace`): both cells map
 a location id to a row, and the two racing
@@ -77,16 +77,9 @@ class Race:
 class RaceDetector:
     """The constant-memory LastRead/LastWrite detector over a trace's rows."""
 
-    def __init__(
-        self,
-        trace: Trace,
-        hb: HBGraph,
-        report_all_per_location: bool = False,
-        obs=None,
-    ):
+    def __init__(self, trace: Trace, hb: HBGraph, obs=None):
         self.trace = trace
         self.hb = hb
-        self.report_all_per_location = report_all_per_location
         self.obs = obs if obs is not None else NULL
         #: location id -> row of the last read / last write there.
         self.last_read: Dict[int, int] = {}
@@ -115,7 +108,7 @@ class RaceDetector:
         return concurrent
 
     def _report(self, prior: int, row: int, loc: int, kind: str) -> None:
-        if not self.report_all_per_location and loc in self._reported_locations:
+        if loc in self._reported_locations:
             return
         self._reported_locations.add(loc)
         trace = self.trace
@@ -149,7 +142,7 @@ class RaceDetector:
         read_races = self._chc(prior_read, op_id)
         if write_races:
             self._report(prior_write, row, loc, WRITE_WRITE)
-        if read_races and (not write_races or self.report_all_per_location):
+        if read_races and not write_races:
             self._report(prior_read, row, loc, READ_WRITE)
         self.last_write[loc] = row
 

@@ -144,8 +144,3 @@ class FilterChain:
         for name, dropped in self.removed.items():
             counts[name] = len(dropped)
         return counts
-
-
-def apply_default_filters(races: List[Race], trace: Trace) -> List[Race]:
-    """Convenience: run the paper's two filters over ``races``."""
-    return FilterChain().apply(races, trace)

@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..detector import Race, RaceDetector
+from ..detector import Race
 from ..full_detector import FullHistoryDetector
 from ..trace import Trace
 from .graph import HBGraph
@@ -244,30 +244,18 @@ def classify_pair(
     return STATUS_CONDITIONAL, blocking
 
 
-def observed_races(trace: Trace, hb: HBGraph) -> List[Race]:
-    """Replay the trace through a fresh exact (constant-memory) detector.
-
-    This is the baseline "what the paper's tool reports in this
-    schedule"; predictions are defined relative to it.
-    """
-    return RaceDetector(trace, hb).replay().races
-
-
 def predict_races(
-    trace: Trace,
-    hb: HBGraph,
-    observed: Optional[List[Race]] = None,
+    trace: Trace, hb: HBGraph, observed: List[Race]
 ) -> ShbAnalysis:
     """Run the full SHB prediction pass over one recorded trace.
 
-    ``observed`` is the exact detector's race list for this run; when
-    omitted it is recomputed by replaying the trace.  Candidates are all
-    conflicting rule-concurrent pairs (full-history sweep); pairs the
-    exact detector reported stay ``observed``, the rest are classified
-    into :data:`STATUS_SCHEDULABLE` / :data:`STATUS_CONDITIONAL`.
+    ``observed`` is the exact detector's race list for this run (the
+    live run's, or :meth:`~repro.core.serialize.LoadedTrace.detect`'s
+    for a loaded trace).  Candidates are all conflicting rule-concurrent
+    pairs (full-history sweep); pairs the exact detector reported stay
+    ``observed``, the rest are classified into
+    :data:`STATUS_SCHEDULABLE` / :data:`STATUS_CONDITIONAL`.
     """
-    if observed is None:
-        observed = observed_races(trace, hb)
     sweep = FullHistoryDetector(trace, hb).replay()
     shb, rf_edges = build_shb(trace, hb)
     observed_keys = {

@@ -23,7 +23,6 @@ from ..inputs import InputError, read_text
 from .access import READ
 from .detector import RaceDetector
 from .filters import FilterChain
-from .full_detector import FullHistoryDetector
 from .hb.graph import HBGraph
 from .locations import (
     CollectionLocation,
@@ -164,10 +163,8 @@ class LoadedTrace:
         self.trace = trace
         self.graph = graph
 
-    def detect(self, full_history: bool = False):
+    def detect(self) -> RaceDetector:
         """Replay all accesses through a fresh detector; returns it."""
-        if full_history:
-            return FullHistoryDetector(self.trace, self.graph).replay()
         return RaceDetector(self.trace, self.graph).replay()
 
     def report(self, apply_filters: bool = True) -> RaceReport:

@@ -43,8 +43,6 @@ from .schedule_report import (
     assemble_predict_document,
     render_explore_text,
     render_predict_text,
-    validate_explore_document,
-    validate_predict_document,
     write_explore_json,
     write_predict_json,
 )
@@ -96,9 +94,7 @@ __all__ = [
     "assemble_predict_document",
     "render_explore_text",
     "render_predict_text",
-    "validate_explore_document",
     "validate_explore_report",
-    "validate_predict_document",
     "validate_predict_report",
     "write_explore_json",
     "write_predict_json",

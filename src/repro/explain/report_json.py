@@ -18,17 +18,6 @@ from ..obs import NULL
 from .evidence import RaceEvidence, attach_evidence
 from .schema import FORMAT_NAME, FORMAT_VERSION, validate_report
 
-#: One analysed page, ready for document assembly.
-PageEvidence = Tuple[str, Any, List[RaceEvidence]]  # (url, page_report, records)
-
-
-def collect_page_evidence(page_report, hb, obs=None) -> List[RaceEvidence]:
-    """Build (and attach) evidence for every filtered race of one page."""
-    return attach_evidence(
-        page_report.classified, page_report.trace, hb, obs=obs
-    )
-
-
 def page_evidence_dict(
     url: str, page_report, records: List[RaceEvidence]
 ) -> Dict[str, Any]:
@@ -127,8 +116,11 @@ def build_report_document(
     pages: List[Dict[str, Any]] = []
     with obs.span("explain.report", cat="explain", pages=len(page_reports)):
         for url, page_report in page_reports:
-            records = collect_page_evidence(
-                page_report, page_report.page.monitor.graph, obs=obs
+            records = attach_evidence(
+                page_report.classified,
+                page_report.trace,
+                page_report.page.monitor.graph,
+                obs=obs,
             )
             pages.append(page_evidence_dict(url, page_report, records))
     document = assemble_report_document(pages, mode=mode)

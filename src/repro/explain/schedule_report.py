@@ -31,6 +31,7 @@ from .schema import (
     PREDICT_FORMAT_NAME,
     PREDICT_FORMAT_VERSION,
     validate_explore_report,
+    validate_predict_report,
 )
 
 
@@ -98,14 +99,9 @@ def assemble_explore_document(
     return document
 
 
-def validate_explore_document(document: Dict[str, Any]) -> None:
-    """Schema check; raises ``ValueError`` on a malformed document."""
-    validate_explore_report(document)
-
-
 def write_explore_json(document: Dict[str, Any], path: str) -> None:
     """Validate and write the document (sorted keys, trailing newline)."""
-    validate_explore_document(document)
+    validate_explore_report(document)
     with open(path, "w") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -179,7 +175,7 @@ def assemble_predict_document(
                 "error": report.error,
                 "observed": {
                     "fingerprints": list(report.observed_fingerprints),
-                    "races": dict(report.observed_races),
+                    "races": dict(report.observed_race_info),
                     "pairs": report.observed_pairs,
                 },
                 "shb": {
@@ -219,16 +215,9 @@ def assemble_predict_document(
     }
 
 
-def validate_predict_document(document: Dict[str, Any]) -> None:
-    """Schema check; raises ``ValueError`` on a malformed document."""
-    from .schema import validate_predict_report
-
-    validate_predict_report(document)
-
-
 def write_predict_json(document: Dict[str, Any], path: str) -> None:
     """Validate and write the document (sorted keys, trailing newline)."""
-    validate_predict_document(document)
+    validate_predict_report(document)
     with open(path, "w") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -67,8 +67,8 @@ class ThisExpression(Node):
 
 @dataclass
 class ArrayLiteral(Node):
-    """``[a, b, ...]``."""
-    elements: List[Node] = field(default_factory=list)
+    """``[a, b, ...]``; ``None`` marks an elision's hole (``[a, , b]``)."""
+    elements: List[Optional[Node]] = field(default_factory=list)
 
 
 @dataclass

@@ -387,7 +387,13 @@ class Interpreter:
         return self._read_variable(scope, node.name, node.line)
 
     def _eval_array(self, node: ast.ArrayLiteral, scope: Scope, this: Any) -> Any:
-        return JSArray([self._eval(element, scope, this) for element in node.elements])
+        array = JSArray()
+        properties = array.properties
+        for index, element in enumerate(node.elements):
+            if element is not None:
+                properties[str(index)] = self._eval(element, scope, this)
+        array.set_length(len(node.elements))
+        return array
 
     def _eval_object(self, node: ast.ObjectLiteral, scope: Scope, this: Any) -> Any:
         obj = JSObject()
@@ -493,8 +499,6 @@ class Interpreter:
             key = to_string(left)
             if isinstance(right, HostObject):
                 return right.js_has(key)
-            if isinstance(right, JSArray):
-                return key.isdigit() and int(key) < right.length or right.has(key)
             if isinstance(right, JSObject):
                 return right.has(key)
             raise type_error("'in' requires an object")

@@ -575,14 +575,14 @@ class Parser:
     def _parse_array_literal(self) -> ast.ArrayLiteral:
         start = self.tokens[self.pos]
         self.pos += 1
-        elements: List[ast.Node] = []
+        elements: List[Optional[ast.Node]] = []
         kinds = self.kinds
         saved, self._no_in = self._no_in, False
         while kinds[self.pos] != "]":
             if kinds[self.pos] == ",":
-                # Elision: `[1, , 3]` leaves an undefined hole.
+                # Elision: `[1, , 3]` leaves a hole at index 1.
                 self.pos += 1
-                elements.append(ast.UndefinedLiteral(start.line))
+                elements.append(None)
                 continue
             elements.append(self.parse_assignment())
             if kinds[self.pos] != ",":

@@ -112,7 +112,7 @@ class PredictReport:
     #: Filtered fingerprints of the observed (FIFO) run.
     observed_fingerprints: List[str] = field(default_factory=list)
     #: fingerprint → {race_type, harmful, location, description}.
-    observed_races: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    observed_race_info: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: Exact-detector raw races replayed into the SHB ``observed`` tier.
     observed_pairs: int = 0
     predictions: List[PredictionResult] = field(default_factory=list)
@@ -252,7 +252,7 @@ def _observe(
     with closing(page_obj):
         report.runs_executed += 1
         report.observed_fingerprints = base_fps
-        report.observed_races = base_races
+        report.observed_race_info = base_races
         report.base_trace_dict = recorder.trace(
             policy="fifo",
             seed=None,

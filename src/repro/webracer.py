@@ -541,10 +541,14 @@ class WebRacer:
 
     def _site_evidence_dict(self, url: str, page_report: PageReport) -> Dict[str, Any]:
         """Serialized per-page evidence block for ``--report-json``."""
-        from .explain.report_json import collect_page_evidence, page_evidence_dict
+        from .explain.evidence import attach_evidence
+        from .explain.report_json import page_evidence_dict
 
-        records = collect_page_evidence(
-            page_report, page_report.page.monitor.graph, obs=self.obs
+        records = attach_evidence(
+            page_report.classified,
+            page_report.trace,
+            page_report.page.monitor.graph,
+            obs=self.obs,
         )
         return page_evidence_dict(url, page_report, records)
 

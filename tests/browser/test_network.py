@@ -7,9 +7,10 @@ import pytest
 from repro.browser.event_loop import EventLoop
 from repro.browser.network import (
     ConnectionNetworkSimulator,
-    DEFAULT_JITTER,
     ERROR_BODY_SIZE,
     INITIAL_WINDOW,
+    MAX_LATENCY,
+    MIN_LATENCY,
     NetworkSimulator,
     _bytes_in,
     _transfer_time,
@@ -25,7 +26,6 @@ def make(resources=None, **kwargs):
 
 def make_conn(resources=None, **kwargs):
     loop = EventLoop()
-    kwargs.setdefault("jitter", 0.0)  # deterministic timing unless asked
     return loop, ConnectionNetworkSimulator(
         loop, resources=resources or {}, **kwargs
     )
@@ -60,9 +60,9 @@ class TestFetch:
         assert net.latency_for("fast.js") == 1.0
 
     def test_random_latency_within_bounds(self):
-        _loop, net = make({}, seed=5, min_latency=10.0, max_latency=20.0)
+        _loop, net = make({}, seed=5)
         for _ in range(50):
-            assert 10.0 <= net.latency_for("any.js") <= 20.0
+            assert MIN_LATENCY <= net.latency_for("any.js") <= MAX_LATENCY
 
     def test_seeded_latencies_reproducible(self):
         _loop1, net1 = make({}, seed=9)
@@ -79,10 +79,6 @@ class TestFetch:
         assert [net1.latency_for(u) for u in urls] != [
             net2.latency_for(u) for u in urls
         ]
-
-    def test_degenerate_latency_range(self):
-        _loop, net = make({}, min_latency=7.0, max_latency=7.0)
-        assert net.latency_for("x") == 7.0
 
     def test_fetch_count(self):
         loop, net = make({"a": "1"})
@@ -107,22 +103,15 @@ class TestFetch:
         assert results == []
         assert handle.cancelled
 
-    def test_degenerate_range_still_consumes_rng_draw(self):
-        """Pin the seed-stream fix: a degenerate ``[7, 7]`` range must burn
-        exactly one RNG draw, so toggling the range for one URL cannot
-        shift every subsequent latency of the run."""
-        _loop, net = make({}, seed=11, min_latency=7.0, max_latency=7.0)
-        assert net.latency_for("first") == 7.0
-        net.min_latency, net.max_latency = 5.0, 120.0
-        follow = net.latency_for("second")
-        reference = random.Random(11)
-        reference.uniform(7.0, 7.0)  # the degenerate draw
-        assert follow == reference.uniform(5.0, 120.0)
-
     def test_pinned_latency_does_not_consume_rng(self):
+        """A pinned URL draws nothing and every other URL exactly once."""
         _loop, net = make({}, seed=11, latencies={"pin.js": 3.0})
-        assert net.latency_for("pin.js") == 3.0
-        assert net.latency_for("free.js") == random.Random(11).uniform(5.0, 120.0)
+        reference = random.Random(11)
+        for _ in range(2):
+            assert net.latency_for("pin.js") == 3.0
+            assert net.latency_for("free.js") == reference.uniform(
+                MIN_LATENCY, MAX_LATENCY
+            )
 
 
 class TestOrigin:
@@ -293,7 +282,6 @@ class TestConnectionModel:
                     "https://b.example/y.js": 70000.0,
                 },
                 seed=seed,
-                jitter=DEFAULT_JITTER,
             )
             times = []
             net.fetch("https://a.example/x.js", lambda r: times.append(loop.clock.now))

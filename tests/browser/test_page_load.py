@@ -5,7 +5,12 @@ formalize — run order of sync/async/defer scripts, DOMContentLoaded and
 load timing, iframe nesting — plus the HB edges themselves via the graph.
 """
 
+import pytest
+
 from repro.browser.page import Browser
+from repro.core.locations import PropLocation
+from repro.core.operations import EXE
+from repro.js.errors import JSSyntaxError
 
 
 def load(html, resources=None, latencies=None, seed=0, **kwargs):
@@ -76,6 +81,63 @@ class TestScriptScheduling:
         page = load("<script>x = 'kept'; nothingHere();</script>")
         assert page.interpreter.global_object.get_own("x") == "kept"
         assert page.trace.crashes[0].kind == "ReferenceError"
+
+
+RECURSE = "function f(n) { return f(n + 1); }"
+
+
+class TestScriptTooDeep:
+    """Running out of Python recursion is the script's crash: a syntax
+    error when parsing nests too deep, a RangeError when calls do.  The
+    page goes on, and the next script runs in its own operation."""
+
+    def check_next_script_runs(self, page, crash):
+        assert page.interpreter.global_object.get_own("y") == 1
+        [writer] = [
+            access.op_id
+            for access in page.trace.accesses
+            if access.location == PropLocation(1, "y")
+        ]
+        assert writer != crash.operation
+        assert page.trace.operations.get(writer).kind == EXE
+
+    def test_parse_nesting_is_a_syntax_error_crash(self):
+        deep = "(" * 400 + "1" + ")" * 400
+        page = load(f"<script>x = {deep};</script><script>y = 1;</script>")
+        [crash] = page.trace.crashes
+        assert isinstance(crash.error, JSSyntaxError)
+        assert not page.interpreter.global_object.has_own("x")
+        self.check_next_script_runs(page, crash)
+
+    @pytest.mark.parametrize(
+        "script",
+        [
+            f"{RECURSE} f(0);",
+            f"{RECURSE} try {{ f(0); }} catch (e) {{ caught = true; }}",
+            f"{RECURSE} setTimeout(function () {{ f(0); }}, 1);",
+            f"{RECURSE} window.onload = function () {{ f(0); }};",
+            f"{RECURSE} setTimeout('f(0)', 1);",
+        ],
+        ids=["script", "try", "timer", "handler", "timer-source"],
+    )
+    def test_call_depth_is_a_range_error_crash(self, script):
+        page = load(f"<script>{script}</script><script>y = 1;</script>")
+        [crash] = page.trace.crashes
+        assert crash.kind == "RangeError"
+        assert crash.error.message == "Maximum call stack size exceeded"
+        assert not page.interpreter.global_object.has_own("caught")
+        self.check_next_script_runs(page, crash)
+
+    def test_handler_attribute_nesting_is_a_syntax_error_crash(self):
+        deep = "(" * 400 + "1" + ")" * 400
+        page = load(
+            f"<img src='x.png' onload='x = {deep};'><script>y = 1;</script>",
+            resources={"x.png": "bin"},
+        )
+        [crash] = page.trace.crashes
+        assert isinstance(crash.error, JSSyntaxError)
+        assert crash.where == "handler attribute"
+        assert page.interpreter.global_object.get_own("y") == 1
 
 
 class TestLifecycleEvents:
@@ -238,6 +300,32 @@ class TestDynamicInsertion:
             resources={"x.png": "bin"},
         )
         assert page.interpreter.global_object.get_own("dynImg") is True
+
+    def test_image_inserted_after_window_load(self):
+        """A late image fetches and fires load or error without gating
+        anything: no pending load, no rule-15 source."""
+        page = load(
+            """
+            <script>
+            window.onload = function () {
+              var ok = document.createElement('img');
+              ok.onload = function () { lateLoad = true; };
+              ok.src = 'x.png';
+              document.body.appendChild(ok);
+              var moved = document.createElement('img');
+              moved.onerror = function () { lateError = true; };
+              document.body.appendChild(moved);
+              moved.src = 'gone.png';
+            };
+            </script>
+            """,
+            resources={"x.png": "bin"},
+        )
+        assert page.interpreter.global_object.get_own("lateLoad") is True
+        assert page.interpreter.global_object.get_own("lateError") is True
+        loader = page.loaders[page.document.doc_id]
+        assert loader.pending_loads == 0
+        assert loader.load_dispatches == []
 
     def test_remove_child(self):
         page = load(

@@ -19,9 +19,8 @@ from repro.core.locations import Location
 class OracleRaceDetector:
     """The constant-memory LastRead/LastWrite detector over ``Access``."""
 
-    def __init__(self, hb, report_all_per_location: bool = False):
+    def __init__(self, hb):
         self.hb = hb
-        self.report_all_per_location = report_all_per_location
         self.last_read: Dict[Location, Access] = {}
         self.last_write: Dict[Location, Access] = {}
         self.races: List[Race] = []
@@ -37,10 +36,7 @@ class OracleRaceDetector:
         return self.hb.concurrent(prior.op_id, current.op_id)
 
     def _report(self, prior: Access, current: Access, kind: str) -> None:
-        if (
-            not self.report_all_per_location
-            and current.location in self._reported_locations
-        ):
+        if current.location in self._reported_locations:
             return
         self._reported_locations.add(current.location)
         self.races.append(
@@ -61,7 +57,7 @@ class OracleRaceDetector:
         read_races = self._chc(prior_read, access)
         if write_races:
             self._report(prior_write, access, WRITE_WRITE)
-        if read_races and (not write_races or self.report_all_per_location):
+        if read_races and not write_races:
             self._report(prior_read, access, READ_WRITE)
         self.last_write[location] = access
 
@@ -69,13 +65,11 @@ class OracleRaceDetector:
 class OracleFullHistoryDetector:
     """The complete access-history detector over ``Access``."""
 
-    def __init__(self, hb, dedup_per_location: bool = False):
+    def __init__(self, hb):
         self.hb = hb
-        self.dedup_per_location = dedup_per_location
         self.history: Dict[Location, List[Access]] = {}
         self.races: List[Race] = []
         self._seen_pairs: Set[Tuple[Location, int, int]] = set()
-        self._reported_locations: Set[Location] = set()
         self.chc_queries = 0
 
     def on_access(self, access: Access) -> None:
@@ -94,13 +88,10 @@ class OracleFullHistoryDetector:
 
     def _report(self, prior: Access, current: Access) -> None:
         location = current.location
-        if self.dedup_per_location and location in self._reported_locations:
-            return
         kind = WRITE_WRITE if (prior.is_write and current.is_write) else READ_WRITE
         race = Race(location=location, prior=prior, current=current, kind=kind)
         pair_key = race.pair_key()
         if pair_key in self._seen_pairs:
             return
         self._seen_pairs.add(pair_key)
-        self._reported_locations.add(location)
         self.races.append(race)

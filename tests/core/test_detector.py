@@ -102,14 +102,6 @@ class TestReportingPolicy:
         feed(det, access(WRITE, 4))
         assert len(det.races) == 1
 
-    def test_report_all_per_location(self):
-        det = detector_with([(1, 2), (1, 3), (1, 4)], report_all_per_location=True)
-        feed(det, access(WRITE, 2))
-        feed(det, access(WRITE, 3))
-        feed(det, access(WRITE, 4))
-        # (2,3) and (3,4); (2,4) is invisible — only the last write is kept.
-        assert len(det.races) == 2
-
     def test_write_prefers_ww_over_rw(self):
         det = detector_with([(1, 2), (1, 3), (1, 4)])
         feed(det, access(READ, 2))
@@ -196,7 +188,7 @@ def test_every_reported_race_is_a_real_race(edges, raw_accesses):
         graph.add_edge(src, dst)
     for _kind, op in raw_accesses:
         graph.add_operation(op)
-    det = RaceDetector(Trace(), graph, report_all_per_location=True)
+    det = RaceDetector(Trace(), graph)
     for kind, op in raw_accesses:
         feed(det, access(kind, op))
     for race in det.races:
@@ -293,9 +285,9 @@ oracle_accesses = st.lists(
 )
 
 
-@given(edges_strategy, oracle_accesses, st.booleans(), st.booleans())
+@given(edges_strategy, oracle_accesses)
 @settings(max_examples=300, deadline=None)
-def test_row_detectors_match_oracle(edges, accesses, report_all, dedup):
+def test_row_detectors_match_oracle(edges, accesses):
     """Same races, in the same order, with the same accesses (seqs and
     details included) and the same CHC query count as the object
     detectors the row detectors replaced."""
@@ -305,10 +297,10 @@ def test_row_detectors_match_oracle(edges, accesses, report_all, dedup):
     for src, dst in edges:
         graph.add_edge(src, dst)
     trace = Trace()
-    detector = RaceDetector(trace, graph, report_all_per_location=report_all)
-    full = FullHistoryDetector(trace, graph, dedup_per_location=dedup)
-    oracle = OracleRaceDetector(graph, report_all_per_location=report_all)
-    full_oracle = OracleFullHistoryDetector(graph, dedup_per_location=dedup)
+    detector = RaceDetector(trace, graph)
+    full = FullHistoryDetector(trace, graph)
+    oracle = OracleRaceDetector(graph)
+    full_oracle = OracleFullHistoryDetector(graph)
     for seq, acc in enumerate(accesses):
         row = record(trace, acc).seq
         assert row == seq

@@ -5,7 +5,6 @@ from repro.core.detector import Race, READ_WRITE, WRITE_WRITE
 from repro.core.filters import (
     FilterChain,
     _read_preceded_write,
-    apply_default_filters,
     form_race_filter,
     single_dispatch_filter,
 )
@@ -188,7 +187,7 @@ class TestFilterChain:
     def test_html_races_untouched(self):
         """Table 2's HTML and function columns are unchanged by filters."""
         races = [make_race(ELEMENT, prior_kind=READ)]
-        kept = apply_default_filters(races, Trace())
+        kept = FilterChain().apply(races, Trace())
         assert kept == races
 
     def test_mixed_filtering(self):

@@ -26,7 +26,6 @@ from repro.core.hb.shb import (
     STATUS_CONDITIONAL,
     STATUS_SCHEDULABLE,
     classify_pair,
-    observed_races,
 )
 from repro.core.locations import VarLocation
 from repro.core.trace import Trace
@@ -36,6 +35,12 @@ from .trace_rows import record
 LOC = VarLocation(cell_id=1, name="x")
 LOC2 = VarLocation(cell_id=2, name="y")
 LOC3 = VarLocation(cell_id=3, name="z")
+
+
+def predict(trace, graph):
+    """``predict_races`` against the exact detector's races, as the
+    product callers pass them."""
+    return predict_races(trace, graph, RaceDetector(trace, graph).replay().races)
 
 
 def make_trace(n_ops, edges, accesses):
@@ -178,24 +183,14 @@ class TestPredictRaces:
             [(1, 2), (1, 3), (1, 4)],
             [(WRITE, 2, LOC), (READ, 3, LOC), (READ, 4, LOC)],
         )
-        analysis = predict_races(trace, graph)
+        analysis = predict(trace, graph)
         assert [r.op_pair() for r in analysis.observed] == [(2, 3)]
         assert [p.op_pair() for p in analysis.predictions] == [(2, 4)]
         assert analysis.predictions[0].status == STATUS_SCHEDULABLE
 
-    def test_observed_supplied_or_recomputed_agree(self):
-        trace, graph = make_trace(
-            4,
-            [(1, 2), (1, 3), (1, 4)],
-            [(WRITE, 2, LOC), (READ, 3, LOC), (READ, 4, LOC)],
-        )
-        supplied = predict_races(trace, graph, observed_races(trace, graph))
-        recomputed = predict_races(trace, graph)
-        assert supplied.summary() == recomputed.summary()
-
     def test_no_conflicts_no_predictions(self):
         trace, graph = make_trace(3, [(1, 2), (2, 3)], [(WRITE, 2, LOC)])
-        analysis = predict_races(trace, graph)
+        analysis = predict(trace, graph)
         assert analysis.observed == []
         assert analysis.predictions == []
         assert analysis.candidates == 0
@@ -206,7 +201,7 @@ class TestPredictRaces:
             [(1, 2), (1, 3), (1, 4)],
             [(WRITE, 2, LOC), (READ, 3, LOC), (READ, 4, LOC)],
         )
-        analysis = predict_races(trace, graph)
+        analysis = predict(trace, graph)
         assert "1 observed" in analysis.summary()
         assert "1 predicted" in analysis.summary()
 
@@ -219,7 +214,7 @@ class TestPredictRaces:
                 (WRITE, 3, LOC2), (READ, 4, LOC2),
             ],
         )
-        analysis = predict_races(prediction_trace, graph)
+        analysis = predict(prediction_trace, graph)
         conditional = analysis.by_status(STATUS_CONDITIONAL)
         assert conditional
         assert "requires flipping reads-from" in conditional[0].describe()
@@ -270,7 +265,7 @@ class TestPredictionSoundness:
             exact.on_access(row)
             sweep.on_access(row)
 
-        analysis = predict_races(trace, graph)
+        analysis = predict_races(trace, graph, exact.races)
         observed_keys = _race_keys(analysis.observed)
         predicted_keys = _race_keys([p.race for p in analysis.predictions])
         sweep_keys = _race_keys(sweep.races)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro import WebRacer
+from repro.core.full_detector import FullHistoryDetector
 from repro.core.locations import (
     CollectionLocation,
     DomPropLocation,
@@ -132,8 +133,8 @@ class TestOfflineAnalysis:
     def test_offline_full_history_detector(self, online_report):
         page = online_report.page
         loaded = loads_trace(dumps_trace(page.trace, page.monitor.graph))
-        full = loaded.detect(full_history=True)
-        constant = loaded.detect(full_history=False)
+        full = FullHistoryDetector(loaded.trace, loaded.graph).replay()
+        constant = loaded.detect()
         assert {race.location for race in constant.races} <= {
             race.location for race in full.races
         }

@@ -1,5 +1,6 @@
 """Tests for the HTML tokenizer."""
 
+from html.parser import HTMLParser
 from pathlib import Path
 
 from repro.html.tokenizer import (
@@ -190,3 +191,45 @@ def test_tokens_unchanged_on_shipped_pages():
     for name, source in pages:
         expected = LoweredCopyTokenizer(source).tokenize()
         assert tokenize_html(source) == expected, name
+
+
+class StdlibTags(HTMLParser):
+    """Start tags (with attributes) and end tags as ``html.parser`` reads
+    them, in the shape :func:`tags_of` gives ``tokenize_html``'s."""
+
+    def __init__(self, source):
+        super().__init__(convert_charrefs=True)
+        self.tags = []
+        self.feed(source)
+        self.close()
+
+    def handle_starttag(self, tag, attrs):
+        # The one known deviation: a bare attribute (``<script async>``)
+        # reads "true" here, where html.parser gives None (HTML: "").
+        # Scripts read the value, so it stays; any other difference fails.
+        attributes = [(name, "true" if value is None else value) for name, value in attrs]
+        self.tags.append(("start", tag, attributes))
+
+    handle_startendtag = handle_starttag
+
+    def handle_endtag(self, tag):
+        self.tags.append(("end", tag))
+
+
+def tags_of(source):
+    return [
+        ("start", token.name, list(token.attributes.items()))
+        if isinstance(token, StartTag)
+        else ("end", token.name)
+        for token in tokenize_html(source)
+        if isinstance(token, (StartTag, EndTag))
+    ]
+
+
+def test_tags_match_the_standard_library_parser():
+    """The corpus pages, their iframe documents and the example pages
+    yield the start tags, attributes and end tags ``html.parser`` does."""
+    pages = list(_shipped_pages())
+    assert len(pages) == 166
+    for name, source in pages:
+        assert tags_of(source) == StdlibTags(source).tags, name

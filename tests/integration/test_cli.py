@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.__main__ import main
 
 
@@ -50,6 +55,32 @@ class TestCheck:
         data = json.loads(out_path.read_text())
         assert data["version"] == 1
         assert data["accesses"]
+
+
+    @pytest.mark.parametrize(
+        "script",
+        [
+            "x = " + "(" * 400 + "1" + ")" * 400 + ";",
+            "function f(n) { return f(n + 1); } f(0);",
+        ],
+        ids=["parse", "call"],
+    )
+    def test_script_too_deep_is_a_crash_not_a_traceback(self, script, tmp_path):
+        """A real process: an uncaught exception would exit 1, the
+        harmful-race status, which an in-process main() cannot show."""
+        page = tmp_path / "deep.html"
+        page.write_text(f"<script>{script}</script><script>y = 1;</script>")
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "check", str(page)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "1 hidden crash(es)" in result.stdout
 
 
 class TestAnalyze:

@@ -3,8 +3,11 @@
 import pathlib
 import runpy
 import sys
+import textwrap
 
 import pytest
+
+import repro
 
 EXAMPLES = sorted(
     (pathlib.Path(__file__).resolve().parents[2] / "examples").glob("*.py")
@@ -25,3 +28,15 @@ def test_example_runs_clean(script, capsys, monkeypatch):
 
 def test_there_are_at_least_five_examples():
     assert len(EXAMPLES) >= 5
+
+
+def test_package_docstring_example_runs(capsys):
+    """The "Typical use" block of the ``repro`` docstring runs as written."""
+    example = textwrap.dedent(repro.__doc__.split("Typical use::", 1)[1])
+    html_text = (
+        '<input type="text" id="q" />'
+        "<script>setTimeout(function () {"
+        " document.getElementById('q').value = 'hint'; }, 10);</script>"
+    )
+    exec(example, {"html_text": html_text})
+    assert "race on #q.value" in capsys.readouterr().out

@@ -17,8 +17,8 @@ from repro.core.locations import VarLocation
 from repro.explain.schedule_report import (
     EXPLORE_FORMAT_NAME,
     assemble_explore_document,
-    validate_explore_document,
 )
+from repro.explain.schema import validate_explore_report
 from repro.inputs import InputError
 from repro.obs import Instrumentation
 from repro.schedule_runner import (
@@ -176,7 +176,7 @@ class TestExplorePages:
         document = assemble_explore_document(
             explore_pages([poll_page], schedules=4, seed=0)
         )
-        validate_explore_document(document)
+        validate_explore_report(document)
         assert document["format"] == EXPLORE_FORMAT_NAME
 
     def test_schema_rejects_a_malformed_run(self, poll_page):
@@ -185,7 +185,7 @@ class TestExplorePages:
         )
         document["pages"][0]["runs"][0]["replay_ok"] = "yes"
         with pytest.raises(ValueError, match=r"runs\[0\]\.replay_ok"):
-            validate_explore_document(document)
+            validate_explore_report(document)
 
 
 class TestTraceReplayFromDisk:
@@ -338,7 +338,7 @@ class TestExploreCli:
         out = capsys.readouterr().out
         assert "schedule-sensitive" in out
         document = json.loads(out_json.read_text())
-        validate_explore_document(document)
+        validate_explore_report(document)
         assert document["totals"]["races_schedule_sensitive"] >= 1
         saved = sorted(p.name for p in traces.iterdir())
         assert len(saved) == 6  # one trace per schedule for the one page

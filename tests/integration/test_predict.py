@@ -19,8 +19,8 @@ from repro.core.serialize import dumps_trace, loads_trace
 from repro.explain.schedule_report import (
     assemble_predict_document,
     render_predict_text,
-    validate_predict_document,
 )
+from repro.explain.schema import validate_predict_report
 from repro.predict import (
     OUTCOME_CONFIRMED,
     predict_page,
@@ -136,7 +136,7 @@ class TestPredictPage:
 class TestPredictDocument:
     def test_document_validates_and_counts(self, poll_report):
         document = assemble_predict_document([poll_report])
-        validate_predict_document(document)
+        validate_predict_report(document)
         totals = document["totals"]
         assert totals["pages"] == 1
         assert totals["predicted"] == len(poll_report.predictions)
@@ -158,7 +158,7 @@ class TestPredictDocument:
 
     def test_evidence_can_be_omitted(self, poll_report):
         document = assemble_predict_document([poll_report], with_evidence=False)
-        validate_predict_document(document)
+        validate_predict_report(document)
         for page in document["pages"]:
             for prediction in page["predictions"]:
                 assert prediction.get("evidence") is None
@@ -173,7 +173,7 @@ class TestPredictDocument:
         broken = PageInput(url="broken.html", html=None, resources={})
         reports = predict_pages([broken], seed=0)
         document = assemble_predict_document(reports)
-        validate_predict_document(document)
+        validate_predict_report(document)
         assert document["pages"][0]["error"]
 
 
@@ -189,7 +189,7 @@ class TestPredictCli:
         assert "predicted races for 1 page(s)" in out
         assert OUTCOME_CONFIRMED in out
         document = json.loads(out_json.read_text())
-        validate_predict_document(document)
+        validate_predict_report(document)
         assert document["totals"]["confirmed"] >= 1
 
     def test_minimize_flag_records_minimization(self, pages_dir, capsys):

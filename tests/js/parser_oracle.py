@@ -683,12 +683,12 @@ class Parser:
 
     def _parse_array_literal(self) -> ast.ArrayLiteral:
         start = self._expect_punct("[")
-        elements: List[ast.Node] = []
+        elements: List[Optional[ast.Node]] = []
         while not self._at_punct("]"):
             if self._at_punct(","):
-                # Elision: `[1, , 3]` leaves an undefined hole.
+                # Elision: `[1, , 3]` leaves a hole at index 1.
                 self._next()
-                elements.append(ast.UndefinedLiteral(line=start.line))
+                elements.append(None)
                 continue
             elements.append(self._with_in(True, self.parse_assignment))
             if not self._eat_punct(","):

@@ -82,6 +82,16 @@ PROGRAMS = {
         for (var k in a) keys.push(k);
         console.log(s, keys.join(','), a.length);
     """,
+    "array elisions leave holes": """
+        var a = [1, , 2], b = [,], c = [1, , ];
+        var keys = [];
+        for (var k in a) keys.push(k);
+        for (var k2 in b) keys.push('b' + k2);
+        for (var k3 in c) keys.push('c' + k3);
+        console.log(1 in a, 0 in a, 2 in a, 0 in b, 0 in c, 1 in c, keys.join(','));
+        console.log(a.length, b.length, c.length, a[1], b[0], c[1]);
+        console.log(a.join('-'), b.join('-'), c.join('-'), [, 'x'].join('-'));
+    """,
     "number to string": """
         console.log(0.000001, 5e-7, 1e-7, 123456789012345680000, 1e21, 1.5e300);
         console.log(0.1 + 0.2, 100.5, -0, 1 / 3, 2e-7 * 3, 4.35 * 100);
