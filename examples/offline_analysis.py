@@ -42,13 +42,17 @@ RESOURCES = {
 
 
 def main():
+    with tempfile.TemporaryDirectory() as directory:
+        capture_and_analyse(os.path.join(directory, "webracer_trace.json"))
+
+
+def capture_and_analyse(trace_path):
     # ---- capture phase (needs the browser + resources) -----------------
     racer = WebRacer(seed=13)
     report = racer.check_page(PAGE, resources=RESOURCES,
                               latencies={"suggest.js": 45.0})
     page = report.page
 
-    trace_path = os.path.join(tempfile.gettempdir(), "webracer_trace.json")
     dump_trace(page.trace, page.monitor.graph, trace_path)
     size_kb = os.path.getsize(trace_path) / 1024
     print(f"Captured trace: {trace_path} ({size_kb:.1f} KiB)")

@@ -19,7 +19,7 @@ returns the identical wrapper (JS ``===`` works).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from ..core.locations import ATTR_SLOT
 from ..dom.document import Document
@@ -63,6 +63,9 @@ class Bindings:
         self._elements: Dict[int, "ElementBinding"] = {}
         self._documents: Dict[int, "DocumentBinding"] = {}
         self._windows: Dict[int, "WindowBinding"] = {}
+        #: (id of receiver, name) -> its BoundMethod; the entry keeps the
+        #: receiver alive, so the id is not reused while it is cached.
+        self._methods: Dict[Tuple[int, str], BoundMethod] = {}
 
     @property
     def monitor(self):
@@ -105,26 +108,21 @@ class Bindings:
         """A fresh JS event object for one dispatch."""
         return EventBinding(self.page, event)
 
-
-class _MethodCache:
-    """Mixin: lazily-created BoundMethods so identity is stable."""
-
-    def __init__(self):
-        self._methods: Dict[str, BoundMethod] = {}
-
-    def _method(self, name: str, fn) -> BoundMethod:
-        method = self._methods.get(name)
+    def method(self, receiver: HostObject, name: str, fn) -> BoundMethod:
+        """``receiver.name`` as one BoundMethod per receiver and name, so
+        JS ``===`` holds across reads.  Cached here, not on the receiver,
+        where each receiver and its methods would form a reference cycle."""
+        key = (id(receiver), name)
+        method = self._methods.get(key)
         if method is None:
-            method = BoundMethod(name, self, fn)
-            self._methods[name] = method
+            method = self._methods[key] = BoundMethod(name, receiver, fn)
         return method
 
 
-class ElementBinding(HostObject, _MethodCache):
+class ElementBinding(HostObject):
     """The JS view of a DOM element."""
 
     def __init__(self, page, element: Element):
-        _MethodCache.__init__(self)
         self.page = page
         self.element = element
         self._style: Optional[StyleBinding] = None
@@ -204,10 +202,10 @@ class ElementBinding(HostObject, _MethodCache):
             "blur": _el_blur,
         }
         if name in methods:
-            return self._method(name, methods[name])
+            return self.page.bindings.method(self, name, methods[name])
         # Expando properties land on a per-element JS object; reads and
         # writes are instrumented like any JSVar property access.
-        self.page.monitor.js_hooks.prop_read(self._expando.object_id, name)
+        self.page.monitor.prop_read(self._expando.object_id, name)
         return self._expando.lookup(name)
 
     # -- writes -----------------------------------------------------------
@@ -256,7 +254,7 @@ class ElementBinding(HostObject, _MethodCache):
             if name == "src":
                 self.page.element_src_changed(element)
             return
-        self.page.monitor.js_hooks.prop_write(
+        self.page.monitor.prop_write(
             self._expando.object_id, name, writes_function=is_callable(value)
         )
         self._expando.set_own(name, value)
@@ -418,11 +416,10 @@ def _css_name(name: str) -> str:
     return "".join(out)
 
 
-class DocumentBinding(HostObject, _MethodCache):
+class DocumentBinding(HostObject):
     """The JS view of a Document."""
 
     def __init__(self, page, document: Document):
-        _MethodCache.__init__(self)
         self.page = page
         self.document = document
         self._expando = JSObject()
@@ -458,8 +455,8 @@ class DocumentBinding(HostObject, _MethodCache):
             "write": _doc_write,
         }
         if name in methods:
-            return self._method(name, methods[name])
-        self.page.monitor.js_hooks.prop_read(self._expando.object_id, name)
+            return self.page.bindings.method(self, name, methods[name])
+        self.page.monitor.prop_read(self._expando.object_id, name)
         return self._expando.lookup(name)
 
     def js_set(self, name: str, value: Any, interpreter: Interpreter) -> None:
@@ -471,7 +468,7 @@ class DocumentBinding(HostObject, _MethodCache):
         if name == "title":
             self.document._title = to_string(value)
             return
-        self.page.monitor.js_hooks.prop_write(
+        self.page.monitor.prop_write(
             self._expando.object_id, name, writes_function=is_callable(value)
         )
         self._expando.set_own(name, value)
@@ -580,11 +577,10 @@ def _doc_write(interp, binding: DocumentBinding, args):
     return UNDEFINED
 
 
-class WindowBinding(HostObject, _MethodCache):
+class WindowBinding(HostObject):
     """The JS view of a Window; unknown names alias the shared global."""
 
     def __init__(self, page, window):
-        _MethodCache.__init__(self)
         self.page = page
         self.window = window
 
@@ -619,13 +615,13 @@ class WindowBinding(HostObject, _MethodCache):
             "alert": _win_alert,
         }
         if name in methods:
-            return self._method(name, methods[name])
+            return self.page.bindings.method(self, name, methods[name])
         if name == "XMLHttpRequest":
             return page.xhr_constructor
         # Fall back to the shared global object (window.x aliases global x).
         global_object = interpreter.global_object
         if name not in interpreter.uninstrumented_globals:
-            page.monitor.js_hooks.prop_read(global_object.object_id, name)
+            page.monitor.prop_read(global_object.object_id, name)
         return global_object.lookup(name)
 
     def js_set(self, name: str, value: Any, interpreter: Interpreter) -> None:
@@ -645,7 +641,7 @@ class WindowBinding(HostObject, _MethodCache):
             return
         global_object = interpreter.global_object
         if name not in interpreter.uninstrumented_globals:
-            page.monitor.js_hooks.prop_write(
+            page.monitor.prop_write(
                 global_object.object_id, name, writes_function=is_callable(value)
             )
         global_object.set_own(name, value)

@@ -13,11 +13,12 @@ through one object, the :class:`Monitor`:
 * it tracks the *current operation* (operations are atomic; a stack is still
   needed because inline event dispatch nests handler execution inside a
   script — Appendix A);
-* it adapts the three instrumentation sources onto logical locations:
-  the JS interpreter's :class:`~repro.js.interpreter.AccessHooks` (``JSVar``),
-  the Document's :class:`~repro.dom.document.DomInstrumentation` (``HElem``),
-  and explicit calls from the bindings/dispatcher (``Eloc``, DOM-property
-  writes).
+* it maps the three instrumentation sources onto logical locations: it
+  is the JS interpreter's :class:`~repro.js.interpreter.AccessHooks`
+  (``JSVar``) and every Document's
+  :class:`~repro.dom.document.DomInstrumentation` (``HElem``), and the
+  bindings/dispatcher call it directly (``Eloc``, DOM-property writes).
+  Being both sinks itself, it holds no adapter that points back at it.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from ..js.interpreter import AccessHooks
 from ..obs import NULL
 
 
-class Monitor:
+class Monitor(AccessHooks, DomInstrumentation):
     """Central instrumentation hub for one browser/page run."""
 
     def __init__(self, enabled: bool = True, obs=None, detect: bool = True):
@@ -68,7 +69,6 @@ class Monitor:
         self._read_sets: List[Set[int]] = []
         #: element node_id -> create(E) operation id (Section 3.2 create()).
         self.create_ops: Dict[int, int] = {}
-        self.js_hooks = _JsHooks(self)
 
     # ------------------------------------------------------------------
     # operations
@@ -182,6 +182,49 @@ class Monitor:
         self.trace.record_crash(crash)
 
     # ------------------------------------------------------------------
+    # JSVar accesses: the interpreter's AccessHooks (Section 4.1)
+
+    def var_read(self, cell_id: int, name: str, is_call: bool = False) -> None:
+        """Closure-cell read -> VarLocation access."""
+        self.record(READ, (VarLocation, cell_id, name), CALL if is_call else 0)
+
+    def var_write(
+        self,
+        cell_id: int,
+        name: str,
+        is_function_decl: bool = False,
+        writes_function: bool = False,
+    ) -> None:
+        """Closure-cell write -> VarLocation access."""
+        detail = {"writes_function": True} if writes_function else None
+        self.record(
+            WRITE,
+            (VarLocation, cell_id, name),
+            FUNCTION_DECL if is_function_decl else 0,
+            detail,
+        )
+
+    def prop_read(self, object_id: int, name: str, is_call: bool = False) -> None:
+        """Object-property read -> PropLocation access."""
+        self.record(READ, (PropLocation, object_id, name), CALL if is_call else 0)
+
+    def prop_write(
+        self,
+        object_id: int,
+        name: str,
+        is_function_decl: bool = False,
+        writes_function: bool = False,
+    ) -> None:
+        """Object-property write -> PropLocation access."""
+        detail = {"writes_function": True} if writes_function else None
+        self.record(
+            WRITE,
+            (PropLocation, object_id, name),
+            FUNCTION_DECL if is_function_decl else 0,
+            detail,
+        )
+
+    # ------------------------------------------------------------------
     # Eloc accesses (Section 4.3)
 
     def handler_write(
@@ -234,11 +277,49 @@ class Monitor:
         self.record(READ, (DomPropLocation, element.element_key, name, element.tag))
 
     # ------------------------------------------------------------------
-    # structural DOM instrumentation (Section 4.2)
+    # structural DOM instrumentation: every Document's sink (Section 4.2)
 
-    def make_dom_instrumentation(self) -> DomInstrumentation:
-        """A DomInstrumentation adapter wired to this monitor."""
-        return _DomHooks(self)
+    def element_inserted(self, element: Element, parent: Node) -> None:
+        """HElem + structural writes for an insertion (Section 4.2)."""
+        self.note_created(element)
+        self._structural_writes(element, parent)
+
+    def element_removed(self, element: Element, parent: Node) -> None:
+        """HElem + structural writes for a removal (Section 4.2)."""
+        self._structural_writes(element, parent)
+
+    def _structural_writes(self, element: Element, parent: Node) -> None:
+        # Write the element's own logical location (Section 4.2).
+        self.record(WRITE, (HElemLocation, element.element_key))
+        # Write the collection buckets it joins or leaves.
+        document = element.home_document
+        if document is not None:
+            for bucket in Document.categories_of(element):
+                kind, _sep, key = bucket.partition(":")
+                self.record(WRITE, (CollectionLocation, document.doc_id, kind, key))
+        # Structural JS-heap writes (Section 4.1): childNodes on the parent,
+        # parentNode on the child.  (The paper indexes childNodes[i]; we use
+        # one location per parent — a documented coarsening that only makes
+        # the race net wider.)
+        if isinstance(parent, Element):
+            self.record(
+                WRITE,
+                (DomPropLocation, parent.element_key, "childNodes", parent.tag),
+            )
+        self.record(
+            WRITE,
+            (DomPropLocation, element.element_key, "parentNode", element.tag),
+        )
+
+    def element_read(
+        self, document: Document, key: ElementKey, found: bool, via: str
+    ) -> None:
+        """HElem read from a query API (hits and misses)."""
+        self.record(READ, (HElemLocation, key), detail={"found": found, "via": via})
+
+    def collection_read(self, document: Document, kind: str, key: str) -> None:
+        """Read of a document-level element collection."""
+        self.record(READ, (CollectionLocation, document.doc_id, kind, key))
 
     def note_created(self, element: Element) -> None:
         """Record create(E) = the current operation, first insertion wins."""
@@ -261,107 +342,8 @@ class Monitor:
         """Does operation ``a`` happen before ``b``?"""
         return self.graph.happens_before(a, b)
 
-
-class _JsHooks(AccessHooks):
-    """Adapter: interpreter access hooks -> JSVar logical locations."""
-
-    def __init__(self, monitor: Monitor):
-        self.monitor = monitor
-
-    def var_read(self, cell_id: int, name: str, is_call: bool = False) -> None:
-        """Closure-cell read -> VarLocation access."""
-        self.monitor.record(
-            READ, (VarLocation, cell_id, name), CALL if is_call else 0
-        )
-
-    def var_write(
-        self,
-        cell_id: int,
-        name: str,
-        is_function_decl: bool = False,
-        writes_function: bool = False,
-    ) -> None:
-        """Closure-cell write -> VarLocation access."""
-        detail = {"writes_function": True} if writes_function else None
-        self.monitor.record(
-            WRITE,
-            (VarLocation, cell_id, name),
-            FUNCTION_DECL if is_function_decl else 0,
-            detail,
-        )
-
-    def prop_read(self, object_id: int, name: str, is_call: bool = False) -> None:
-        """Object-property read -> PropLocation access."""
-        self.monitor.record(
-            READ, (PropLocation, object_id, name), CALL if is_call else 0
-        )
-
-    def prop_write(
-        self,
-        object_id: int,
-        name: str,
-        is_function_decl: bool = False,
-        writes_function: bool = False,
-    ) -> None:
-        """Object-property write -> PropLocation access."""
-        detail = {"writes_function": True} if writes_function else None
-        self.monitor.record(
-            WRITE,
-            (PropLocation, object_id, name),
-            FUNCTION_DECL if is_function_decl else 0,
-            detail,
-        )
-
-
-class _DomHooks(DomInstrumentation):
-    """Adapter: Document structural events -> HElem/JSVar accesses."""
-
-    def __init__(self, monitor: Monitor):
-        self.monitor = monitor
-
-    def element_inserted(self, element: Element, parent: Node) -> None:
-        """HElem + structural writes for an insertion (Section 4.2)."""
-        self.monitor.note_created(element)
-        self._structural_writes(element, parent)
-
-    def element_removed(self, element: Element, parent: Node) -> None:
-        """HElem + structural writes for a removal (Section 4.2)."""
-        self._structural_writes(element, parent)
-
-    def _structural_writes(self, element: Element, parent: Node) -> None:
-        monitor = self.monitor
-        # Write the element's own logical location (Section 4.2).
-        monitor.record(WRITE, (HElemLocation, element.element_key))
-        # Write the collection buckets it joins or leaves.
-        document = element.home_document
-        if document is not None:
-            for bucket in Document.categories_of(element):
-                kind, _sep, key = bucket.partition(":")
-                monitor.record(
-                    WRITE, (CollectionLocation, document.doc_id, kind, key)
-                )
-        # Structural JS-heap writes (Section 4.1): childNodes on the parent,
-        # parentNode on the child.  (The paper indexes childNodes[i]; we use
-        # one location per parent — a documented coarsening that only makes
-        # the race net wider.)
-        if isinstance(parent, Element):
-            monitor.record(
-                WRITE,
-                (DomPropLocation, parent.element_key, "childNodes", parent.tag),
-            )
-        monitor.record(
-            WRITE,
-            (DomPropLocation, element.element_key, "parentNode", element.tag),
-        )
-
-    def element_read(
-        self, document: Document, key: ElementKey, found: bool, via: str
-    ) -> None:
-        """HElem read from a query API (hits and misses)."""
-        self.monitor.record(
-            READ, (HElemLocation, key), detail={"found": found, "via": via}
-        )
-
-    def collection_read(self, document: Document, kind: str, key: str) -> None:
-        """Read of a document-level element collection."""
-        self.monitor.record(READ, (CollectionLocation, document.doc_id, kind, key))
+    def close(self) -> None:
+        """Drop the trace, HB store and detector (idempotent).  They hold
+        no reference cycle, so they are freed at once unless a reader
+        still holds one."""
+        self.trace = self.graph = self.detector = None

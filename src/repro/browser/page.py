@@ -238,7 +238,7 @@ class Page:
 
         # One shared JS global across all frames (see DESIGN.md).
         self.interpreter = Interpreter(
-            global_object=JSObject(), hooks=self.monitor.js_hooks
+            global_object=JSObject(), hooks=self.monitor
         )
         install_builtins(
             self.interpreter,
@@ -249,7 +249,7 @@ class Page:
 
         # Root window/document.
         document = Document(url)
-        document.instrumentation = self.monitor.make_dom_instrumentation()
+        document.instrumentation = self.monitor
         self.window = Window(document, parent=None, url=url)
         self.document = document
         self.interpreter.this_value = self.bindings.window(self.window)
@@ -361,7 +361,7 @@ class Page:
         iframe_element: Optional[Element] = None,
         iframe_create_op: Optional[int] = None,
     ) -> DocumentLoader:
-        window.document.instrumentation = self.monitor.make_dom_instrumentation()
+        window.document.instrumentation = self.monitor
         loader = DocumentLoader(
             self, window, html, iframe_element, iframe_create_op
         )
@@ -1054,16 +1054,30 @@ class Page:
         return self.window.load_fired
 
     def close(self) -> None:
-        """Drop the monitor's trace, HB store and detector (idempotent).
+        """Free this run as soon as its owner lets go of it (idempotent).
 
-        The run's owner calls this once it has read what it needs.  Those
-        three hold no reference cycle, so they are freed at once unless a
-        reader still holds one.  The page, its DOM and its JS heap are
-        cyclic and wait for the collector.  ``trace`` and ``races`` are
+        The run's owner calls this once it has read what it needs.  The
+        monitor drops its trace, HB store and detector; every window and
+        its document cut their node links and handlers; the JS global
+        object drops its properties, whose functions reach it back through
+        their scope and whose host functions hold the page; and the page
+        drops the components that point back at it.  What is left holds
+        no reference cycle, so reference counting frees it without the
+        collector, unless a page script linked its own JS values into one
+        or the run stopped before its event loop drained (``max_run_ms``),
+        whose queued tasks hold the page.  ``trace`` and ``races`` are
         gone afterwards.
         """
-        monitor = self.monitor
-        monitor.trace = monitor.graph = monitor.detector = None
+        self.monitor.close()
+        if self.interpreter is None:
+            return
+        for window in self.window.all_windows():
+            window.unlink()
+        self.interpreter.global_object.properties.clear()
+        self.interpreter = self.xhr_constructor = None
+        self.bindings = self.dispatcher = self.explorer = None
+        self.loaders = {}
+        self._root_loader = None
 
 
 def _num(args, index: int) -> float:

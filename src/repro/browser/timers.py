@@ -131,9 +131,12 @@ class TimerRegistry:
         Interval-heavy pages (the Ford polling pattern) otherwise grow
         ``entries`` without bound and make :meth:`pending_count` scan ever
         more dead timers.  Ids are never reused (``itertools.count``), so
-        pruning cannot resurrect an id for a different timer.
+        pruning cannot resurrect an id for a different timer.  The entry
+        also drops its task, whose action holds the entry: the pair would
+        otherwise wait for the cycle collector.
         """
         self.entries.pop(entry.timer_id, None)
+        entry.task = None
 
     def pending_count(self) -> int:
         """Number of timers still scheduled to fire."""

@@ -71,5 +71,13 @@ class Window:
             result.extend(frame.all_windows())
         return result
 
+    def unlink(self) -> None:
+        """Cut this window's links to its frames and handlers, and its
+        document's (:meth:`Document.unlink`)."""
+        self.document.unlink()
+        self.frames = []
+        self.attr_handlers.clear()
+        self.listeners.clear()
+
     def __repr__(self) -> str:
         return f"Window#{self.window_id}({self.url!r})"

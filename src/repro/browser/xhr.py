@@ -16,13 +16,7 @@ from typing import Any, Dict, Optional
 from ..core.locations import ATTR_SLOT, node_key
 from ..dom.node import next_node_id
 from ..js.interpreter import to_string
-from ..js.values import (
-    NULL,
-    UNDEFINED,
-    BoundMethod,
-    HostObject,
-    NativeFunction,
-)
+from ..js.values import NULL, UNDEFINED, HostObject, NativeFunction
 
 
 class XhrBinding(HostObject):
@@ -42,7 +36,6 @@ class XhrBinding(HostObject):
         self.dispatch_count = 0
         #: Cancellable handle of the in-flight network fetch, if any.
         self.pending: Optional[Any] = None
-        self._methods: Dict[str, BoundMethod] = {}
 
     @property
     def element_key(self):
@@ -63,12 +56,8 @@ class XhrBinding(HostObject):
             self.page.monitor.handler_read(self.element_key, "readystatechange")
             handler = self.attr_handlers.get("readystatechange")
             return handler if handler is not None else NULL
-        if name in ("open", "send", "setRequestHeader", "abort", "addEventListener"):
-            method = self._methods.get(name)
-            if method is None:
-                method = BoundMethod(name, self, _XHR_METHODS[name])
-                self._methods[name] = method
-            return method
+        if name in _XHR_METHODS:
+            return self.page.bindings.method(self, name, _XHR_METHODS[name])
         return UNDEFINED
 
     def js_set(self, name: str, value: Any, interpreter) -> None:

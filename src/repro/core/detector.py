@@ -112,7 +112,7 @@ class RaceDetector:
             return
         self._reported_locations.add(loc)
         trace = self.trace
-        location = trace.location_table[loc]
+        location = trace.location(loc)
         if self.obs.enabled:
             self.obs.count("race.reported")
             self.obs.instant("race", kind=kind, location=location.describe())

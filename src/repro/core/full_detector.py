@@ -73,7 +73,7 @@ class FullHistoryDetector:
         both_write = not (trace.reads[prior] or trace.reads[row])
         self.races.append(
             Race(
-                location=trace.location_table[loc],
+                location=trace.location(loc),
                 prior=trace.access(prior),
                 current=trace.access(row),
                 kind=WRITE_WRITE if both_write else READ_WRITE,

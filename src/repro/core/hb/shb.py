@@ -158,7 +158,7 @@ def reads_from_edges(trace: Trace, hb: HBGraph) -> List[ReadsFromEdge]:
             ReadsFromEdge(
                 src=src,
                 dst=op_id,
-                location=trace.location_table[loc],
+                location=trace.location(loc),
                 racy=hb.concurrent(src, op_id),
             )
         )

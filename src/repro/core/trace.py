@@ -17,10 +17,13 @@ Accesses are stored as columns of plain integers, one *row* per access:
 operation id, location id, read flag and call/declaration bits, plus a
 detail dict for the few rows that carry one.  Each location is interned
 once, by its key ``(LocationClass, *fields)`` — exactly the frozen
-dataclass's equality — and its :class:`~repro.core.locations.Location`
-object is built on its first access.  :class:`~repro.core.access.Access`
-records are built on demand (``trace.accesses``, ``trace.access(row)``);
-``Access.seq`` is the row index.
+dataclass's equality.  Only the key is kept: its
+:class:`~repro.core.locations.Location` object is built the first time
+something reads it (:meth:`Trace.location`), which race reports, filters,
+evidence, SHB and serialization do, and a run without races never does.
+:class:`~repro.core.access.Access` records are built on demand
+(``trace.accesses``, ``trace.access(row)``); ``Access.seq`` is the row
+index.
 """
 
 from __future__ import annotations
@@ -77,9 +80,11 @@ class Trace:
         self.bits: List[int] = []
         #: row -> detail dict, only for rows that have one.
         self.details: Dict[int, dict] = {}
-        #: location id -> Location.
-        self.location_table: List[Location] = []
+        #: location id -> key, and key -> location id.
+        self._location_keys: List[LocationKey] = []
         self._location_ids: Dict[LocationKey, int] = {}
+        #: location id -> Location, for the ids read so far.
+        self._locations: Dict[int, Location] = {}
         #: location id -> [rows scanned, rows at the location].
         self._location_rows: Dict[int, list] = {}
         self.crashes: List = []  # repro.js.errors.ScriptCrash values
@@ -94,11 +99,11 @@ class Trace:
     # recording
 
     def intern(self, key: LocationKey) -> int:
-        """The dense id of location ``key``, building it on first sight."""
+        """The dense id of location ``key``, assigned on first sight."""
         loc = self._location_ids.get(key)
         if loc is None:
-            loc = self._location_ids[key] = len(self.location_table)
-            self.location_table.append(key[0](*key[1:]))
+            loc = self._location_ids[key] = len(self._location_keys)
+            self._location_keys.append(key)
         return loc
 
     def record(
@@ -126,13 +131,22 @@ class Trace:
     # ------------------------------------------------------------------
     # queries
 
+    def location(self, loc: int) -> Location:
+        """The :class:`Location` of location id ``loc``, built on its first
+        read; every later read returns the same object."""
+        location = self._locations.get(loc)
+        if location is None:
+            key = self._location_keys[loc]
+            location = self._locations[loc] = key[0](*key[1:])
+        return location
+
     def access(self, row: int) -> Access:
         """The :class:`Access` record of one row (built fresh)."""
         bits = self.bits[row]
         return Access(
             kind=READ if self.reads[row] else WRITE,
             op_id=self.ops[row],
-            location=self.location_table[self.locs[row]],
+            location=self.location(self.locs[row]),
             seq=row,
             is_call=bool(bits & CALL),
             is_function_decl=bool(bits & FUNCTION_DECL),
@@ -174,7 +188,7 @@ class Trace:
 
     def locations(self) -> List[Location]:
         """Distinct locations accessed, in first-touch order."""
-        return list(self.location_table)
+        return [self.location(loc) for loc in range(len(self._location_keys))]
 
     def accesses_by_operation(self, op_id: int) -> List[Access]:
         """All accesses performed by one operation."""
@@ -192,7 +206,7 @@ class Trace:
         """
         return (
             [(op.kind, op.label, op.parent) for op in self.operations],
-            list(self._location_ids),
+            self._location_keys,
             self.ops,
             self.locs,
             self.reads,

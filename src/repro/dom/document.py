@@ -59,6 +59,9 @@ class Document(Node):
         self.doc_id = self.node_id
         self.instrumentation: DomInstrumentation = NULL_DOM_INSTRUMENTATION
         self._id_index: Dict[str, Element] = {}
+        #: Every element this document created, in its tree or not
+        #: (removed, or built before insertion), for :meth:`unlink`.
+        self._created: List[Element] = []
         #: The window owning this document (set by the browser).
         self.window = None
         #: Document-level event listeners (DOMContentLoaded handlers).
@@ -73,7 +76,9 @@ class Document(Node):
 
     def create_element(self, tag: str, attributes: Optional[Dict[str, str]] = None) -> Element:
         """Create a detached element homed in this document."""
-        return Element(tag, attributes, home_document=self)
+        element = Element(tag, attributes, home_document=self)
+        self._created.append(element)
+        return element
 
     def ensure_root(self) -> Element:
         """Create the implicit <html><body> scaffold on first use."""
@@ -263,6 +268,31 @@ class Document(Node):
     def has_any_handler(self, event: str) -> bool:
         """Is any handler registered for ``event`` on the document?"""
         return event in self.attr_handlers or bool(self.listeners.get(event))
+
+    # ------------------------------------------------------------------
+    # closing
+
+    def unlink(self) -> None:
+        """Cut the links that make this document cyclic (idempotent).
+
+        Every element this document created drops its parent link and
+        its handlers (a JS function can reach its element back through its
+        scope), and the document drops its children, indexes, window and
+        handlers.  Elements keep their children and ``home_document``,
+        which no longer reaches them, so reference counting frees the DOM
+        once the closed page that owns it is let go.  One pass over those
+        elements.
+        """
+        for element in self._created:
+            element.parent = None
+            element.attr_handlers.clear()
+            element.listeners.clear()
+        self._created = []
+        self.children = []
+        self._id_index.clear()
+        self.root_element = self.body = self.window = None
+        self.attr_handlers.clear()
+        self.listeners.clear()
 
     def __repr__(self) -> str:
         return f"Document#{self.doc_id}({self.url!r})"

@@ -13,6 +13,10 @@ The engine distinguishes two failure channels:
   catches escaping throws, records them as "hidden crashes", and continues
   with the next operation, just as real browsers hide most JavaScript errors
   from the user.
+
+A script that runs past the interpreter's step budget raises
+:class:`BudgetExceeded`, which ends it like an escaping throw but which JS
+``try`` cannot catch.
 """
 
 from __future__ import annotations
@@ -32,6 +36,10 @@ class JSSyntaxError(Exception):
         self.raw_message = message
         self.line = line
         self.column = column
+
+
+class BudgetExceeded(Exception):
+    """Raised when a script exceeds the interpreter's step budget."""
 
 
 class JSThrow(Exception):
@@ -100,9 +108,16 @@ class ScriptCrash:
 
     @property
     def kind(self) -> str:
-        """The JS error class name, or ``"value"`` for non-error throws."""
-        if isinstance(self.error, JSErrorValue):
-            return self.error.name
+        """What failed: the JS error class name (``SyntaxError`` for a
+        script that did not parse), ``BudgetExceeded`` for a script that
+        ran out of steps, or ``"value"`` for a thrown non-error."""
+        error = self.error
+        if isinstance(error, JSErrorValue):
+            return error.name
+        if isinstance(error, JSSyntaxError):
+            return "SyntaxError"
+        if isinstance(error, BudgetExceeded):
+            return "BudgetExceeded"
         return "value"
 
     def __repr__(self) -> str:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional
 
 from . import ast
-from .errors import JSThrow, reference_error, type_error
+from .errors import BudgetExceeded, JSThrow, reference_error, type_error
 from .scope import ObjectScope, Scope, hoisted_declarations
 from .values import (
     NULL,
@@ -38,10 +38,6 @@ from .values import (
     HostObject,
     is_callable,
 )
-
-
-class BudgetExceeded(Exception):
-    """Raised when a script exceeds the interpreter's step budget."""
 
 
 class AccessHooks:
@@ -500,7 +496,7 @@ class Interpreter:
             if isinstance(right, HostObject):
                 return right.js_has(key)
             if isinstance(right, JSObject):
-                return right.has(key)
+                return right.has(key) or _has_builtin_member(right, key)
             raise type_error("'in' requires an object")
         left = self._eval(node.left, scope, this)
         right = self._eval(node.right, scope, this)
@@ -1340,6 +1336,17 @@ _ARRAY_METHODS = {
     "map": _array_map,
     "filter": _array_filter,
 }
+
+
+def _has_builtin_member(obj: JSObject, name: str) -> bool:
+    """Does :meth:`Interpreter.get_member` serve ``name`` on ``obj``
+    without a stored property?  An array's ``length`` and methods, and a
+    function's ``prototype`` (made on first read), ``call`` and ``apply``."""
+    if isinstance(obj, JSArray):
+        return name == "length" or name in _ARRAY_METHODS
+    if isinstance(obj, JSFunction):
+        return name in ("prototype", "call", "apply")
+    return False
 
 
 def function_member(fn: JSFunction, name: str) -> Any:

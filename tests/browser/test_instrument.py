@@ -151,7 +151,7 @@ class TestCrashRecording:
 class TestDomHooks:
     def make_document(self, monitor):
         document = Document("t.html")
-        document.instrumentation = monitor.make_dom_instrumentation()
+        document.instrumentation = monitor
         return document
 
     def test_insertion_writes_helem_and_structure(self, monitor):

@@ -106,6 +106,7 @@ class TestScriptTooDeep:
         page = load(f"<script>x = {deep};</script><script>y = 1;</script>")
         [crash] = page.trace.crashes
         assert isinstance(crash.error, JSSyntaxError)
+        assert crash.kind == "SyntaxError"
         assert not page.interpreter.global_object.has_own("x")
         self.check_next_script_runs(page, crash)
 
@@ -136,8 +137,18 @@ class TestScriptTooDeep:
         )
         [crash] = page.trace.crashes
         assert isinstance(crash.error, JSSyntaxError)
+        assert crash.kind == "SyntaxError"
         assert crash.where == "handler attribute"
         assert page.interpreter.global_object.get_own("y") == 1
+
+    def test_exhausted_step_budget_is_a_crash_of_its_own_kind(self):
+        page = Browser().open("<script>x = 1; while (true) {}</script><script>y = 1;</script>")
+        page.interpreter.max_steps = 1_000
+        page.run()
+        [crash] = page.trace.crashes
+        assert crash.kind == "BudgetExceeded"
+        assert page.interpreter.global_object.get_own("x") == 1
+        self.check_next_script_runs(page, crash)
 
 
 class TestLifecycleEvents:

@@ -58,29 +58,40 @@ class TestCheck:
 
 
     @pytest.mark.parametrize(
-        "script",
+        "script, kind",
         [
-            "x = " + "(" * 400 + "1" + ")" * 400 + ";",
-            "function f(n) { return f(n + 1); } f(0);",
+            ("x = " + "(" * 400 + "1" + ")" * 400 + ";", "SyntaxError"),
+            ("function f(n) { return f(n + 1); } f(0);", "RangeError"),
         ],
         ids=["parse", "call"],
     )
-    def test_script_too_deep_is_a_crash_not_a_traceback(self, script, tmp_path):
+    def test_script_too_deep_is_a_crash_not_a_traceback(self, script, kind, tmp_path):
         """A real process: an uncaught exception would exit 1, the
         harmful-race status, which an in-process main() cannot show."""
-        page = tmp_path / "deep.html"
-        page.write_text(f"<script>{script}</script><script>y = 1;</script>")
-        src = pathlib.Path(repro.__file__).resolve().parents[1]
-        result = subprocess.run(
-            [sys.executable, "-m", "repro", "check", str(page)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=120,
-        )
+        result = check_as_process(tmp_path, script)
         assert result.returncode == 0, result.stderr
         assert "Traceback" not in result.stderr
         assert "1 hidden crash(es)" in result.stdout
+        assert f"op 2: {kind} — " in result.stdout
+
+    def test_exhausted_step_budget_is_a_crash_of_its_own_kind(self, tmp_path):
+        result = check_as_process(tmp_path, "while (true) {}")
+        assert result.returncode == 0, result.stderr
+        assert "op 2: BudgetExceeded — " in result.stdout
+
+
+def check_as_process(tmp_path, script):
+    """``repro check`` of a page running ``script`` and then ``y = 1``."""
+    page = tmp_path / "page.html"
+    page.write_text(f"<script>{script}</script><script>y = 1;</script>")
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "repro", "check", str(page)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
 
 
 class TestAnalyze:

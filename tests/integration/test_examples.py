@@ -3,6 +3,7 @@
 import pathlib
 import runpy
 import sys
+import tempfile
 import textwrap
 
 import pytest
@@ -15,15 +16,17 @@ EXAMPLES = sorted(
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda path: path.stem)
-def test_example_runs_clean(script, capsys, monkeypatch):
+def test_example_runs_clean(script, capsys, monkeypatch, tmp_path):
     if script.stem == "audit_fortune100":
         # The full corpus belongs to the benchmarks; run a slice here.
         monkeypatch.setattr(sys, "argv", [str(script), "6"])
     else:
         monkeypatch.setattr(sys, "argv", [str(script)])
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     runpy.run_path(str(script), run_name="__main__")
     out = capsys.readouterr().out
     assert out.strip(), f"{script.stem} produced no output"
+    assert list(tmp_path.iterdir()) == [], f"{script.stem} left temporary files"
 
 
 def test_there_are_at_least_five_examples():

@@ -1,13 +1,16 @@
-"""A closed page run leaves none of its bulk state to the cycle collector.
+"""A closed page run leaves nothing of itself to the cycle collector.
 
 Every owner of a run (explore's recording and replay, predict's base
 run, a corpus site) closes it once it has read what it needs.  The trace,
-HB store, detector and operations hold no reference cycle, so closing a
-run frees them at once; only the page, its DOM and its JS heap wait for
-the collector.  Each owner runs here with automatic collection off and
-``gc.DEBUG_SAVEALL`` on, so one ``gc.collect()`` afterwards lists every
-object that only the collector could have freed.  A page parsed once
-keeps none of its HTML tokens, even while its run is live.
+HB store, detector and operations hold no reference cycle, and closing a
+run cuts the ones the page, its DOM and its JS heap hold, so reference
+counting frees the whole run at once.  Each owner runs here with
+automatic collection off and ``gc.DEBUG_SAVEALL`` on, so one
+``gc.collect()`` afterwards lists every object that only the collector
+could have freed.  A page script can still link its own JS values into a
+cycle, which no unlinking of the page cuts; one test names such a cycle.
+A run that is not closed keeps its DOM and JS globals, and a page parsed
+once keeps none of its HTML tokens, even while its run is live.
 """
 
 import gc
@@ -19,6 +22,15 @@ from collections import Counter
 import pytest
 
 from repro import WebRacer
+from repro.browser import bindings
+from repro.browser.dispatcher import Dispatcher
+from repro.browser.event_loop import EventLoop
+from repro.browser.exploration import AutoExplorer
+from repro.browser.instrument import Monitor
+from repro.browser.page import Browser, DocumentLoader, Page
+from repro.browser.timers import TimerRegistry
+from repro.browser.window import Window
+from repro.browser.xhr import XhrBinding
 from repro.config import RunConfig
 from repro.core.access import Access
 from repro.core.detector import RaceDetector
@@ -26,8 +38,13 @@ from repro.core.hb.graph import HBGraph
 from repro.core.locations import Location
 from repro.core.operations import Operation
 from repro.core.trace import Trace
+from repro.dom.document import Document
+from repro.dom.element import Element
 from repro.html.parser import clear_token_cache
 from repro.html.tokenizer import Comment, Doctype, EndTag, StartTag, Text
+from repro.js.interpreter import Interpreter
+from repro.js.scope import ObjectScope, Scope
+from repro.js.values import Cell, JSFunction, JSObject, NativeFunction
 from repro.predict import predict_page
 from repro.schedule_runner import ScheduleSpec, load_page_inputs, run_page_schedule
 from repro.sites import corpus_builders
@@ -38,10 +55,39 @@ RUN_STATE = (Trace, HBGraph, RaceDetector, Operation, Access) + typing.get_args(
     Location
 )
 
+PAGE_STATE = (
+    Page,
+    Browser,
+    Monitor,
+    EventLoop,
+    Interpreter,
+    bindings.Bindings,
+    bindings.ElementBinding,
+    bindings.StyleBinding,
+    bindings.DocumentBinding,
+    bindings.WindowBinding,
+    bindings.EventBinding,
+    XhrBinding,
+    Dispatcher,
+    DocumentLoader,
+    TimerRegistry,
+    AutoExplorer,
+    Document,
+    Window,
+    Element,
+    JSObject,
+    JSFunction,
+    NativeFunction,
+    Scope,
+    ObjectScope,
+    Cell,
+)
+
 
 def left_to_collector(action) -> Counter:
-    """Run-state objects, and functions of ``repro.js.scope``, that
-    ``action()`` leaves for the cycle collector, counted by type."""
+    """Run-state and page-state objects, and functions of
+    ``repro.js.scope``, that ``action()`` leaves for the cycle collector,
+    counted by type."""
     gc.collect()
     was_enabled = gc.isenabled()
     flags = gc.get_debug()
@@ -52,7 +98,7 @@ def left_to_collector(action) -> Counter:
         gc.collect()
         found = Counter()
         for obj in gc.garbage:
-            if isinstance(obj, RUN_STATE):
+            if isinstance(obj, RUN_STATE + PAGE_STATE):
                 found[type(obj).__name__] += 1
             elif (
                 isinstance(obj, types.FunctionType)
@@ -97,12 +143,52 @@ def test_closed_runs_leave_nothing_to_the_collector(action):
     assert left_to_collector(action) == Counter()
 
 
+def test_a_script_made_cycle_is_all_a_closed_run_leaves():
+    """An object that holds itself, and a function kept in the scope it
+    closes over, are cycles the page script made.  They wait for the
+    collector with what they reach: that call's ``arguments`` and, up the
+    scope chain, the global scope and its emptied global object.  Nothing
+    else of the page does."""
+    html = (
+        "<script>var o = {}; o.self = o;"
+        " function outer() { function inner() {} return inner; }"
+        " var f = outer();</script>"
+    )
+
+    def check_and_close():
+        WebRacer().check_page(html).page.close()
+
+    assert left_to_collector(check_and_close) == Counter(
+        {
+            "JSObject": 2,
+            "JSFunction": 1,
+            "Scope": 1,
+            "Cell": 2,
+            "JSArray": 1,
+            "ObjectScope": 1,
+        }
+    )
+
+
+def assert_live(page):
+    """The page's DOM and JS globals are intact."""
+    document = page.document
+    elements = document.all_elements()
+    assert elements and document.body is not None
+    assert all(element.parent is not None for element in elements)
+    assert document.window is page.window and page.window.document is document
+    global_object = page.interpreter.global_object
+    assert global_object.get_own("document") is page.bindings.document(document)
+    assert global_object.get_own("window") is page.bindings.window(page.window)
+
+
 def test_check_page_hands_back_a_live_run():
     html = (PAGES / "form_race.html").read_text()
     hint = (PAGES / "hint.js").read_text()
     report = WebRacer().check_page(html, resources={"hint.js": hint})
     assert len(report.trace.accesses) == len(report.trace)
     assert report.page.races == report.raw_races != []
+    assert_live(report.page)
 
 
 def test_kept_corpus_pages_stay_live():
@@ -111,14 +197,18 @@ def test_kept_corpus_pages_stay_live():
         page = result.page_report.page
         assert len(page.trace.accesses) == result.accesses
         assert len(page.races) == sum(result.raw_counts().values())
+        assert_live(page)
 
 
 def test_close_is_idempotent():
     html = (PAGES / "form_race.html").read_text()
     page = WebRacer().check_page(html).page
+    document = page.document
     page.close()
     page.close()
     assert page.trace is None
+    assert document.children == [] and document.window is None
+    assert page.interpreter is None
 
 
 def test_a_page_checked_once_keeps_no_tokens():
