@@ -83,7 +83,7 @@ def capture_and_analyse(trace_path):
     print(f"  racing locations the constant-memory detector missed: {len(missed)}")
 
     # Ad-hoc happens-before queries against the stored graph.
-    ops = sorted(loaded.trace.operations.operations.values(), key=lambda o: o.op_id)
+    ops = list(loaded.trace.operations)
     first_exe = next(op for op in ops if op.kind == "exe")
     last_op = ops[-1]
     print()

@@ -746,7 +746,7 @@ def cmd_analyze(args) -> int:
     loaded = load_trace(args.trace)
     report = loaded.report(apply_filters=not args.no_filters)
     print(f"{args.trace}: {len(loaded.trace.accesses)} accesses, "
-          f"{len(loaded.trace.operations.operations)} operations")
+          f"{len(loaded.trace.operations)} operations")
     print(render_race_report(report, title=report.summary()))
     if args.predict:
         analysis = loaded.predict()
@@ -769,7 +769,7 @@ def cmd_explain(args) -> int:
     report, records = loaded.explain(apply_filters=not args.no_filters)
     print(
         f"{args.trace}: {len(loaded.trace.accesses)} accesses, "
-        f"{len(loaded.trace.operations.operations)} operations, "
+        f"{len(loaded.trace.operations)} operations, "
         f"{report.total()} races"
     )
     if args.race is not None:

@@ -397,7 +397,7 @@ class StyleBinding(HostObject):
     def js_set(self, name: str, value: Any, interpreter: Interpreter) -> None:
         """Write a CSS property (a DOM-prop write on `style`)."""
         self.page.monitor.dom_prop_write(self.element, "style")
-        self.element.style[_css_name(name)] = to_string(value)
+        self.element.set_style(_css_name(name), to_string(value))
 
     def js_has(self, name: str) -> bool:
         """`in` support for style objects."""

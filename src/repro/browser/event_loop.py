@@ -113,6 +113,10 @@ class EventLoop:
         self._tasks.append(task)
         return task
 
+    def clear(self) -> None:
+        """Drop every queued task: the run is over and nothing runs again."""
+        self._tasks.clear()
+
     def pending(self) -> int:
         """Number of live (uncancelled) tasks in the queue."""
         return sum(1 for task in self._tasks if not task.cancelled)

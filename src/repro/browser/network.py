@@ -153,6 +153,10 @@ class NetworkSimulator:
         )
         return FetchHandle(url, task, latency)
 
+    def clear(self) -> None:
+        """Drop every fetch in flight: nothing to do here, because a fetch
+        is only its completion task, which the loop holds."""
+
 
 # ----------------------------------------------------------------------
 # connection-level discrete-event model
@@ -341,6 +345,14 @@ class ConnectionNetworkSimulator:
     def in_flight(self) -> int:
         """Number of assigned (active) transfers right now."""
         return len(self._active)
+
+    def clear(self) -> None:
+        """Drop every transfer in flight or queued (the page closed): each
+        holds its completion callback, and its task holds it back."""
+        for transfer in self._active:
+            transfer.task = None
+        self._active.clear()
+        self._queues.clear()
 
     # ------------------------------------------------------------------
 

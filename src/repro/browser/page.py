@@ -1063,14 +1063,17 @@ class Page:
         their scope and whose host functions hold the page; and the page
         drops the components that point back at it.  What is left holds
         no reference cycle, so reference counting frees it without the
-        collector, unless a page script linked its own JS values into one
-        or the run stopped before its event loop drained (``max_run_ms``),
-        whose queued tasks hold the page.  ``trace`` and ``races`` are
-        gone afterwards.
+        collector, unless a page script linked its own JS values into one.
+        A run stopped before its event loop drained (``max_run_ms``) also
+        drops its queued tasks, live timers and fetches in flight, which
+        close over the page.  ``trace`` and ``races`` are gone afterwards.
         """
         self.monitor.close()
         if self.interpreter is None:
             return
+        self.loop.clear()
+        self.timers.clear_all()
+        self.network.clear()
         for window in self.window.all_windows():
             window.unlink()
         self.interpreter.global_object.properties.clear()

@@ -138,6 +138,12 @@ class TimerRegistry:
         self.entries.pop(entry.timer_id, None)
         entry.task = None
 
+    def clear_all(self) -> None:
+        """Forget every timer, fired or not: the page closed."""
+        for entry in self.entries.values():
+            entry.task = None
+        self.entries.clear()
+
     def pending_count(self) -> int:
         """Number of timers still scheduled to fire."""
         return sum(

@@ -15,16 +15,17 @@ only the most recent access per slot can miss races.  Like the paper's
 tool, at most one race is reported per location per run (footnote 13):
 a write that races with both slots reports the write-write race.
 
-The detector works on trace rows (:mod:`repro.core.trace`): both cells map
-a location id to a row, and the two racing
-:class:`~repro.core.access.Access` records are built only when a race is
-reported.
+The detector works on trace rows (:mod:`repro.core.trace`): both cells are
+lists indexed by the trace's dense location id (``Trace.intern`` numbers
+locations 0..m in first-seen order) and hold a row, ``None`` for ``⊥``;
+the two racing :class:`~repro.core.access.Access` records are built only
+when a race is reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from .access import Access
 from .hb.graph import HBGraph
@@ -81,9 +82,10 @@ class RaceDetector:
         self.trace = trace
         self.hb = hb
         self.obs = obs if obs is not None else NULL
-        #: location id -> row of the last read / last write there.
-        self.last_read: Dict[int, int] = {}
-        self.last_write: Dict[int, int] = {}
+        #: location id -> row of the last read / last write there, or
+        #: None (``⊥``); both grow together as new locations appear.
+        self.last_read: List[Optional[int]] = []
+        self.last_write: List[Optional[int]] = []
         self.races: List[Race] = []
         self._reported_locations: Set[int] = set()
         #: Number of CHC queries issued — the cost metric for E9.
@@ -130,21 +132,26 @@ class RaceDetector:
         trace = self.trace
         loc = trace.locs[row]
         op_id = trace.ops[row]
-        prior_write = self.last_write.get(loc)
+        last_write = self.last_write
+        if loc >= len(last_write):
+            grow = [None] * (loc + 1 - len(last_write))
+            last_write += grow
+            self.last_read += grow
+        prior_write = last_write[loc]
         if trace.reads[row]:
             if self._chc(prior_write, op_id):
                 self._report(prior_write, row, loc, READ_WRITE)
             self.last_read[loc] = row
             return
         # write
-        prior_read = self.last_read.get(loc)
+        prior_read = self.last_read[loc]
         write_races = self._chc(prior_write, op_id)
         read_races = self._chc(prior_read, op_id)
         if write_races:
             self._report(prior_write, row, loc, WRITE_WRITE)
         if read_races and not write_races:
             self._report(prior_read, row, loc, READ_WRITE)
-        self.last_write[loc] = row
+        last_write[loc] = row
 
     def replay(self) -> "RaceDetector":
         """Feed every row already in the trace through :meth:`on_access`."""

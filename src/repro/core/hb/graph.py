@@ -28,6 +28,18 @@ entry is the operation's position.  The operations of one chain are
 totally ordered, so an operation that learns nothing beyond its chain
 predecessor's clock shares that predecessor's dict: a page whose
 operations form one chain stores one clock.
+
+Layout.  Operation ids are small non-negative integers handed out densely
+(:class:`~repro.core.operations.OperationFactory` numbers a run's
+operations 1..n; the trace loader rejects files that do not), so every
+per-operation field is a list indexed by the id, not a dict keyed by it:
+the predecessors with their rules (one flat ``(src, rule, src, rule, …)``
+tuple per operation, ``None`` for an id never registered), the chain and
+the position on it (``-1`` and ``0`` until finalized), and the stored
+clock.  The chain tails are a list indexed by chain, and the edges are
+one insertion-ordered ``[src, dst, rule, …]`` log.  Successor lists are
+derived from the log when first asked for (only the SHB path search asks,
+on a finished graph).
 """
 
 from __future__ import annotations
@@ -48,24 +60,42 @@ class Edge:
     rule: str = ""
 
 
-class _FullClocks(Mapping):
-    """``op -> full clock`` over an :class:`HBGraph`'s stored clocks: each
-    lookup copies the stored clock and adds the op's own chain entry."""
+class _FinalizedView(Mapping):
+    """A read-only ``op -> value`` view over an :class:`HBGraph`'s
+    finalized operations, in id order."""
 
     def __init__(self, graph: HBGraph):
         self._graph = graph
 
-    def __getitem__(self, op_id: int) -> Dict[int, int]:
-        chain, position = self._graph.position[op_id]
-        clock = dict(self._graph._clocks[op_id])
-        clock[chain] = position
-        return clock
-
     def __iter__(self) -> Iterator[int]:
-        return iter(self._graph._clocks)
+        return (op for op, chain in enumerate(self._graph._chain) if chain >= 0)
 
     def __len__(self) -> int:
-        return len(self._graph._clocks)
+        return sum(1 for chain in self._graph._chain if chain >= 0)
+
+    def _chain_of(self, op_id: int) -> int:
+        chains = self._graph._chain
+        if not 0 <= op_id < len(chains) or chains[op_id] < 0:
+            raise KeyError(op_id)
+        return chains[op_id]
+
+
+class _Positions(_FinalizedView):
+    """``op -> (chain index, position within chain)``."""
+
+    def __getitem__(self, op_id: int) -> Tuple[int, int]:
+        return self._chain_of(op_id), self._graph._pos[op_id]
+
+
+class _FullClocks(_FinalizedView):
+    """``op -> full clock``: each lookup copies the stored clock and adds
+    the op's own chain entry."""
+
+    def __getitem__(self, op_id: int) -> Dict[int, int]:
+        chain = self._chain_of(op_id)
+        clock = dict(self._graph._clocks[op_id])
+        clock[chain] = self._graph._pos[op_id]
+        return clock
 
 
 class HBGraph:
@@ -74,18 +104,34 @@ class HBGraph:
     def __init__(self, assert_forward: bool = True, obs=None):
         self.assert_forward = assert_forward
         self.obs = obs if obs is not None else NULL
-        self._succ: Dict[int, List[int]] = {}
-        self._pred: Dict[int, List[int]] = {}
-        #: (src, dst) -> rule label, in insertion order; doubles as the
-        #: edge-membership set.
-        self._edge_rules: Dict[Tuple[int, int], str] = {}
-        #: op -> (chain index, position within chain); presence = finalized.
-        self.position: Dict[int, Tuple[int, int]] = {}
+        #: op -> flat ``(src, rule, …)`` of its incoming edges in insertion
+        #: order; ``None`` for an id that was never registered.
+        self._preds: List[Optional[tuple]] = []
+        #: op -> chain index, ``-1`` until finalized.
+        self._chain: List[int] = []
+        #: op -> position within its chain (meaningful once finalized).
+        self._pos: List[int] = []
         #: op -> {other chain index -> max covered position}: the clock
         #: without the op's own chain.  Shared, never mutated.
-        self._clocks: Dict[int, Dict[int, int]] = {}
-        self._chain_tail: Dict[int, int] = {}
-        self.chain_count = 0
+        self._clocks: List[Optional[Dict[int, int]]] = []
+        #: chain index -> its newest operation.
+        self._chain_tail: List[int] = []
+        #: Every edge as ``src, dst, rule``, flat, in insertion order.
+        self._log: List = []
+        #: src -> successors, built from ``_log`` on first use.
+        self._succ: Optional[Dict[int, List[int]]] = None
+
+    @property
+    def chain_count(self) -> int:
+        """Number of chains opened so far."""
+        return len(self._chain_tail)
+
+    @property
+    def position(self) -> Mapping[int, Tuple[int, int]]:
+        """op -> (chain index, position within chain), finalized ops only
+        (read-only).  A fresh view, so the graph does not reference
+        itself."""
+        return _Positions(self)
 
     @property
     def clock(self) -> Mapping[int, Dict[int, int]]:
@@ -98,9 +144,19 @@ class HBGraph:
     # construction
 
     def add_operation(self, op_id: int) -> None:
-        """Register an operation (idempotent)."""
-        self._succ.setdefault(op_id, [])
-        self._pred.setdefault(op_id, [])
+        """Register an operation (idempotent).  Every per-operation list
+        grows to ``op_id + 1`` entries, so ids must be small and dense."""
+        preds = self._preds
+        if not 0 <= op_id < len(preds):
+            if op_id < 0:
+                raise ValueError(f"operation ids are non-negative, not {op_id}")
+            grow = op_id + 1 - len(preds)
+            preds.extend([None] * grow)
+            self._chain.extend([-1] * grow)
+            self._pos.extend([0] * grow)
+            self._clocks.extend([None] * grow)
+        if preds[op_id] is None:
+            preds[op_id] = ()
 
     def add_edge(self, src: int, dst: int, rule: str = "") -> bool:
         """Add ``src ≺ dst``; returns False if the edge already existed.
@@ -116,18 +172,22 @@ class HBGraph:
                 f"backward happens-before edge {src} -> {dst} (rule {rule!r}); "
                 "edges must point from older to newer operations"
             )
-        if dst in self.position:
+        preds = self._preds
+        if 0 <= dst < len(preds) and self._chain[dst] >= 0:
             raise ValueError(
                 f"edge {src} -> {dst} (rule {rule!r}) added after operation "
                 f"{dst} was queried; incoming edges must precede execution"
             )
-        if (src, dst) in self._edge_rules:
+        if not 0 <= src < len(preds) or preds[src] is None:
+            self.add_operation(src)
+        if not 0 <= dst < len(preds) or preds[dst] is None:
+            self.add_operation(dst)
+        entries = preds[dst]
+        if entries and src in entries[::2]:
             return False
-        self.add_operation(src)
-        self.add_operation(dst)
-        self._succ[src].append(dst)
-        self._pred[dst].append(src)
-        self._edge_rules[(src, dst)] = rule
+        preds[dst] = entries + (src, rule)
+        self._log += (src, dst, rule)
+        self._succ = None
         if self.obs.enabled:
             self.obs.count("hb.edge")
         return True
@@ -138,14 +198,16 @@ class HBGraph:
     def _finalize(self, op_id: int) -> None:
         """Assign chain positions and clocks to ``op_id``'s unfinalized
         cone, predecessors first; raises ``ValueError`` on a cycle."""
-        if op_id in self.position:
+        chains = self._chain
+        if chains[op_id] >= 0:
             return
+        preds = self._preds
         path = [op_id]
         on_path = {op_id}
-        pending = [iter(self._pred[op_id])]
+        pending = [iter(preds[op_id][::2])]
         while path:
             for pred in pending[-1]:
-                if pred in self.position:
+                if chains[pred] >= 0:
                     continue
                 if pred in on_path:
                     raise ValueError(
@@ -153,7 +215,7 @@ class HBGraph:
                     )
                 path.append(pred)
                 on_path.add(pred)
-                pending.append(iter(self._pred[pred]))
+                pending.append(iter(preds[pred][::2]))
                 break
             else:
                 pending.pop()
@@ -162,53 +224,56 @@ class HBGraph:
                 self._assign(op)
 
     def _assign(self, op_id: int) -> None:
-        predecessors = self._pred[op_id]
+        predecessors = self._preds[op_id][::2]
+        chains, positions, clocks = self._chain, self._pos, self._clocks
+        tails = self._chain_tail
 
         # Chain assignment: extend a predecessor's chain if it is still
         # that chain's tail, otherwise open a new chain.
         extended: Optional[int] = None
         for pred in predecessors:
-            chain, _pos = self.position[pred]
-            if self._chain_tail.get(chain) == pred:
+            if tails[chains[pred]] == pred:
                 extended = pred
                 break
         if extended is None:
-            assigned = self.chain_count
-            self.chain_count += 1
+            assigned = len(tails)
+            tails.append(op_id)
             if self.obs.enabled:
                 self.obs.count("hb.chain_opened")
             position = 0
         else:
-            assigned, position = self.position[extended]
-            position += 1
-        self.position[op_id] = (assigned, position)
-        self._chain_tail[assigned] = op_id
+            assigned = chains[extended]
+            position = positions[extended] + 1
+            tails[assigned] = op_id
+        chains[op_id] = assigned
+        positions[op_id] = position
 
         # Clock: pointwise max over predecessors' clocks, plus each
         # predecessor's own position, minus our own chain (``position``
         # holds that entry).
         clock: Dict[int, int] = {}
         for pred in predecessors:
-            for chain, pos in self._clocks[pred].items():
+            for chain, pos in clocks[pred].items():
                 if clock.get(chain, -1) < pos:
                     clock[chain] = pos
-            pred_chain, pred_pos = self.position[pred]
+            pred_chain, pred_pos = chains[pred], positions[pred]
             if clock.get(pred_chain, -1) < pred_pos:
                 clock[pred_chain] = pred_pos
         clock.pop(assigned, None)
-        if extended is not None and clock == self._clocks[extended]:
+        if extended is not None and clock == clocks[extended]:
             # Nothing learned beyond the chain predecessor: share its dict.
-            clock = self._clocks[extended]
-        self._clocks[op_id] = clock
+            clock = clocks[extended]
+        clocks[op_id] = clock
 
     def finalize_all(self) -> None:
-        """Finalize every registered operation.
+        """Finalize every registered operation, in id order.
 
         Loaders call this once the graph is complete: it settles every
         clock up front and rejects a cyclic edge set.
         """
-        for op_id in self._pred:
-            self._finalize(op_id)
+        for op_id, entries in enumerate(self._preds):
+            if entries is not None:
+                self._finalize(op_id)
 
     # ------------------------------------------------------------------
     # queries
@@ -217,12 +282,18 @@ class HBGraph:
         """True iff ``a ≺ b``; finalizes both operations' cones."""
         if a == b:
             return False
-        # Fast path: both operations already finalized (the common case on
-        # the detection hot path — priors were queried before).
-        pos_a = self.position.get(a)
-        pos_b = self.position.get(b)
-        if pos_a is None or pos_b is None:
-            if a not in self._pred or b not in self._pred:
+        chains = self._chain
+        try:
+            chain_a = chains[a]
+            chain_b = chains[b]
+        except IndexError:
+            return False  # an id past every registered one
+        if chain_a < 0 or chain_b < 0:
+            # Slow path: an operation not yet finalized (or never
+            # registered).  The common case on the detection hot path
+            # skips it — priors were queried before.
+            preds = self._preds
+            if preds[a] is None or preds[b] is None:
                 return False
             if self.assert_forward and a > b:
                 # Forward discipline: an older id can never be reached from
@@ -230,14 +301,14 @@ class HBGraph:
                 return False
             self._finalize(a)
             self._finalize(b)
-            pos_a = self.position[a]
-            pos_b = self.position[b]
+            chain_a = chains[a]
+            chain_b = chains[b]
         elif self.assert_forward and a > b:
             return False
-        chain, position = pos_a
-        if chain == pos_b[0]:
-            return pos_b[1] >= position
-        return self._clocks[b].get(chain, -1) >= position
+        position = self._pos[a]
+        if chain_a == chain_b:
+            return self._pos[b] >= position
+        return self._clocks[b].get(chain_a, -1) >= position
 
     def concurrent(self, a: int, b: int) -> bool:
         """True iff neither ``a ≺ b`` nor ``b ≺ a`` (and ``a != b``)."""
@@ -267,17 +338,28 @@ class HBGraph:
     def memory_cells(self) -> int:
         """Total entries of the full logical clocks — the query engine's
         memory footprint, counted as if no clock were shared."""
-        return sum(len(clock) + 1 for clock in self._clocks.values())
+        return sum(
+            len(clock) + 1
+            for chain, clock in zip(self._chain, self._clocks)
+            if chain >= 0
+        )
+
+    def stored_clocks(self) -> int:
+        """Number of distinct clock dicts the store holds: operations that
+        learn nothing beyond their chain predecessor share its dict."""
+        return len({id(clock) for clock in self._clocks if clock is not None})
 
     @property
     def edges(self) -> List[Edge]:
         """All edges, with their rule labels, in insertion order."""
-        return [Edge(src, dst, rule) for (src, dst), rule in self._edge_rules.items()]
+        log = self._log
+        return [Edge(*fields) for fields in zip(log[0::3], log[1::3], log[2::3])]
 
     def rule_edges(self) -> List[Tuple[Tuple[int, int], str]]:
         """``((src, dst), rule)`` per edge, in insertion order: :attr:`edges`
         without building an :class:`Edge` each, for comparing two runs."""
-        return list(self._edge_rules.items())
+        log = self._log
+        return list(zip(zip(log[0::3], log[1::3]), log[2::3]))
 
     def edges_by_rule(self, rule: str) -> List[Edge]:
         """Edges introduced by one named rule."""
@@ -290,20 +372,36 @@ class HBGraph:
         queries (:mod:`repro.core.hb.witness`) use this to annotate each
         step of an HB ancestry chain with its paper rule.
         """
-        return self._edge_rules.get((src, dst))
+        entries = self._entries(dst)
+        for pred, rule in zip(entries[0::2], entries[1::2]):
+            if pred == src:
+                return rule
+        return None
 
     def operation_ids(self) -> List[int]:
         """All registered operation ids, sorted."""
-        return sorted(self._succ.keys())
+        return [op for op, entries in enumerate(self._preds) if entries is not None]
 
     def successors(self, op_id: int) -> List[int]:
-        """Direct HB successors of an operation."""
-        return list(self._succ.get(op_id, ()))
+        """Direct HB successors of an operation, in edge insertion order."""
+        succ = self._succ
+        if succ is None:
+            succ = self._succ = {}
+            log = self._log
+            for src, dst in zip(log[0::3], log[1::3]):
+                succ.setdefault(src, []).append(dst)
+        return list(succ.get(op_id, ()))
 
     def predecessors(self, op_id: int) -> List[int]:
         """Direct HB predecessors of an operation."""
-        return list(self._pred.get(op_id, ()))
+        return list(self._entries(op_id)[0::2])
 
     def edge_count(self) -> int:
         """Number of edges in the graph."""
-        return len(self._edge_rules)
+        return len(self._log) // 3
+
+    def _entries(self, op_id: int) -> tuple:
+        """``op_id``'s flat ``(src, rule, …)`` tuple; empty when unknown."""
+        if 0 <= op_id < len(self._preds):
+            return self._preds[op_id] or ()
+        return ()

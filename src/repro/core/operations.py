@@ -18,8 +18,9 @@ their parent via :attr:`Operation.parent`.
 
 from __future__ import annotations
 
+import itertools
 from types import MappingProxyType
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 #: Operation kinds, mirroring Section 3.2.
 PARSE = "parse"
@@ -93,15 +94,17 @@ class Operation:
 
 
 class OperationFactory:
-    """Allocates operations with execution-unique ids, starting at 1.
+    """Allocates operations with execution-unique ids 1, 2, 3, ...
 
     Id 0 is reserved for the detector's ``⊥`` initialization marker
-    (Section 5.1), so real operations never collide with it.
+    (Section 5.1), so real operations never collide with it.  The ids are
+    dense, so ``operations`` is a list indexed by id, slot 0 empty; the HB
+    store and the trace loader rely on that numbering.
     """
 
     def __init__(self):
-        self._next = 1
-        self.operations: Dict[int, Operation] = {}
+        #: id -> operation; ``operations[0]`` is the ``⊥`` slot (None).
+        self.operations: List[Optional[Operation]] = [None]
 
     def create(
         self,
@@ -114,22 +117,34 @@ class OperationFactory:
         if kind not in KINDS:
             raise ValueError(f"unknown operation kind {kind!r}")
         operation = Operation(
-            op_id=self._next,
+            op_id=len(self.operations),
             kind=kind,
             label=label,
             meta=dict(meta) if meta else NO_META,
             parent=parent,
         )
-        self._next += 1
-        self.operations[operation.op_id] = operation
+        self.operations.append(operation)
         return operation
+
+    def add(self, operation: Operation) -> None:
+        """Append a loaded operation; raises ``ValueError`` unless its id is
+        the next one, so a loaded trace's operations are numbered 1..n."""
+        expected = len(self.operations)
+        if type(operation.op_id) is not int or operation.op_id != expected:
+            raise ValueError(
+                f"operation {operation.op_id!r} is out of sequence: operations "
+                f"are numbered 1..n in order, so the next is {expected}"
+            )
+        self.operations.append(operation)
 
     def get(self, op_id: int) -> Operation:
         """Look up an operation by id."""
-        return self.operations[op_id]
+        if 0 < op_id < len(self.operations):
+            return self.operations[op_id]
+        raise KeyError(op_id)
 
     def __len__(self) -> int:
-        return len(self.operations)
+        return len(self.operations) - 1
 
     def __iter__(self):
-        return iter(self.operations.values())
+        return itertools.islice(self.operations, 1, None)

@@ -208,24 +208,32 @@ class LoadedTrace:
 def trace_from_dict(data: Dict[str, Any]) -> LoadedTrace:
     """Reconstruct a :class:`LoadedTrace` from :func:`trace_to_dict` output.
 
-    Raises ``ValueError`` when the edges form a happens-before cycle.
+    Raises ``ValueError`` when the operations are not numbered 1..n in
+    order, when an edge or an access names an operation the trace does not
+    hold, or when the edges form a happens-before cycle.  The checks come
+    before the graph is built, because the HB store and the detector index
+    lists by those ids.
     """
     version = data.get("version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported trace format version {version!r}")
     trace = Trace()
     for op_data in data["operations"]:
-        trace.operations.operations[op_data["op_id"]] = _make_operation(op_data)
-        trace.operations._next = max(trace.operations._next, op_data["op_id"] + 1)
+        trace.operations.add(_make_operation(op_data))
+    count = len(trace.operations)
     graph = HBGraph(assert_forward=False)
-    for op_id in trace.operations.operations:
+    for op_id in range(1, count + 1):
         graph.add_operation(op_id)
     for edge in data["edges"]:
-        graph.add_edge(edge["src"], edge["dst"], edge["rule"])
+        graph.add_edge(
+            _held(edge["src"], count, "an edge"),
+            _held(edge["dst"], count, "an edge"),
+            edge["rule"],
+        )
     graph.finalize_all()
     for access_data in data["accesses"]:
         trace.record(
-            access_data["op_id"],
+            _held(access_data["op_id"], count, "an access"),
             trace.intern(_location_key_from_json(access_data["location"])),
             access_data["kind"] == READ,
             (CALL if access_data["is_call"] else 0)
@@ -235,6 +243,16 @@ def trace_from_dict(data: Dict[str, Any]) -> LoadedTrace:
     for crash_data in data["crashes"]:
         trace.record_crash(_LoadedCrash(crash_data))
     return LoadedTrace(trace, graph)
+
+
+def _held(op_id: Any, count: int, what: str) -> int:
+    """``op_id`` if it names one of the trace's operations 1..``count``."""
+    if type(op_id) is not int or not 1 <= op_id <= count:
+        raise ValueError(
+            f"{what} names operation {op_id!r}, which the trace does not hold "
+            f"(its operations are 1..{count})"
+        )
+    return op_id
 
 
 def _make_operation(op_data: Dict[str, Any]):

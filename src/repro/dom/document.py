@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..core.locations import ElementKey, id_key
-from .element import Element
+from .element import NO_ENTRIES, Element
 from .node import Node
 
 
@@ -285,8 +285,7 @@ class Document(Node):
         """
         for element in self._created:
             element.parent = None
-            element.attr_handlers.clear()
-            element.listeners.clear()
+            element.attr_handlers = element.listeners = NO_ENTRIES
         self._created = []
         self.children = []
         self._id_index.clear()

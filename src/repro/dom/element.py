@@ -14,12 +14,18 @@ Elements carry the state the paper's memory model cares about:
 ``element_key`` implements the identity scheme of
 :mod:`repro.core.locations`: id-keyed when the element has an ``id``
 attribute, node-keyed otherwise.
+
+Most elements never get a handler, a listener or a style property, so
+those three containers start as :data:`NO_ENTRIES`, one shared read-only
+empty mapping, and an element allocates its own dict on the first write.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional
 
 from ..core.locations import ElementKey, id_key, node_key
 from .node import Node
@@ -32,6 +38,10 @@ FORM_FIELD_TAGS = frozenset(["input", "textarea", "select"])
 
 #: Tags considered scripts.
 SCRIPT_TAG = "script"
+
+#: What an element's ``attr_handlers``, ``listeners`` and ``style`` hold
+#: until their first write: one shared, read-only empty mapping.
+NO_ENTRIES: Mapping[str, Any] = MappingProxyType({})
 
 
 @dataclass
@@ -74,7 +84,7 @@ class Element(Node):
         home_document=None,
     ):
         super().__init__()
-        self.tag = tag.lower()
+        self.tag = sys.intern(tag.lower())
         self.attributes: Dict[str, str] = dict(attributes) if attributes else {}
         #: The document this element belongs (or will belong) to; fixed at
         #: creation so element-location identity is stable before insertion.
@@ -82,14 +92,14 @@ class Element(Node):
         #: Inline text content (script source, option labels, ...).
         self.text: str = ""
         #: Event-handler attribute slots: event type -> handler value.
-        self.attr_handlers: Dict[str, Any] = {}
+        self.attr_handlers: Mapping[str, Any] = NO_ENTRIES
         #: addEventListener registrations: event type -> entries.
-        self.listeners: Dict[str, List[ListenerEntry]] = {}
+        self.listeners: Mapping[str, List[ListenerEntry]] = NO_ENTRIES
         #: Form state.
         self.value: str = self.attributes.get("value", "")
         self.checked: bool = "checked" in self.attributes
         #: Style properties (display:none drives the Fig. 3 example).
-        self.style: Dict[str, str] = {}
+        self.style: Mapping[str, str] = NO_ENTRIES
         if "style" in self.attributes:
             self._parse_style(self.attributes["style"])
         #: True once the element has been inserted into its document.
@@ -140,7 +150,13 @@ class Element(Node):
         for declaration in text.split(";"):
             if ":" in declaration:
                 prop, _sep, value = declaration.partition(":")
-                self.style[prop.strip()] = value.strip()
+                self.set_style(prop.strip(), value.strip())
+
+    def set_style(self, prop: str, value: str) -> None:
+        """Set one style property."""
+        if self.style is NO_ENTRIES:
+            self.style = {}
+        self.style[prop] = value
 
     # ------------------------------------------------------------------
     # script-element helpers
@@ -195,6 +211,8 @@ class Element(Node):
 
     def set_attr_handler(self, event: str, handler: Any) -> None:
         """Store the on<event> attribute-slot handler."""
+        if self.attr_handlers is NO_ENTRIES:
+            self.attr_handlers = {}
         self.attr_handlers[event] = handler
 
     def get_attr_handler(self, event: str) -> Any:
@@ -203,11 +221,14 @@ class Element(Node):
 
     def remove_attr_handler(self, event: str) -> None:
         """Clear the on<event> attribute slot."""
-        self.attr_handlers.pop(event, None)
+        if event in self.attr_handlers:
+            del self.attr_handlers[event]
 
     def add_listener(self, event: str, handler: Any, capture: bool = False) -> ListenerEntry:
         """addEventListener: append a listener entry."""
         entry = ListenerEntry(handler=handler, capture=capture)
+        if self.listeners is NO_ENTRIES:
+            self.listeners = {}
         self.listeners.setdefault(event, []).append(entry)
         return entry
 

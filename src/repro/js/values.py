@@ -222,6 +222,11 @@ class JSFunction(JSObject):
         self.body = body
         self.scope = scope
 
+    def own_keys(self) -> List[str]:
+        """Own property names without ``prototype``, which a function
+        holds as a non-enumerable property (stored on first read)."""
+        return [name for name in super().own_keys() if name != "prototype"]
+
     def __repr__(self) -> str:
         label = self.name or "<anonymous>"
         return f"JSFunction#{self.object_id}({label})"

@@ -398,7 +398,7 @@ def _record_schedule(
             fingerprints=fingerprints,
             races=races,
             trace_dict=trace.to_dict(),
-            operations=len(page_obj.trace.operations.operations),
+            operations=len(page_obj.trace.operations),
             choice_points=page_obj.loop.choice_points,
         )
         identity = run_identity(page_obj)

@@ -210,7 +210,7 @@ def run_page(scheduler):
     page.run()
     ops = [
         (op.kind, op.label)
-        for op in page.trace.operations.operations.values()
+        for op in page.trace.operations
     ]
     fingerprints = sorted(
         {race_fingerprint(race, page.trace) for race in page.races}
@@ -235,7 +235,7 @@ class TestBrowserReplay:
         from repro.explain.fingerprint import race_fingerprint
 
         original = (
-            [(op.kind, op.label) for op in page.trace.operations.operations.values()],
+            [(op.kind, op.label) for op in page.trace.operations],
             len(page.trace.accesses),
             sorted({race_fingerprint(race, page.trace) for race in page.races}),
         )

@@ -7,7 +7,7 @@ The incremental invariants, online queries and corpus query streams are in
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.hb.graph import HBGraph
+from repro.core.hb.graph import Edge, HBGraph
 
 from .hb_oracle import ReachabilityOracle
 
@@ -95,6 +95,16 @@ class TestBasics:
         assert graph.happens_before(1, 2)
         graph.add_edge(2, 5)
         assert graph.happens_before(1, 5)
+
+    def test_negative_ids_rejected(self):
+        """Ids index the store's lists, where -1 would name the last one."""
+        graph = HBGraph(assert_forward=False)
+        graph.add_operation(3)
+        with pytest.raises(ValueError, match="non-negative"):
+            graph.add_operation(-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            graph.add_edge(-2, 3)
+        assert graph.operation_ids() == [3] and graph.edge_count() == 0
 
     def test_cycle_is_rejected(self):
         graph = make_graph([(1, 2), (2, 3), (3, 1)], assert_forward=False)
@@ -251,3 +261,43 @@ def test_chc_is_exactly_not_ordered(edges, a, b):
     assert graph.chc(a, b) == (
         a != b and not oracle.happens_before(a, b) and not oracle.happens_before(b, a)
     )
+
+
+edge_stream = st.lists(
+    st.tuples(
+        st.integers(0, 12),
+        st.integers(0, 12),
+        st.sampled_from(["", "1a:static-order", "2:create-before-exe", "16"]),
+    ),
+    max_size=60,
+)
+
+
+@given(edge_stream, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_edge_views_equal_a_first_seen_dict(stream, forward):
+    """The flat store's edge views equal an insertion-ordered
+    ``(src, dst) -> rule`` dict that keeps each pair's first rule and skips
+    self-edges, for a stream with duplicates (in either direction when
+    the forward discipline is off).  ``successors`` is checked as the
+    stream grows, so an index derived before an edge arrives is not
+    served after it."""
+    graph = HBGraph(assert_forward=forward)
+    expected = {}
+    for src, dst, rule in stream:
+        if forward:
+            src, dst = min(src, dst), max(src, dst)
+        fresh = src != dst and (src, dst) not in expected
+        assert graph.add_edge(src, dst, rule) == fresh
+        if fresh:
+            expected[(src, dst)] = rule
+        assert graph.successors(src) == [d for s, d in expected if s == src]
+    assert graph.rule_edges() == list(expected.items())
+    assert graph.edges == [Edge(s, d, rule) for (s, d), rule in expected.items()]
+    assert graph.edge_count() == len(expected)
+    assert graph.operation_ids() == sorted({op for pair in expected for op in pair})
+    for op in range(-1, 15):
+        assert graph.predecessors(op) == [s for s, d in expected if d == op]
+        assert graph.successors(op) == [d for s, d in expected if s == op]
+        for other in range(-1, 15):
+            assert graph.edge_rule(other, op) == expected.get((other, op))

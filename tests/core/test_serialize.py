@@ -104,6 +104,57 @@ class TestTraceRoundtrip:
             assert restored.operation == original.operation
 
 
+def _set(path, value):
+    """A mutation of a serialized trace: ``data[path[0]][path[1]][path[2]] = value``."""
+
+    def mutate(data):
+        section, index, key = path
+        data[section][index][key] = value
+
+    return mutate
+
+
+def _swap_first_two_operations(data):
+    first, second = data["operations"][:2]
+    data["operations"][:2] = [second, first]
+
+
+class TestMalformedIds:
+    """A loaded trace's operations are 1..n in order, and its edges and
+    accesses name only those; anything else is refused before the HB store
+    (which indexes lists by operation id) is built."""
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (_set(("operations", -1, "op_id"), 10**12), "operation 1000000000000 is out of sequence"),
+            (_set(("operations", 0, "op_id"), -1), "operation -1 is out of sequence"),
+            (_set(("operations", 0, "op_id"), "1"), "operation '1' is out of sequence"),
+            (_swap_first_two_operations, "operation 2 is out of sequence"),
+            (_set(("edges", 0, "src"), 999), "an edge names operation 999"),
+            (_set(("edges", 0, "dst"), 0), "an edge names operation 0"),
+            (_set(("edges", 0, "src"), -3), "an edge names operation -3"),
+            (_set(("accesses", 0, "op_id"), 999), "an access names operation 999"),
+        ],
+        ids=[
+            "huge-op", "negative-op", "string-op", "out-of-order",
+            "edge-from-absent", "edge-to-bottom", "edge-negative", "access-absent",
+        ],
+    )
+    def test_rejected(self, online_report, mutate, message):
+        data = trace_to_dict(online_report.page.trace, online_report.page.monitor.graph)
+        mutate(data)
+        with pytest.raises(ValueError, match=message):
+            trace_from_dict(data)
+
+    def test_well_formed_ids_load(self, online_report):
+        page = online_report.page
+        loaded = trace_from_dict(trace_to_dict(page.trace, page.monitor.graph))
+        assert [op.op_id for op in loaded.trace.operations] == list(
+            range(1, len(page.trace.operations) + 1)
+        )
+
+
 class TestOfflineAnalysis:
     def test_offline_detector_reproduces_online_races(self, online_report):
         """Capture once, analyse offline: identical race list."""

@@ -112,7 +112,7 @@ def test_vector_clocks_equivalent_to_graph(edges):
 def test_single_chain_shares_one_stored_clock():
     graph = make_graph([(1, 2), (2, 3), (1, 3), (3, 4)])
     assert graph.chain_count == 1
-    assert len({id(clock) for clock in graph._clocks.values()}) == 1
+    assert graph.stored_clocks() == 1
     assert graph.clock[3] == {0: 2}
     assert graph.memory_cells() == 4
 

@@ -94,6 +94,67 @@ def check_as_process(tmp_path, script):
     )
 
 
+def analyze_as_process(trace):
+    """``repro analyze TRACE`` as a real process."""
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "repro", "analyze", str(trace)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+
+
+EXAMPLE_PAGES = pathlib.Path(__file__).resolve().parents[2] / "examples" / "pages"
+
+
+@pytest.fixture(scope="module")
+def form_race_trace(tmp_path_factory):
+    """The serialized trace of ``examples/pages/form_race.html``."""
+    path = tmp_path_factory.mktemp("form_race") / "trace.json"
+    main([
+        "check", str(EXAMPLE_PAGES / "form_race.html"),
+        "--resource", f"hint.js={EXAMPLE_PAGES / 'hint.js'}",
+        "--json", str(path),
+    ])
+    return json.loads(path.read_text())
+
+
+class TestMalformedTraceIds:
+    """Operation ids outside 1..n exit 2 with one line, as real processes:
+    they used to load, and ``analyze`` reported on them with exit 1."""
+
+    @pytest.mark.parametrize(
+        "section, index, key, value",
+        [
+            ("operations", -1, "op_id", 10**12),
+            ("operations", 0, "op_id", -1),
+            ("edges", 0, "src", 999),
+        ],
+        ids=["huge-op", "negative-op", "edge-from-absent"],
+    )
+    def test_exits_2_with_one_line(
+        self, form_race_trace, section, index, key, value, tmp_path
+    ):
+        data = json.loads(json.dumps(form_race_trace))
+        data[section][index][key] = value
+        trace = tmp_path / "malformed.json"
+        trace.write_text(json.dumps(data))
+        result = analyze_as_process(trace)
+        assert result.returncode == 2, result.stdout
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: corrupt trace '{trace}': ")
+        assert len(result.stderr.strip().splitlines()) == 1
+
+    def test_the_unmodified_trace_still_reports(self, form_race_trace, tmp_path):
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps(form_race_trace))
+        result = analyze_as_process(trace)
+        assert result.returncode == 1, result.stderr
+        assert "HARMFUL" in result.stdout
+
+
 class TestAnalyze:
     def test_roundtrip_through_cli(self, buggy_page, tmp_path, capsys):
         page, hint = buggy_page

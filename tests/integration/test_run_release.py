@@ -7,7 +7,9 @@ run cuts the ones the page, its DOM and its JS heap hold, so reference
 counting frees the whole run at once.  Each owner runs here with
 automatic collection off and ``gc.DEBUG_SAVEALL`` on, so one
 ``gc.collect()`` afterwards lists every object that only the collector
-could have freed.  A page script can still link its own JS values into a
+could have freed.  So does a run stopped by ``max_run_ms`` before its
+event loop drained, whose queued tasks, timers and transfers close over
+the page.  A page script can still link its own JS values into a
 cycle, which no unlinking of the page cuts; one test names such a cycle.
 A run that is not closed keeps its DOM and JS globals, and a page parsed
 once keeps none of its HTML tokens, even while its run is live.
@@ -28,6 +30,7 @@ from repro.browser.event_loop import EventLoop
 from repro.browser.exploration import AutoExplorer
 from repro.browser.instrument import Monitor
 from repro.browser.page import Browser, DocumentLoader, Page
+from repro.browser.scheduler import FifoScheduler
 from repro.browser.timers import TimerRegistry
 from repro.browser.window import Window
 from repro.browser.xhr import XhrBinding
@@ -136,8 +139,39 @@ def corpus_without_pages():
     assert len(corpus.ok()) == 3
 
 
+def _stop_widget_poll_early(network):
+    """Run ``widget_poll.html`` for 30 virtual ms only, then close it: its
+    queued tasks, live interval and fetches in flight close over the
+    page."""
+    [page] = [
+        page
+        for page in load_page_inputs(str(PAGES))
+        if page.url.endswith("widget_poll.html")
+    ]
+    run = WebRacer(max_run_ms=30.0, network=network).run_page(
+        page.html, page.url, 0, FifoScheduler(), resources=page.resources
+    )
+    assert run.loop.pending() > 0 and run.timers.pending_count() > 0
+    run.close()
+
+
+def stopped_by_max_run_ms():
+    _stop_widget_poll_early("uniform")
+
+
+def stopped_by_max_run_ms_mid_transfer():
+    _stop_widget_poll_early("connection")
+
+
 @pytest.mark.parametrize(
-    "action", [record_and_replay, predict_widget_poll, corpus_without_pages]
+    "action",
+    [
+        record_and_replay,
+        predict_widget_poll,
+        corpus_without_pages,
+        stopped_by_max_run_ms,
+        stopped_by_max_run_ms_mid_transfer,
+    ],
 )
 def test_closed_runs_leave_nothing_to_the_collector(action):
     assert left_to_collector(action) == Counter()

@@ -174,6 +174,22 @@ PROGRAMS = {
         var p = new P(4);
         console.log(p.get(), p instanceof P, typeof P, typeof p);
     """,
+    "a read prototype is not enumerable": """
+        function f() {}
+        var p = f.prototype;
+        var n = 0, keys = '';
+        for (var k in f) { n++; keys += k; }
+        console.log(n + ':' + keys, typeof p);
+    """,
+    "new leaves prototype out of for-in": """
+        function g() {}
+        new g();
+        g.prototype = {a: 1};
+        g.x = 1;
+        var n = 0, keys = '';
+        for (var k in g) { n++; keys += k; }
+        console.log(n + ':' + keys, 'prototype' in g);
+    """,
     "string coercions": """
         console.log('5' + 1, '5' - 1, '5' * '2', +'', +'3.5', 1 + null, 1 + undefined, [] + [], [1, 2] + '');
         console.log('abc'.length, 'abc'.charAt(1), 'a,b'.split(',').length, 'Hi'.toUpperCase());
