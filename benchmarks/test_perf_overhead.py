@@ -33,6 +33,7 @@ def run_page(instrument):
     browser = Browser(seed=0, instrument=instrument)
     page = browser.load(HEAVY_PAGE)
     assert page.interpreter.global_object.get_own("result") is not None
+    page.races  # a run only records; detection runs on this first read
     return page
 
 
@@ -79,7 +80,9 @@ def test_operation_heavy_page_under_a_minute(benchmark):
     )
 
     def load_heavy():
-        return Browser(seed=0).load(blocks)
+        page = Browser(seed=0).load(blocks)
+        page.races  # detection is part of handling the page
+        return page
 
     start = time.perf_counter()
     page = benchmark.pedantic(load_heavy, rounds=1, iterations=1)

@@ -27,11 +27,5 @@ class VirtualClock:
         if when > self._now:
             self._now = when
 
-    def advance_by(self, delta: float) -> None:
-        """Move time forward by ``delta`` milliseconds."""
-        if delta < 0:
-            raise ValueError("the clock cannot go backwards")
-        self._now += delta
-
     def __repr__(self) -> str:
         return f"VirtualClock({self._now:.3f}ms)"

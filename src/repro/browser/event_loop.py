@@ -121,13 +121,6 @@ class EventLoop:
         """Number of live (uncancelled) tasks in the queue."""
         return sum(1 for task in self._tasks if not task.cancelled)
 
-    def has_pending(self, kind: Optional[str] = None) -> bool:
-        """Any live task (optionally of the given kind)?"""
-        return any(
-            not task.cancelled and (kind is None or task.kind == kind)
-            for task in self._tasks
-        )
-
     # ------------------------------------------------------------------
 
     def step(self) -> bool:

@@ -5,11 +5,12 @@ execution, event dispatch and DOM mutation all report to the race detector
 (Section 5.2.1).  In this reproduction the equivalent surface area funnels
 through one object, the :class:`Monitor`:
 
-* it owns the execution :class:`~repro.core.trace.Trace`, the happens-before
-  store (:class:`~repro.core.hb.graph.HBGraph`, whose edges the browser
-  adds labelled with the paper's rules), and the race detector, which it
-  hands each access row right after recording it (a run built with
-  ``detect=False`` records the same rows and edges but has no detector);
+* it owns the execution :class:`~repro.core.trace.Trace` and the
+  happens-before store (:class:`~repro.core.hb.graph.HBGraph`, whose edges
+  the browser adds labelled with the paper's rules); a run only records
+  them, and :attr:`Monitor.races` runs the race detector over the rows
+  afterwards (the paper's tool detects during execution, Section 5.2.1;
+  both report the same races, see :meth:`Monitor.races`);
 * it tracks the *current operation* (operations are atomic; a stack is still
   needed because inline event dispatch nests handler execution inside a
   script — Appendix A);
@@ -26,7 +27,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set
 
 from ..core.access import READ, WRITE
-from ..core.detector import RaceDetector
+from ..core.detector import Race, RaceDetector
 from ..core.hb.backend import make_backend
 from ..core.locations import (
     ATTR_SLOT,
@@ -52,16 +53,14 @@ from ..obs import NULL
 class Monitor(AccessHooks, DomInstrumentation):
     """Central instrumentation hub for one browser/page run."""
 
-    def __init__(self, enabled: bool = True, obs=None, detect: bool = True):
+    def __init__(self, enabled: bool = True, obs=None):
         self.enabled = enabled
         self.obs = obs if obs is not None else NULL
         self.trace = Trace()
         self.graph = make_backend(obs=self.obs)
-        #: None when the run only records (``detect=False``): a replay that
-        #: verifies a schedule compares traces, not races.
-        self.detector = (
-            RaceDetector(self.trace, self.graph, obs=self.obs) if detect else None
-        )
+        #: Built by the first read of :attr:`races`; None until then, so a
+        #: run nobody asks for races (a verifying replay) never detects.
+        self.detector: Optional[RaceDetector] = None
         self._op_stack: List[Operation] = []
         #: Location ids read by each operation on the stack (parallel to
         #: ``_op_stack``), for read-before-write details.  A set goes when
@@ -164,11 +163,7 @@ class Monitor(AccessHooks, DomInstrumentation):
                     detail.setdefault("read_before_write", True)
                 if delayed:
                     detail.setdefault("deliberate_delay", True)
-        row = trace.record(op_id, loc, is_read, bits, detail)
-        detector = self.detector
-        if detector is not None:
-            detector.on_access(row)
-        return row
+        return trace.record(op_id, loc, is_read, bits, detail)
 
     def record_crash(self, error: Any, where: str = "") -> None:
         """Record a hidden script crash for the current operation."""
@@ -334,13 +329,24 @@ class Monitor(AccessHooks, DomInstrumentation):
     # results
 
     @property
-    def races(self):
-        """Races reported by the online detector so far."""
-        return self.detector.races
+    def races(self) -> List[Race]:
+        """The races in the rows recorded so far.
 
-    def hb(self, a: int, b: int) -> bool:
-        """Does operation ``a`` happen before ``b``?"""
-        return self.graph.happens_before(a, b)
+        The first read builds the detector; every read feeds it the rows
+        recorded since the last one (:meth:`RaceDetector.replay`), so a
+        run that goes on after a read adds its new races.  Detecting after
+        the run reports what detecting during it would: every incoming HB
+        edge of an operation arrives before its first access, so the
+        clocks a query finalizes are the same either way.
+        """
+        detector = self.detector
+        if detector is None:
+            detector = self.detector = RaceDetector(
+                self.trace, self.graph, obs=self.obs
+            )
+        with self.obs.span("detect", cat="pipeline"):
+            detector.replay()
+        return detector.races
 
     def close(self) -> None:
         """Drop the trace, HB store and detector (idempotent).  They hold

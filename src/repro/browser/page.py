@@ -119,7 +119,6 @@ class Browser:
         rtt: float = DEFAULT_RTT,
         connections_per_origin: int = DEFAULT_CONNECTIONS_PER_ORIGIN,
         obs=None,
-        detect: bool = True,
     ):
         # One Browser is one page-load experiment: restart the allocation
         # id spaces (objects, cells, DOM nodes, windows) so every run of a
@@ -153,7 +152,7 @@ class Browser:
             rtt=rtt,
             connections_per_origin=connections_per_origin,
         )
-        self.monitor = Monitor(enabled=instrument, obs=self.obs, detect=detect)
+        self.monitor = Monitor(enabled=instrument, obs=self.obs)
 
     def open(self, html: str, url: str = "page.html") -> "Page":
         """Create a page and schedule its load (call :meth:`Page.run`)."""
@@ -1046,8 +1045,9 @@ class Page:
 
     @property
     def races(self):
-        """Races the online detector has reported."""
-        return self.monitor.detector.races
+        """The races in this run's recorded rows (:attr:`Monitor.races`):
+        the detector runs on the first read and resumes on later ones."""
+        return self.monitor.races
 
     def loaded(self) -> bool:
         """Has the window load event fired?"""

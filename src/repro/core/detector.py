@@ -19,7 +19,9 @@ The detector works on trace rows (:mod:`repro.core.trace`): both cells are
 lists indexed by the trace's dense location id (``Trace.intern`` numbers
 locations 0..m in first-seen order) and hold a row, ``None`` for ``⊥``;
 the two racing :class:`~repro.core.access.Access` records are built only
-when a race is reported.
+when a race is reported.  It runs after the fact: :meth:`RaceDetector.replay`
+feeds it the rows recorded since its last call, both for a finished run
+(``Monitor.races``) and for a loaded trace (``LoadedTrace.detect``).
 """
 
 from __future__ import annotations
@@ -90,6 +92,8 @@ class RaceDetector:
         self._reported_locations: Set[int] = set()
         #: Number of CHC queries issued — the cost metric for E9.
         self.chc_queries = 0
+        #: Rows :meth:`replay` has fed so far; the next call resumes here.
+        self._replayed = 0
 
     # ------------------------------------------------------------------
 
@@ -128,7 +132,7 @@ class RaceDetector:
         )
 
     def on_access(self, row: int) -> None:
-        """Process one trace row (the monitor calls this as it records)."""
+        """Process one trace row; rows must come in trace order."""
         trace = self.trace
         loc = trace.locs[row]
         op_id = trace.ops[row]
@@ -154,7 +158,10 @@ class RaceDetector:
         last_write[loc] = row
 
     def replay(self) -> "RaceDetector":
-        """Feed every row already in the trace through :meth:`on_access`."""
-        for row in range(len(self.trace)):
+        """Feed the rows recorded since the last call through
+        :meth:`on_access`, so a run that went on after a read resumes."""
+        end = len(self.trace)
+        for row in range(self._replayed, end):
             self.on_access(row)
+        self._replayed = end
         return self

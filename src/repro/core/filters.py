@@ -126,10 +126,6 @@ class FilterChain:
                     self.obs.count("filter.removed." + name, len(dropped))
         return kept
 
-    def removed_count(self) -> int:
-        """How many races the chain removed in the last apply()."""
-        return sum(len(races) for races in self.removed.values())
-
     def removed_counts(self) -> Dict[str, int]:
         """Per-filter suppression tally of the last apply().
 

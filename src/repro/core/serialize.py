@@ -11,7 +11,8 @@ This module round-trips the complete observable record — operations, the
 labeled happens-before edges, every logical access, and hidden crashes —
 through plain JSON.  ``analyze`` replays a loaded trace through any
 detector and rebuilds the standard classified report, producing *exactly*
-the races the online run produced (a property the tests pin down).
+the races the live run produced: a live run detects over its recorded rows
+with the same :meth:`RaceDetector.replay` (a property the tests pin down).
 """
 
 from __future__ import annotations

@@ -2,12 +2,11 @@
 
 A :class:`Trace` is the complete observable record of one page execution:
 the operations that ran, every logical memory access they performed, and the
-script crashes that were hidden from the user.  WebRacer's detector runs
-*online*: the monitor hands it each row right after recording it, like the
-paper's instrumentation communicating directly with the detector rather
-than generating a separate event trace (Section 5.2.1).  The trace is kept
-anyway: the full-history detector, the filters, and the experiment harness
-all consume it after the fact.
+script crashes that were hidden from the user.  A run only records it; the
+race detector, the full-history detector, the filters and the experiment
+harness all consume it after the fact.  (The paper's instrumentation
+instead feeds its detector during execution, without keeping a trace,
+Section 5.2.1; both report the same races, see ``Monitor.races``.)
 
 A trace holds no reference back to itself or to its readers, so it is
 freed the moment its last owner drops it, without waiting for the cycle
@@ -189,10 +188,6 @@ class Trace:
     def locations(self) -> List[Location]:
         """Distinct locations accessed, in first-touch order."""
         return [self.location(loc) for loc in range(len(self._location_keys))]
-
-    def accesses_by_operation(self, op_id: int) -> List[Access]:
-        """All accesses performed by one operation."""
-        return [self.access(row) for row, op in enumerate(self.ops) if op == op_id]
 
     def identity(self) -> Tuple:
         """What a replay of this run must reproduce, as one comparable value.

@@ -253,12 +253,6 @@ class Element(Node):
         """Any attr-slot handler or listener for ``event``?"""
         return event in self.attr_handlers or bool(self.listeners.get(event))
 
-    def handled_events(self) -> List[str]:
-        """Sorted event types with at least one handler."""
-        events = set(self.attr_handlers)
-        events.update(event for event, entries in self.listeners.items() if entries)
-        return sorted(events)
-
     # ------------------------------------------------------------------
     # rendering-ish helpers
 

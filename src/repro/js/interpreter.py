@@ -630,9 +630,7 @@ class Interpreter:
     def get_member(self, obj: Any, name: str, line: int = 0) -> Any:
         """Instrumented ``obj[name]`` read covering all receiver kinds."""
         if obj is UNDEFINED or obj is NULL:
-            raise type_error(
-                f"cannot read property {name!r} of {js_typeof(obj)}"
-            )
+            raise type_error(f"cannot read property {name!r} of {to_string(obj)}")
         if isinstance(obj, HostObject):
             return obj.js_get(name, self)
         if isinstance(obj, str):
@@ -670,9 +668,7 @@ class Interpreter:
     def set_member(self, obj: Any, name: str, value: Any, line: int = 0) -> None:
         """Instrumented ``obj[name] = value`` write."""
         if obj is UNDEFINED or obj is NULL:
-            raise type_error(
-                f"cannot set property {name!r} of {js_typeof(obj)}"
-            )
+            raise type_error(f"cannot set property {name!r} of {to_string(obj)}")
         if isinstance(obj, HostObject):
             obj.js_set(name, value, self)
             return

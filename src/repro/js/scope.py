@@ -59,10 +59,6 @@ class Scope:
             scope = scope.parent
         return None
 
-    def resolve_local(self, name: str) -> Optional[Cell]:
-        """Cell bound in *this* scope only, or None."""
-        return self.cells.get(name)
-
     def global_scope(self) -> "ObjectScope":
         """The ObjectScope at the root of the chain."""
         scope: Scope = self

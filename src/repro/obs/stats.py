@@ -56,7 +56,9 @@ def _span_block(stats: Dict[str, SpanStat]) -> Dict[str, Any]:
 def stats_dict(
     obs: Instrumentation, extra: Optional[Dict[str, Any]] = None
 ) -> Dict[str, Any]:
-    """JSON-able stats: overall totals plus a per-scope breakdown."""
+    """JSON-able stats: overall totals plus a per-scope breakdown, every
+    block sorted by name, so the output does not depend on which layer
+    counted first."""
     scopes: Dict[str, Dict[str, Any]] = {}
     for (scope, name), stat in obs.span_stats.items():
         scopes.setdefault(scope or "<root>", {}).setdefault("spans", {})[
@@ -66,6 +68,9 @@ def stats_dict(
         scopes.setdefault(scope or "<root>", {}).setdefault("counters", {})[
             name
         ] = value
+    for blocks in scopes.values():
+        for kind, block in blocks.items():
+            blocks[kind] = dict(sorted(block.items()))
     payload: Dict[str, Any] = {
         "spans": _span_block(obs.span_totals()),
         "counters": dict(sorted(obs.counter_totals().items())),

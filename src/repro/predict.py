@@ -56,6 +56,7 @@ from .schedule_runner import (
     ScheduleRunResult,
     ScheduleSpec,
     minimize_schedule,
+    report_run,
     run_page_once,
     run_page_schedule,
     schedule_matrix,
@@ -246,8 +247,9 @@ def _observe(
     """
     with obs.span("predict.base_run", cat="predict", page=page.url):
         recorder = DecisionScheduler(ScheduleSpec("fifo", "fifo").build())
-        page_obj, page_report, base_fps, base_races = run_page_once(
-            page, recorder, config, obs=obs
+        page_obj = run_page_once(page, recorder, config, obs=obs)
+        page_report, base_fps, base_races = report_run(
+            page_obj, page.url, config, obs
         )
     with closing(page_obj):
         report.runs_executed += 1

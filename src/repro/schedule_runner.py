@@ -30,13 +30,16 @@ base and witness runs — goes through :func:`run_page_once`.  Runs use
 chooses among *all* pending tasks and the matrix actually explores the
 interleaving space instead of only breaking exact ties.
 
-A replay that verifies a recorded schedule (:func:`replay_reproduces`)
-records but does not detect: it passes when its trace equals the
-recorded run's (:func:`run_identity`).  Races, filters, classification
-and fingerprints are a function of that trace, so equal traces report
-equal races; the check is stricter than comparing fingerprints, since it
-also fails a replay that drifts in accesses no race touches.  Runs that
-need races — recordings, :func:`replay_run`, ddmin attempts — detect.
+A run only records; races are detected after it, when first read.
+Runs that need races — recordings, :func:`replay_run`, ddmin attempts,
+predict's observed run — report through :func:`report_run`.  A replay
+that verifies a recorded schedule (:func:`replay_reproduces`) never
+reads races: it passes when its trace equals the recorded run's
+(:func:`run_identity`).  Races, filters, classification and fingerprints
+are a function of that trace, so equal traces report equal races; the
+check is stricter than comparing fingerprints, since it also fails a
+replay that drifts in accesses no race touches.  Enumeration runs read
+only what their outcome function asks for.
 """
 
 from __future__ import annotations
@@ -243,25 +246,18 @@ class ScheduleRunResult:
 
 
 def run_page_once(
-    page: PageInput,
-    scheduler: Scheduler,
-    config: RunConfig,
-    obs=None,
-    detect: bool = True,
-) -> Tuple[Any, Any, List[str], Dict[str, Dict[str, Any]]]:
-    """One instrumented exploration run under ``config``: the page, its
-    report, its sorted fingerprints and its races by fingerprint.
+    page: PageInput, scheduler: Scheduler, config: RunConfig, obs=None
+) -> Any:
+    """One instrumented exploration run under ``config``: the finished
+    page, which has recorded but not yet detected.
 
     Every recording, replay, minimization and enumeration run goes
     through here, so they all share the exact same page configuration —
     which is what makes a recorded trace replayable at all.
-    ``detect=False`` only records: no detector sees the accesses, and
-    the report is None, with no fingerprints or races.
     """
     from .webracer import WebRacer
 
-    racer = WebRacer(config, obs=obs)
-    page_obj = racer.run_page(
+    return WebRacer(config, obs=obs).run_page(
         page.html,
         page.url,
         config.seed,
@@ -269,13 +265,19 @@ def run_page_once(
         tie_window=EXPLORE_TIE_WINDOW,
         resources=dict(page.resources),
         sizes=dict(page.sizes) if page.sizes else None,
-        detect=detect,
     )
-    if not detect:
-        return page_obj, None, [], {}
-    report = racer.report_for(page_obj, page.url)
+
+
+def report_run(
+    page_obj, url: str, config: RunConfig, obs=None
+) -> Tuple[Any, List[str], Dict[str, Dict[str, Any]]]:
+    """Detect, filter and classify a finished :func:`run_page_once` run:
+    its report, its sorted fingerprints and its races by fingerprint."""
+    from .webracer import WebRacer
+
+    report = WebRacer(config, obs=obs).report_for(page_obj, url)
     races = report.races_by_fingerprint()
-    return page_obj, report, sorted(races), races
+    return report, sorted(races), races
 
 
 def run_identity(page_obj) -> Tuple[Any, Any]:
@@ -289,12 +291,10 @@ def run_identity(page_obj) -> Tuple[Any, Any]:
 def _run_fingerprints(
     page: PageInput, scheduler: Scheduler, config: RunConfig, obs=None
 ) -> List[str]:
-    """One :func:`run_page_once` run, closed; its sorted fingerprints."""
-    page_obj, _report, fingerprints, _races = run_page_once(
-        page, scheduler, config, obs=obs
-    )
-    page_obj.close()
-    return fingerprints
+    """One :func:`run_page_once` run, reported and closed; its sorted
+    fingerprints."""
+    with closing(run_page_once(page, scheduler, config, obs=obs)) as page_obj:
+        return report_run(page_obj, page.url, config, obs=obs)[1]
 
 
 def _crash_outcome(page) -> Tuple[int, Tuple[str, ...]]:
@@ -320,10 +320,7 @@ def enumerate_page_schedules(
     extract = extract or _crash_outcome
 
     def run(scheduler: Scheduler):
-        page_obj, _report, _fingerprints, _races = run_page_once(
-            page, scheduler, config
-        )
-        with closing(page_obj):
+        with closing(run_page_once(page, scheduler, config)) as page_obj:
             return extract(page_obj)
 
     enumerator = ScheduleEnumerator(run, max_runs=max_runs)
@@ -380,9 +377,8 @@ def _record_schedule(
     """
     recorder = DecisionScheduler(spec.build())
     with obs.span("explore.run", cat="explore", page=page.url, schedule=spec.sid):
-        page_obj, _report, fingerprints, races = run_page_once(
-            page, recorder, config, obs=obs
-        )
+        page_obj = run_page_once(page, recorder, config, obs=obs)
+        _report, fingerprints, races = report_run(page_obj, page.url, config, obs)
     with closing(page_obj):
         trace = recorder.trace(
             policy=spec.policy,
@@ -437,20 +433,17 @@ def replay_reproduces(
     """Does replaying ``trace`` reproduce the recorded run's trace exactly?
 
     ``recorded`` is the recorded run's :func:`run_identity`.  The replay
-    records with no race detector, and nothing is filtered, classified or
-    fingerprinted: equal identities imply equal races (module doc).
+    only records: nothing is detected, filtered, classified or
+    fingerprinted, since equal identities imply equal races (module doc).
     """
     obs = obs if obs is not None else NULL
     try:
         with obs.span("explore.replay", cat="explore", page=page.url):
-            page_obj, _report, _fingerprints, _races = run_page_once(
-                page,
-                DecisionScheduler(follow=trace.picks),
-                config,
-                obs=obs,
-                detect=False,
-            )
-            with closing(page_obj):
+            with closing(
+                run_page_once(
+                    page, DecisionScheduler(follow=trace.picks), config, obs=obs
+                )
+            ) as page_obj:
                 reproduced = run_identity(page_obj) == recorded
     except ScheduleDivergence:
         if obs.enabled:

@@ -3,8 +3,8 @@
 The top-level facade over the whole reproduction.  One call drives the
 paper's full pipeline (Section 5): load the page in the instrumented
 browser, auto-explore user interactions after window load (Section 5.2.2),
-detect races online with the LastRead/LastWrite detector over the
-happens-before relation (Section 5.1), post-process with the form-race and
+detect races over the recorded run with the LastRead/LastWrite detector and
+the happens-before relation (Section 5.1), post-process with the form-race and
 single-dispatch filters (Section 5.3), and classify each surviving race by
 type and harmfulness (Sections 2 and 6).
 
@@ -374,15 +374,13 @@ class WebRacer:
         resources: Optional[Dict[str, str]] = None,
         latencies: Optional[Dict[str, float]] = None,
         sizes: Optional[Dict[str, float]] = None,
-        detect: bool = True,
     ) -> Page:
         """Load ``html`` in a Browser built from this config and run it.
 
         The one place a run builds its Browser: :meth:`check_page` and
         every explore/predict run
         (:func:`repro.schedule_runner.run_page_once`) come through here.
-        ``detect=False`` records the trace without a race detector; the
-        page then has no ``races`` and :meth:`report_for` cannot read it.
+        The run only records; races are detected when first read.
         """
         config = self.config
         browser = Browser(
@@ -397,7 +395,6 @@ class WebRacer:
             rtt=config.rtt,
             connections_per_origin=config.connections_per_origin,
             obs=self.obs,
-            detect=detect,
         )
         page = browser.open(html, url=url)
         page.auto_explore = config.explore
@@ -438,8 +435,9 @@ class WebRacer:
             return self.report_for(page, url)
 
     def report_for(self, page: Page, url: str = "page.html") -> PageReport:
-        """Build a :class:`PageReport` from an already-run page: filter and
-        classify the online detector's races."""
+        """Build a :class:`PageReport` from an already-run page: detect
+        races over its recorded rows (:attr:`Page.races`), then filter and
+        classify them."""
         raw_races = list(page.races)
         filter_removed: Dict[str, int] = {}
         if self.config.apply_filters:

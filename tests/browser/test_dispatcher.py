@@ -151,8 +151,8 @@ class TestInlineDispatchSplitting:
         segment = [op for op in page.trace.operations if op.kind == SEGMENT][0]
         names = [
             access.location.name
-            for access in page.trace.accesses_by_operation(segment.op_id)
-            if hasattr(access.location, "name")
+            for access in page.trace.accesses
+            if access.op_id == segment.op_id and hasattr(access.location, "name")
         ]
         assert "afterSplit" in names
 

@@ -199,7 +199,7 @@ class TestOneRunAuthority:
         enumerator = enumerate_page_schedules(FIG4, LOAD_ONLY, extract=crash_kinds)
         assert enumerator.exhausted
         for outcome in enumerator.outcomes:
-            page, _report, _fingerprints, _races = run_page_once(
+            page = run_page_once(
                 FIG4, DecisionScheduler(follow=outcome.picks), LOAD_ONLY
             )
             assert crash_kinds(page) == outcome.result

@@ -27,15 +27,6 @@ class TestVirtualClock:
         clock.advance_to(5.0)
         assert clock.now == 10.0
 
-    def test_advance_by(self):
-        clock = VirtualClock(5.0)
-        clock.advance_by(2.5)
-        assert clock.now == 7.5
-
-    def test_negative_advance_rejected(self):
-        with pytest.raises(ValueError):
-            VirtualClock().advance_by(-1)
-
 
 class TestEventLoop:
     def test_runs_tasks_in_time_order(self):
@@ -114,12 +105,6 @@ class TestEventLoop:
         loop.post(respawn)
         with pytest.raises(RuntimeError):
             loop.run()
-
-    def test_has_pending_by_kind(self):
-        loop = EventLoop()
-        loop.post(lambda: None, kind="parse")
-        assert loop.has_pending("parse")
-        assert not loop.has_pending("timer")
 
 
 class TestSchedulers:

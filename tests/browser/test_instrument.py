@@ -115,7 +115,7 @@ class TestRecording:
         monitor_record(monitor, WRITE, VarLocation(1, "x"))
         monitor.end_operation(op2)
         # No HB edges between the two ops -> race, reported on the second
-        # row as it is recorded.
+        # row when the races are read.
         [race] = monitor.races
         assert (race.prior.seq, race.current.seq) == (0, 1)
 

@@ -160,7 +160,7 @@ def test_shared_tokens_parse_like_fresh_ones(monkeypatch):
     def identities():
         identities = []
         for spec in specs:
-            page, _report, _fps, _races = run_page_once(
+            page = run_page_once(
                 REWRITING_PAGE, DecisionScheduler(spec.build()), config
             )
             identities.append(run_identity(page))

@@ -151,7 +151,7 @@ def test_online_queries_match_offline_answers(edges):
 
 @pytest.mark.parametrize("site_index", [0, 3, 7])
 def test_backends_agree_on_real_corpus_traces(site_index, monkeypatch):
-    """Every CHC answer the live detector got while a corpus site loaded
+    """Every CHC answer the detector got over a corpus site's run
     equals the oracle's answer over the finished happens-before graph."""
     from repro import WebRacer
     from repro.sites import build_corpus

@@ -84,13 +84,6 @@ class TestTrace:
         record(trace, Access(kind=READ, op_id=2, location=x))
         assert trace.locations() == [x]
 
-    def test_accesses_by_operation(self):
-        trace = Trace()
-        x = VarLocation(1, "x")
-        record(trace, Access(kind=WRITE, op_id=1, location=x))
-        record(trace, Access(kind=WRITE, op_id=2, location=x))
-        assert len(trace.accesses_by_operation(2)) == 1
-
     def test_summary_counts(self):
         trace = Trace()
         record(trace, Access(kind=WRITE, op_id=1, location=VarLocation(1, "x")))

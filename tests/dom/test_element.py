@@ -127,12 +127,6 @@ class TestHandlers:
         assert element.remove_listener("click", handler) is None
         assert not element.has_any_handler("click")
 
-    def test_handled_events_sorted(self):
-        element = Element("div")
-        element.set_attr_handler("mouseover", "x")
-        element.add_listener("click", object())
-        assert element.handled_events() == ["click", "mouseover"]
-
     def test_listener_entry_keys_distinct(self):
         element = Element("div")
         entry_a = element.add_listener("click", object())

@@ -64,7 +64,7 @@ class TestProfilingFlags:
         events = validate_trace_file(str(trace_path))
         names = {event["name"] for event in events}
         assert "check_page" in names
-        assert "race" in names  # instant emitted when the race is found
+        assert "race" in names  # instant emitted when detection reports it
         # The detector's CHC counter made it into the export.
         counter_names = {e["name"] for e in events if e["ph"] == "C"}
         assert "chc.query.graph" in counter_names
@@ -93,16 +93,18 @@ def run_stats(capsys, tmp_path, *argv):
 
 class TestExplorePredictPhases:
     """explore and predict report through the run's own sink, so like
-    ``check`` they record one ``filters`` and one ``classify`` span per
-    detected page run, and the ``races.*`` counters.  A replay that
-    verifies a schedule (counted by ``explore.replays``) runs the page but
-    does not detect, so it records neither span."""
+    ``check`` they record one ``detect``, one ``filters`` and one
+    ``classify`` span per reported page run, and the ``races.*``
+    counters.  A replay that verifies a schedule (counted by
+    ``explore.replays``) runs the page but never reads its races, so it
+    records none of the three."""
 
     def assert_phases(self, stats):
         spans = stats["spans"]
         replays = stats["counters"]["explore.replays"]
         detected = spans["page.run"]["count"] - replays
         assert replays > 0 and detected > 0
+        assert spans["detect"]["count"] == detected
         assert spans["filters"]["count"] == detected
         assert spans["classify"]["count"] == detected
         assert "races.raw" in stats["counters"]

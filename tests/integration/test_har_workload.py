@@ -19,7 +19,12 @@ from repro.__main__ import main
 from repro.browser.scheduler import DecisionScheduler, SeededRandomScheduler
 from repro.config import RunConfig
 from repro.explain.schedule_report import assemble_explore_document
-from repro.schedule_runner import explore_pages, load_page_inputs, run_page_once
+from repro.schedule_runner import (
+    explore_pages,
+    load_page_inputs,
+    report_run,
+    run_page_once,
+)
 
 EXAMPLE_HAR = str(
     pathlib.Path(__file__).resolve().parents[2] / "examples" / "pages" / "shop.har"
@@ -156,12 +161,8 @@ class TestJobsByteIdentity:
         virtual time (the 1.2 MB catalog) than a uniform run ever can."""
         from repro.browser.scheduler import FifoScheduler
 
-        uniform_page, _, _, _ = run_page_once(
-            shop_page(), FifoScheduler(), RunConfig(seed=0)
-        )
-        connection_page, _, _, _ = run_page_once(
-            shop_page(), FifoScheduler(), CONNECTION
-        )
+        uniform_page = run_page_once(shop_page(), FifoScheduler(), RunConfig(seed=0))
+        connection_page = run_page_once(shop_page(), FifoScheduler(), CONNECTION)
         assert uniform_page.loop.clock.now < 700  # everything inside max latency
         assert connection_page.loop.clock.now > 800  # catalog transfer dominates
 
@@ -174,13 +175,13 @@ class TestReplayProperty:
         schedule length, same operation count, same race fingerprints."""
         page = shop_page()
         recorder = DecisionScheduler(SeededRandomScheduler(schedule_seed))
-        recorded_page, _, recorded_fps, _ = run_page_once(
-            page, recorder, CONNECTION
-        )
+        recorded_page = run_page_once(page, recorder, CONNECTION)
+        _, recorded_fps, _ = report_run(recorded_page, page.url, CONNECTION)
         trace = recorder.trace(seed=schedule_seed, page=page.url)
-        replayed_page, _, replayed_fps, _ = run_page_once(
+        replayed_page = run_page_once(
             page, DecisionScheduler(follow=trace.picks), CONNECTION
         )
+        _, replayed_fps, _ = report_run(replayed_page, page.url, CONNECTION)
         assert replayed_fps == recorded_fps
         assert len(replayed_page.trace.accesses) == len(
             recorded_page.trace.accesses

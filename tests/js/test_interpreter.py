@@ -310,6 +310,23 @@ class TestExceptions:
         with pytest.raises(JSThrow):
             run("null.x")
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("var o = null; o.style", "cannot read property 'style' of null"),
+            ("var o; o.style", "cannot read property 'style' of undefined"),
+            ("var o = null; o.x = 1", "cannot set property 'x' of null"),
+            ("var o; o.x = 1", "cannot set property 'x' of undefined"),
+        ],
+    )
+    def test_nullish_receiver_named_by_value(self, source, message):
+        """A member read or write on ``null`` names ``null``, not its
+        ``typeof`` (``object``), as node does."""
+        with pytest.raises(JSThrow) as exc_info:
+            run(source)
+        assert exc_info.value.value.name == "TypeError"
+        assert exc_info.value.value.message == message
+
 
 class TestObjectsAndArrays:
     def test_object_literal_and_access(self):

@@ -82,12 +82,6 @@ class TestScopeChain:
     def test_unbound_is_none(self):
         assert Scope().resolve("nope") is None
 
-    def test_resolve_local_only(self):
-        outer = Scope()
-        outer.declare("x")
-        inner = Scope(parent=outer)
-        assert inner.resolve_local("x") is None
-
 
 class TestObjectScope:
     def test_backed_by_object(self):

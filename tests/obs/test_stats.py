@@ -70,6 +70,20 @@ class TestStatsDict:
         assert payload["spans"]["check_page"]["count"] == 2
         assert payload["spans"]["check_page"]["total_us"] == pytest.approx(6000.0)
 
+    def test_scope_blocks_sorted_by_name(self):
+        """A scope's blocks do not depend on which layer counted first."""
+        obs = Instrumentation()
+        with obs.scope("site"):
+            obs.count("z.last")
+            obs.count("a.first")
+            with obs.span("parse"):
+                pass
+            with obs.span("detect"):
+                pass
+        scope = stats_dict(obs)["scopes"]["site"]
+        assert list(scope["counters"]) == ["a.first", "z.last"]
+        assert list(scope["spans"]) == ["detect", "parse"]
+
     def test_unscoped_data_lands_in_root(self):
         obs = Instrumentation()
         obs.count("loose")
