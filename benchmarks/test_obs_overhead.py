@@ -11,8 +11,11 @@ ledger off (the default): ``--ledger`` swaps in a live
 Two measurements on the same operation-heavy page:
 
 * the direct cost of every null-sink call the pipeline actually makes
-  (counted from an enabled run, then replayed against ``NULL``) must be
-  under 5% of the un-profiled wall time;
+  (counted by a counting null sink passed to an un-profiled run, then
+  replayed against ``NULL``) must be under 5% of the un-profiled wall
+  time.  An enabled run makes many more calls, because the hot paths
+  guard most of theirs with ``obs.enabled``; its census is printed and
+  written beside the count, not replayed;
 * an enabled (profiled) run must report byte-identical races — profiling
   may cost time, never correctness.
 """
@@ -21,6 +24,7 @@ import time
 
 from repro import WebRacer
 from repro.obs import NULL, Instrumentation
+from repro.obs.core import NullInstrumentation
 from repro.obs.bench import write_bench
 
 #: Corpus-scale page: ~1200 parse steps + ~1200 script executions, plus a
@@ -42,6 +46,28 @@ def run_page(obs=None):
     return racer.check_page(PAGE, resources=RESOURCES, url="bench.html")
 
 
+class CountingNull(NullInstrumentation):
+    """The null sink, counting its calls.  ``enabled`` stays False, so a
+    run makes exactly the calls it makes against ``NULL``."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def span(self, name, cat="", **args):
+        self.calls += 1
+        return super().span(name, cat, **args)
+
+    def scope(self, name):
+        self.calls += 1
+        return super().scope(name)
+
+    def count(self, name, n=1):
+        self.calls += 1
+
+    def instant(self, name, **args):
+        self.calls += 1
+
+
 def obs_call_volume(obs):
     """How many obs calls the pipeline made: spans+instants and counter
     updates."""
@@ -54,11 +80,16 @@ def obs_call_volume(obs):
 
 def test_null_sink_overhead_under_5_percent():
     """The disabled-mode (NULL sink) cost is < 5% of a page check."""
-    # Warm-up + call-volume census from one enabled run.
+    # Warm-up + the census of an enabled run, for the record.
     enabled = Instrumentation()
     run_page(enabled)
-    volume = obs_call_volume(enabled)
-    assert volume > 1000, "census run should exercise the instrumented paths"
+    census = obs_call_volume(enabled)
+    assert census > 1000, "census run should exercise the instrumented paths"
+    # The calls an un-profiled run makes against the null sink.
+    counting = CountingNull()
+    run_page(counting)
+    volume = counting.calls
+    assert volume > 100, "the un-profiled run should reach the null sink"
 
     # Baseline: the default (null sink) run.
     rounds = 3
@@ -83,6 +114,7 @@ def test_null_sink_overhead_under_5_percent():
         metrics={
             "page_check_ms": round(base * 1000, 3),
             "obs_call_volume": volume,
+            "enabled_call_census": census,
             "null_cost_ms": round(null_cost * 1000, 3),
             "null_overhead_ratio": round(ratio, 5),
         },
@@ -91,7 +123,8 @@ def test_null_sink_overhead_under_5_percent():
     print()
     print("Null-sink (disabled profiling) overhead:")
     print(f"  un-profiled page check: {base * 1000:8.2f} ms")
-    print(f"  obs calls made:         {volume:8d}")
+    print(f"  null-sink calls made:   {volume:8d}")
+    print(f"  enabled-run census:     {census:8d}")
     print(f"  null-call cost:         {null_cost * 1000:8.2f} ms ({ratio:.2%})")
     assert ratio < 0.05, f"null sink costs {ratio:.2%} of a page check (>5%)"
 

@@ -79,7 +79,7 @@ def capture_and_analyse(trace_path):
     print(f"  constant-memory (paper): {len(constant.races)} races, "
           f"{constant.chc_queries} CHC queries")
     print(f"  full-history:            {len(full.races)} races, "
-          f"{full.chc_queries} CHC queries")
+          f"{full.chc_queries} HB lookups")
     print(f"  racing locations the constant-memory detector missed: {len(missed)}")
 
     # Ad-hoc happens-before queries against the stored graph.

@@ -310,6 +310,21 @@ class HBGraph:
             return self._pos[b] >= position
         return self._clocks[b].get(chain_a, -1) >= position
 
+    def place(self, op_id: int) -> Optional[Tuple[int, int, Dict[int, int]]]:
+        """``(chain, position, clock)`` of a registered operation, its
+        cone finalized first; ``None`` for an id never registered.
+
+        ``clock`` omits the op's own chain (``position`` is that entry)
+        and is the stored dict, shared with other operations: read it,
+        never mutate it.  Post-run passes read many pairs off these
+        instead of asking :meth:`happens_before` pair by pair.
+        """
+        preds = self._preds
+        if not 0 <= op_id < len(preds) or preds[op_id] is None:
+            return None
+        self._finalize(op_id)
+        return self._chain[op_id], self._pos[op_id], self._clocks[op_id]
+
     def concurrent(self, a: int, b: int) -> bool:
         """True iff neither ``a ≺ b`` nor ``b ≺ a`` (and ``a != b``)."""
         if a == b:
@@ -377,6 +392,17 @@ class HBGraph:
             if pred == src:
                 return rule
         return None
+
+    def chain_members(self) -> List[List[int]]:
+        """Each chain's finalized operations by position, built on every
+        call (the store itself keeps no per-chain lists)."""
+        members: List[List[int]] = [[] for _ in self._chain_tail]
+        for op_id, chain in enumerate(self._chain):
+            if chain >= 0:
+                members[chain].append(op_id)
+        for ops in members:
+            ops.sort(key=self._pos.__getitem__)
+        return members
 
     def operation_ids(self) -> List[int]:
         """All registered operation ids, sorted."""

@@ -116,6 +116,10 @@ class ShbAnalysis:
     rf_edges: List[ReadsFromEdge] = field(default_factory=list)
     #: Full-history candidate pairs considered (observed + predicted).
     candidates: int = 0
+    #: HB lookups the candidate sweep made
+    #: (:attr:`~repro.core.full_detector.FullHistoryDetector.chc_queries`):
+    #: its work, which follows chains and reported pairs.
+    sweep_queries: int = 0
 
     def by_status(self, status: str) -> List[ShbPrediction]:
         """Predictions with one classification tier."""
@@ -217,14 +221,23 @@ def _shb_path(
     return None
 
 
+def racy_reads_from(
+    rf_edges: List[ReadsFromEdge],
+) -> Dict[Tuple[int, int], ReadsFromEdge]:
+    """The racy reads-from edges by ``(src, dst)``: the edges
+    :func:`classify_pair` names as blocking.  One pass builds it once."""
+    return {(rf.src, rf.dst): rf for rf in rf_edges if rf.racy}
+
+
 def classify_pair(
     shb: HBGraph,
-    rf_edges: List[ReadsFromEdge],
+    racy: Dict[Tuple[int, int], ReadsFromEdge],
     a: int,
     b: int,
 ) -> Tuple[str, Tuple[ReadsFromEdge, ...]]:
     """Classify one conflicting rule-concurrent pair against SHB.
 
+    ``racy`` is :func:`racy_reads_from` of the graph's reads-from edges.
     The direct edges between the pair (in either direction) are excluded:
     they express the conflict under prediction, not a constraint on it.
     Returns ``(status, blocking reads-from edges)``.
@@ -233,13 +246,10 @@ def classify_pair(
     path = _shb_path(shb, a, b, skip) or _shb_path(shb, b, a, skip)
     if path is None:
         return STATUS_SCHEDULABLE, ()
-    racy_by_pair = {
-        (rf.src, rf.dst): rf for rf in rf_edges if rf.racy
-    }
     blocking = tuple(
-        racy_by_pair[(src, dst)]
+        racy[(src, dst)]
         for src, dst in zip(path, path[1:])
-        if (src, dst) in racy_by_pair
+        if (src, dst) in racy
     )
     return STATUS_CONDITIONAL, blocking
 
@@ -257,18 +267,21 @@ def predict_races(
     :data:`STATUS_SCHEDULABLE` / :data:`STATUS_CONDITIONAL`.
     """
     sweep = FullHistoryDetector(trace, hb).replay()
+    candidates, sweep_queries = sweep.races, sweep.chc_queries
+    del sweep  # its per-location history is not needed past this point
     shb, rf_edges = build_shb(trace, hb)
+    racy = racy_reads_from(rf_edges)
     observed_keys = {
         race.pair_key()
         for race in observed
         if race.prior.op_id != race.current.op_id
     }
     predictions: List[ShbPrediction] = []
-    for race in sweep.races:
+    for race in candidates:
         a, b = race.op_pair()
         if race.pair_key() in observed_keys:
             continue
-        status, blocking = classify_pair(shb, rf_edges, a, b)
+        status, blocking = classify_pair(shb, racy, a, b)
         predictions.append(
             ShbPrediction(race=race, status=status, blocking_rf=blocking)
         )
@@ -277,5 +290,6 @@ def predict_races(
         predictions=predictions,
         shb=shb,
         rf_edges=rf_edges,
-        candidates=len(sweep.races),
+        candidates=len(candidates),
+        sweep_queries=sweep_queries,
     )

@@ -11,21 +11,26 @@ race-prediction work that ships a certificate with every report:
 * :func:`hb_path` — a shortest chain of direct edges from an ancestor down
   to a descendant, each step labeled with the paper rule (Section 3.3 /
   Appendix A) that introduced it;
-* :func:`race_witness` — the bundle race evidence is built from: the
-  nearest common ancestor plus one rule-labeled path to each racing
-  operation, and the verdict that *no* chain connects the pair.
+* :func:`race_witness` — the nearest common ancestor plus one
+  rule-labeled path to each racing operation, and the verdict that *no*
+  chain connects the pair;
+* :class:`ChainAncestry` — the same nearest common ancestor and common
+  ancestor count of a concurrent pair, read off the chain clocks.
 
-Every function only needs ``predecessors(op_id)`` and
-``edge_rule(src, dst)`` from :class:`~repro.core.hb.graph.HBGraph`.  Witness
-queries run *after* detection, off the hot path, so they favour clarity
-over speed (O(V) per race; races per page are few).
+The functions only need ``predecessors(op_id)`` and ``edge_rule(src,
+dst)`` from :class:`~repro.core.hb.graph.HBGraph`, and walk a cone per
+operation (O(V) per race).  Race evidence asks for many pairs of one
+finished graph, so it reads the common ancestors off the clocks
+(:class:`ChainAncestry`, O(chains) per pair) and keeps :func:`hb_path`'s
+search for the paths.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from itertools import accumulate
+from typing import Dict, List, Optional, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -145,3 +150,67 @@ def race_witness(hb, a: int, b: int) -> RaceWitness:
         path_b=path_b or [],
         ordered=ordered,
     )
+
+
+class ChainAncestry:
+    """Common ancestors of concurrent pairs, read off an
+    :class:`~repro.core.hb.graph.HBGraph`'s chain clocks.
+
+    On one chain, the operations that happen before (or are) ``x`` are
+    the positions up to ``x``'s clock entry for that chain: a prefix.  For
+    a concurrent pair the common ancestors are therefore, per chain, the
+    positions up to the smaller of the two entries, so their count is a
+    sum over a clock, and the highest id among them is a running maximum
+    of ids along the chain.  That is :func:`race_witness`'s nearest common
+    ancestor and count without a predecessor walk.
+
+    The per-chain operation lists are built from the finalized operations
+    on first use, after the run; the live store keeps none.  An operation
+    finalized since then sits past their ends, which rebuilds them.
+    """
+
+    def __init__(self, hb):
+        self.hb = hb
+        #: chain -> running maximum of operation ids by position.
+        self._top: List[List[int]] = []
+
+    def common(self, a: int, b: int) -> Optional[Tuple[Optional[int], int]]:
+        """``(nearest common ancestor, common ancestor count)`` of a
+        concurrent pair; ``None`` for an ordered pair or an operation the
+        store never registered (:func:`race_witness` answers those)."""
+        placed_a, placed_b = self.hb.place(a), self.hb.place(b)
+        if placed_a is None or placed_b is None:
+            return None
+        chain_a, position_a, clock_a = placed_a
+        chain_b, position_b, clock_b = placed_b
+        if (
+            chain_a == chain_b
+            or clock_b.get(chain_a, -1) >= position_a
+            or clock_a.get(chain_b, -1) >= position_b
+        ):
+            return None
+        tops = [(chain_a, min(position_a, clock_b.get(chain_a, -1)))]
+        for chain, entry in clock_a.items():
+            other = position_b if chain == chain_b else clock_b.get(chain, -1)
+            tops.append((chain, min(entry, other)))
+        try:
+            return self._read(tops)
+        except IndexError:
+            self._top = _running_maxima(self.hb.chain_members())
+            return self._read(tops)
+
+    def _read(self, tops: List[Tuple[int, int]]) -> Tuple[Optional[int], int]:
+        nca: Optional[int] = None
+        count = 0
+        for chain, top in tops:
+            if top < 0:
+                continue
+            count += top + 1
+            highest = self._top[chain][top]
+            if nca is None or highest > nca:
+                nca = highest
+        return nca, count
+
+
+def _running_maxima(chains: List[List[int]]) -> List[List[int]]:
+    return [list(accumulate(members, max)) for members in chains]

@@ -11,14 +11,23 @@ methods like ``appendChild``) lives in :mod:`repro.browser.bindings`, which
 is also where the paper's logical-memory instrumentation for scripts hooks
 in; *structural* instrumentation (element inserted/removed — the ``HElem``
 writes of Section 4.2) is emitted by the Document.
+
+Most nodes are leaves, so ``children`` starts as :data:`NO_CHILDREN`, one
+shared empty tuple, and a node allocates its own list on the first insert.
+Every change goes through :meth:`Node.raw_append`,
+:meth:`Node.raw_insert_before` and :meth:`Node.raw_remove`, and
+``Document.unlink`` drops a closed document's children.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 _node_ids = itertools.count(1)
+
+#: What a node's ``children`` holds until its first child.
+NO_CHILDREN: Sequence["Node"] = ()
 
 
 def next_node_id() -> int:
@@ -40,7 +49,7 @@ class Node:
     def __init__(self):
         self.node_id = next_node_id()
         self.parent: Optional["Node"] = None
-        self.children: List["Node"] = []
+        self.children: Sequence["Node"] = NO_CHILDREN
 
     # ------------------------------------------------------------------
     # raw structure (no instrumentation; Document wraps these)
@@ -50,7 +59,10 @@ class Node:
         if child.parent is not None:
             child.parent.raw_remove(child)
         child.parent = self
-        self.children.append(child)
+        if self.children is NO_CHILDREN:
+            self.children = [child]
+        else:
+            self.children.append(child)
 
     def raw_insert_before(self, child: "Node", reference: Optional["Node"]) -> None:
         """Uninstrumented positional insert."""

@@ -163,11 +163,12 @@ def _prediction_entries(
     analysis: ShbAnalysis, page_obj, base_fingerprints: List[str]
 ) -> List[PredictionResult]:
     """Fingerprint, classify, and dedup the raw SHB predictions."""
-    from .explain.evidence import build_race_evidence
+    from .explain.evidence import EvidenceCache, build_race_evidence
     from .explain.fingerprint import race_fingerprint
 
     entries: List[PredictionResult] = []
     seen: set = set(base_fingerprints)
+    cache = EvidenceCache(page_obj.monitor.graph)
     for prediction in analysis.predictions:
         fingerprint = race_fingerprint(prediction.race, page_obj.trace)
         if fingerprint in seen:
@@ -176,7 +177,11 @@ def _prediction_entries(
         classified_report = build_report([prediction.race], page_obj.trace)
         classified = classified_report.races[0]
         evidence = build_race_evidence(
-            classified, page_obj.trace, page_obj.monitor.graph
+            classified,
+            page_obj.trace,
+            page_obj.monitor.graph,
+            cache=cache,
+            fingerprint=fingerprint,
         )
         entries.append(
             PredictionResult(

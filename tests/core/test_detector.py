@@ -289,8 +289,9 @@ oracle_accesses = st.lists(
 @settings(max_examples=300, deadline=None)
 def test_row_detectors_match_oracle(edges, accesses):
     """Same races, in the same order, with the same accesses (seqs and
-    details included) and the same CHC query count as the object
-    detectors the row detectors replaced."""
+    details included) as the object detectors the row detectors replaced;
+    the exact detector makes the same CHC queries, and the chain-indexed
+    sweep no more HB lookups than the pairwise sweep's CHC queries."""
     graph = HBGraph()
     for op in range(1, 11):
         graph.add_operation(op)
@@ -312,7 +313,7 @@ def test_row_detectors_match_oracle(edges, accesses):
     assert detector.races == oracle.races
     assert detector.chc_queries == oracle.chc_queries
     assert full.races == full_oracle.races
-    assert full.chc_queries == full_oracle.chc_queries
+    assert full.chc_queries <= full_oracle.chc_queries
 
 
 @pytest.mark.parametrize("index", [0, 3, 7])

@@ -26,6 +26,7 @@ from repro.core.hb.shb import (
     STATUS_CONDITIONAL,
     STATUS_SCHEDULABLE,
     classify_pair,
+    racy_reads_from,
 )
 from repro.core.locations import VarLocation
 from repro.core.trace import Trace
@@ -137,7 +138,7 @@ class TestClassifyPair:
     def test_unordered_pair_is_schedulable(self):
         trace, graph = make_trace(3, [(1, 2), (1, 3)], [])
         shb, rf = build_shb(trace, graph)
-        status, blocking = classify_pair(shb, rf, 2, 3)
+        status, blocking = classify_pair(shb, racy_reads_from(rf), 2, 3)
         assert status == STATUS_SCHEDULABLE
         assert blocking == ()
 
@@ -148,7 +149,7 @@ class TestClassifyPair:
             3, [(1, 2), (1, 3)], [(WRITE, 2, LOC), (READ, 3, LOC)]
         )
         shb, rf = build_shb(trace, graph)
-        status, _ = classify_pair(shb, rf, 2, 3)
+        status, _ = classify_pair(shb, racy_reads_from(rf), 2, 3)
         assert status == STATUS_SCHEDULABLE
 
     def test_path_through_racy_rf_is_conditional(self):
@@ -161,7 +162,7 @@ class TestClassifyPair:
             ],
         )
         shb, rf = build_shb(trace, graph)
-        status, blocking = classify_pair(shb, rf, 2, 4)
+        status, blocking = classify_pair(shb, racy_reads_from(rf), 2, 4)
         assert status == STATUS_CONDITIONAL
         assert [(e.src, e.dst) for e in blocking] == [(2, 3), (3, 4)]
         assert all(e.racy for e in blocking)
@@ -169,7 +170,7 @@ class TestClassifyPair:
     def test_rule_ordered_path_has_no_blocking_edges(self):
         trace, graph = make_trace(3, [(1, 2), (2, 3)], [])
         shb, rf = build_shb(trace, graph)
-        status, blocking = classify_pair(shb, rf, 1, 3)
+        status, blocking = classify_pair(shb, racy_reads_from(rf), 1, 3)
         assert status == STATUS_CONDITIONAL
         assert blocking == ()
 

@@ -5,6 +5,7 @@ import pytest
 from repro.core.hb.backend import HB_STORE, make_backend
 from repro.core.hb.graph import HBGraph
 from repro.core.hb.witness import (
+    ChainAncestry,
     ancestor_closure,
     hb_path,
     nearest_common_ancestor,
@@ -135,6 +136,44 @@ class TestRaceWitness:
         witness = race_witness(graph, 1, 2)
         assert witness.nca is None
         assert witness.path_a == [] and witness.path_b == []
+
+
+class TestChainAncestry:
+    """The clock reading gives :func:`race_witness`'s answers."""
+
+    @pytest.mark.parametrize("pair", [(3, 4), (2, 3)])
+    def test_diamond(self, hb, pair):
+        expected = race_witness(hb, *pair)
+        assert ChainAncestry(hb).common(*pair) == (
+            expected.nca, expected.common_ancestor_count,
+        )
+
+    def test_ordered_and_unknown_pairs_are_left_to_the_walk(self, hb):
+        ancestry = ChainAncestry(hb)
+        assert ancestry.common(2, 4) is None
+        assert ancestry.common(2, 99) is None
+
+    def test_highest_id_off_a_chain_whose_ids_fall(self):
+        """A backward edge puts op 3 below op 1 on one chain: the
+        nearest common ancestor is still the highest id, 3."""
+        graph = HBGraph(assert_forward=False)
+        for src, dst in [(3, 1), (1, 2), (1, 4)]:
+            graph.add_edge(src, dst)
+        graph.finalize_all()
+        assert race_witness(graph, 2, 4).nca == 3
+        assert ChainAncestry(graph).common(2, 4) == (3, 2)
+
+    def test_operations_finalized_after_the_first_read(self):
+        graph = HBGraph()
+        for src, dst in [(1, 2), (1, 3)]:
+            graph.add_edge(src, dst)
+        ancestry = ChainAncestry(graph)
+        assert ancestry.common(2, 3) == (1, 1)
+        for src, dst in [(3, 5), (5, 7), (5, 8)]:
+            graph.add_edge(src, dst)
+        expected = race_witness(graph, 7, 8)
+        assert ancestry.common(7, 8) == (5, 3)
+        assert (expected.nca, expected.common_ancestor_count) == (5, 3)
 
 
 class TestEdgeRuleProvenance:

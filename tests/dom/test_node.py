@@ -1,6 +1,6 @@
 """Tests for the DOM node tree structure."""
 
-from repro.dom.node import Node
+from repro.dom.node import NO_CHILDREN, Node
 
 
 class TestStructure:
@@ -38,6 +38,33 @@ class TestStructure:
 
     def test_node_ids_unique(self):
         assert Node().node_id != Node().node_id
+
+
+class TestSharedEmptyChildren:
+    """A leaf holds the one shared empty value until its first child."""
+
+    def test_fresh_leaves_share_the_empty_value(self):
+        a, b = Node(), Node()
+        assert a.children is NO_CHILDREN and b.children is NO_CHILDREN
+        assert list(a.children) == [] and a.descendants() == []
+
+    def test_first_insert_allocates_an_own_list(self):
+        a, b, child = Node(), Node(), Node()
+        a.raw_insert_before(child, None)
+        assert a.children == [child]
+        assert b.children is NO_CHILDREN and NO_CHILDREN == ()
+
+    def test_append_insert_remove_after_the_first_child(self):
+        parent, first, second, third = Node(), Node(), Node(), Node()
+        parent.raw_append(second)
+        parent.raw_insert_before(first, second)
+        parent.raw_append(third)
+        assert parent.children == [first, second, third]
+        parent.raw_remove(second)
+        parent.raw_remove(first)
+        parent.raw_remove(third)
+        assert parent.children == []
+        assert first.children is NO_CHILDREN
 
 
 class TestTraversal:
