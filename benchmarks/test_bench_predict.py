@@ -6,8 +6,9 @@ as the N-schedule explore matrix on the example pages, from far fewer
 instrumented executions and less wall-clock.  Exploration pays for N
 recorded runs (plus N replay verifications) per page whether or not they
 find anything; prediction runs once, reads the races off the SHB
-relation, and only executes witness schedules while unconfirmed
-predictions remain.
+relation, drops the predictions the Section 5.3 filters remove on that
+run, and executes one directed witness (plus its replay) per surviving
+prediction.
 
 Coverage is compared on ``(location, race type)`` keys, not fingerprints:
 fingerprints hash schedule-dependent operation labels, so one logical
@@ -26,10 +27,9 @@ from repro.schedule_runner import explore_pages, load_page_inputs
 PAGES_DIR = os.path.join(os.path.dirname(__file__), "..", "examples", "pages")
 SEED = 0
 SCHEDULES = 8  # the matrix width CI explores
-#: Witness budget for the benchmark.  The adversarial witness (tried
-#: first) confirms every confirmable prediction on the example pages;
-#: the one random retry guards the comparison against schedule noise
-#: without burning the full default budget on unconfirmable predictions.
+#: Directed witnesses per page.  Each example page keeps at most two
+#: predictions after the filters, so two witnesses cover every survivor
+#: without the full default budget.
 BUDGET = 2
 
 
@@ -39,18 +39,16 @@ def _key(info):
 
 def predict_coverage(reports):
     """Replay-backed coverage: the observed FIFO races plus every
-    prediction a witness schedule confirmed."""
+    prediction a directed witness confirmed.  A confirmed prediction's key
+    comes from the prediction itself: its witness confirms the pair
+    through the full-history sweep, and the witness's
+    one-race-per-location report need not list it."""
     keys = set()
     for report in reports:
         for info in report.observed_race_info.values():
             keys.add(_key(info))
         for prediction in report.confirmed():
-            run = next(
-                run
-                for run in report.witness_runs
-                if run.sid == prediction.witness_sid
-            )
-            keys.add(_key(run.races[prediction.fingerprint]))
+            keys.add((prediction.location, prediction.race_type))
     return keys
 
 
@@ -77,6 +75,8 @@ def test_predict_vs_explore():
     explore_s = time.perf_counter() - started
 
     predicted = sum(len(r.predictions) for r in predict_reports)
+    filtered = sum(len(r.filtered()) for r in predict_reports)
+    witness_runs = sum(len(r.witness_runs) for r in predict_reports)
     confirmed = sum(len(r.confirmed()) for r in predict_reports)
     predict_runs = sum(r.runs_executed for r in predict_reports)
     # Every matrix cell is one recorded run + one replay verification.
@@ -102,6 +102,8 @@ def test_predict_vs_explore():
             "predict_wall_clock_s": round(predict_s, 4),
             "predict_instrumented_runs": predict_runs,
             "predicted": predicted,
+            "filtered": filtered,
+            "witness_runs": witness_runs,
             "confirmed": confirmed,
             "explore_wall_clock_s": round(explore_s, 4),
             "explore_instrumented_runs": explore_runs,
@@ -124,8 +126,9 @@ def test_predict_vs_explore():
     print()
     print("Prediction vs exploration (single trace vs schedule matrix):")
     print(
-        f"  predict: {predict_runs} runs, {predict_s * 1000:.0f} ms, "
-        f"{confirmed}/{predicted} predictions confirmed"
+        f"  predict: {predict_runs} runs ({witness_runs} witnesses), "
+        f"{predict_s * 1000:.0f} ms, {filtered} of {predicted} predictions "
+        f"filtered, {confirmed} confirmed"
     )
     print(
         f"  explore: {explore_runs} runs, {explore_s * 1000:.0f} ms, "

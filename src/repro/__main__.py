@@ -34,12 +34,15 @@ Commands
     Single-trace race prediction: record one FIFO execution per page
     under ``PATH`` (an HTML file or a directory of pages), sweep the
     trace with the schedulable-happens-before analysis
-    (:mod:`repro.core.hb.shb`), and cross-validate every predicted race
-    against the explore machinery — witness schedules run until a
-    recorded, replay-verified reordering exhibits the predicted
-    fingerprint.  Confirmed predictions report ``predicted+confirmed``
-    (with the witness schedule, and a ddmin-minimized divergence set
-    under ``--minimize``); the rest stay ``predicted-only``.
+    (:mod:`repro.core.hb.shb`), and drop the predictions the Section 5.3
+    filters remove on that trace (reported ``filtered``).  Each
+    surviving prediction, up to ``--budget N`` per page, gets one
+    directed witness: the observed schedule with the task that ran the
+    pair's earlier operation held back until the later one's task has
+    run, recorded and replay-verified.  A witness that runs the pair in
+    the flipped order, where the pair still races, confirms it
+    (``predicted+confirmed``, with a ddmin-minimized divergence set under
+    ``--minimize``); the rest stay ``predicted-only``.
 
 ``analyze TRACE.json [--no-filters] [--predict]``
     Re-run detection, filtering and classification on a captured trace.
@@ -721,8 +724,9 @@ def cmd_predict(args) -> int:
             for fingerprint, info in sorted(page["observed"]["races"].items()):
                 yield page["url"], fingerprint, "observed", info
             for prediction in page["predictions"]:
-                yield (page["url"], prediction["fingerprint"],
-                       prediction["outcome"], prediction)
+                if prediction["filtered_by"] is None:
+                    yield (page["url"], prediction["fingerprint"],
+                           prediction["outcome"], prediction)
 
     _append_ledger(
         args,
@@ -994,8 +998,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="map a sub-resource URL to a local file "
                               "(file mode; directories auto-map siblings)")
     predict.add_argument("--budget", type=int, default=6, metavar="N",
-                         help="witness schedules tried per page: "
-                              "adversarial + N-1 seeded-random (default 6)")
+                         help="directed witnesses run per page, one per "
+                              "prediction the filters keep (default 6)")
     predict.add_argument("--minimize", action="store_true",
                          help="ddmin-minimize each confirmed prediction's "
                               "witness schedule")

@@ -342,10 +342,6 @@ class ConnectionNetworkSimulator:
         """The connection pool of an origin (diagnostics/tests)."""
         return list(self._pools.get(origin, []))
 
-    def in_flight(self) -> int:
-        """Number of assigned (active) transfers right now."""
-        return len(self._active)
-
     def clear(self) -> None:
         """Drop every transfer in flight or queued (the page closed): each
         holds its completion callback, and its task holds it back."""

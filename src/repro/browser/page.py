@@ -153,6 +153,7 @@ class Browser:
             connections_per_origin=connections_per_origin,
         )
         self.monitor = Monitor(enabled=instrument, obs=self.obs)
+        scheduler.attach(self.monitor.trace)
 
     def open(self, html: str, url: str = "page.html") -> "Page":
         """Create a page and schedule its load (call :meth:`Page.run`)."""

@@ -15,6 +15,10 @@ tasks runs first).  Three policies are provided:
   e.g. run user events and timers before parser steps to force the
   partial-page-rendering interleavings that expose races.
 
+:class:`HoldBackScheduler` is FIFO that passes one task over until
+another has run: the fallback of a predicted race's directed witness
+(:mod:`repro.predict`).
+
 On top of the policies sits one :class:`DecisionScheduler`: it follows a
 decision list (loop step → task ``seq``) where the list names a ready
 task, asks a fallback policy everywhere else, and records every pick as a
@@ -30,7 +34,10 @@ of its configurations (:mod:`repro.schedule_runner`):
   kept)``: a subset of a trace's divergences from FIFO order, FIFO
   everywhere else;
 * enumeration — a decision prefix over a FIFO fallback that logs the
-  ready sets the DFS branches on (:mod:`repro.browser.enumerate`).
+  ready sets the DFS branches on (:mod:`repro.browser.enumerate`);
+* directed witness — ``DecisionScheduler(HoldBackScheduler(...),
+  observed_picks[:step])``: the observed run up to the step that ran a
+  predicted race's earlier operation, then that task held back.
 """
 
 from __future__ import annotations
@@ -61,6 +68,12 @@ def derive_page_seed(seed: int, page_index: int) -> int:
 
 class Scheduler:
     """Strategy interface: pick one task from the ready candidates."""
+
+    def attach(self, trace) -> None:
+        """Called once by the run's :class:`~repro.browser.page.Browser`,
+        before the first pick, with the trace the run records into.  A
+        policy never needs it; a recorder that notes what each pick
+        created keeps it (:mod:`repro.predict`'s observed run)."""
 
     def pick(self, candidates: Sequence[Task]) -> Task:
         """Choose which of the equally-ready tasks runs next."""
@@ -107,8 +120,39 @@ class AdversarialScheduler(Scheduler):
         )
 
 
+class HoldBackScheduler(Scheduler):
+    """FIFO that passes task ``held`` over until task ``until`` has run.
+
+    Tasks are named by ``seq``.  The held task still runs when it is the
+    only candidate, and once it has been passed over ``patience`` times,
+    so a page that polls for the held task's effect still settles.
+    After ``until`` (or ``held``) runs, this is plain FIFO.
+    """
+
+    def __init__(self, held: int, until: int, patience: int):
+        self.held = held
+        self.until = until
+        self.patience = patience
+
+    def pick(self, candidates: Sequence[Task]) -> Task:
+        """The FIFO pick, unless that is the held task and another is ready."""
+        chosen = min(candidates, key=_by_seq)
+        if chosen.seq == self.held and self.patience > 0 and len(candidates) > 1:
+            self.patience -= 1
+            chosen = min(
+                (task for task in candidates if task.seq != self.held), key=_by_seq
+            )
+        if chosen.seq in (self.held, self.until):
+            self.patience = 0
+        return chosen
+
+
+def _by_seq(task: Task) -> int:
+    return task.seq
+
+
 # ----------------------------------------------------------------------
-# decisions: record / replay / minimize / enumerate
+# decisions: record / replay / minimize / enumerate / witness
 
 
 @dataclass

@@ -139,12 +139,22 @@ class HarmfulnessJudge:
         return False, "element existed when accessed"
 
     def _judge_function(self, race: Race):
-        """Harmful iff the invocation of a yet-to-be-parsed function raised
-        (observed as a hidden ReferenceError/TypeError crash)."""
+        """Harmful iff the invocation of a yet-to-be-parsed function raised:
+        a hidden crash of the reading operation that is the failed call of
+        the raced name itself (``f is not defined`` / ``f is not a
+        function``).  Any other crash of that operation is a bug of its
+        own, whatever its kind."""
         reader = self._reader(race)
-        if reader is not None and reader.op_id in self._crash_ops:
-            kinds = {crash.kind for crash in self._crash_ops[reader.op_id]}
-            if kinds & {"ReferenceError", "TypeError"}:
+        crashes = self._crash_ops.get(reader.op_id) if reader is not None else None
+        if crashes:
+            name = race.location.name
+            failed_call = {
+                f"ReferenceError: {name} is not defined",
+                f"TypeError: {name} is not a function",
+            }
+            # A live crash's error prints as "Kind: message"; a loaded
+            # trace's crash carries that text itself.
+            if any(str(crash.error) in failed_call for crash in crashes):
                 return True, "invoked a function before its script was parsed"
         return False, "call happened after parse in this run (latent)"
 

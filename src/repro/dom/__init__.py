@@ -3,7 +3,6 @@
 from .document import Document, DomInstrumentation
 from .element import (
     FORM_FIELD_TAGS,
-    LOADABLE_TAGS,
     Element,
     ListenerEntry,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "Event",
     "FORM_FIELD_TAGS",
     "HandlerInvocation",
-    "LOADABLE_TAGS",
     "ListenerEntry",
     "Node",
     "default_action",

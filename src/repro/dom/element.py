@@ -30,9 +30,6 @@ from typing import Any, Dict, List, Mapping, Optional
 from ..core.locations import ElementKey, id_key, node_key
 from .node import Node
 
-#: Elements with a load event (rule 15 candidates).
-LOADABLE_TAGS = frozenset(["img", "script", "iframe", "link", "body", "frame"])
-
 #: Form fields whose value the form filter watches.
 FORM_FIELD_TAGS = frozenset(["input", "textarea", "select"])
 
@@ -191,21 +188,6 @@ class Element(Node):
             return False
         return self.attributes[name].lower() not in ("false", "0", "no")
 
-    @property
-    def is_sync_external_script(self) -> bool:
-        """A synchronous script: external, neither async nor deferred."""
-        return self.is_external_script and not self.is_async and not self.is_deferred
-
-    @property
-    def has_load_event(self) -> bool:
-        """Does this tag fire a load event (rule 15 candidate)?"""
-        return self.tag in LOADABLE_TAGS
-
-    @property
-    def is_form_field(self) -> bool:
-        """input/textarea/select?"""
-        return self.tag in FORM_FIELD_TAGS
-
     # ------------------------------------------------------------------
     # event handlers (raw storage; instrumentation in browser.bindings)
 
@@ -240,14 +222,6 @@ class Element(Node):
                 entries.remove(entry)
                 return entry
         return None
-
-    def listeners_for(self, event: str, capture: bool) -> List[ListenerEntry]:
-        """Listener entries for an event, filtered by capture flag."""
-        return [
-            entry
-            for entry in self.listeners.get(event, [])
-            if entry.capture == capture
-        ]
 
     def has_any_handler(self, event: str) -> bool:
         """Any attr-slot handler or listener for ``event``?"""

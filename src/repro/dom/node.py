@@ -109,18 +109,5 @@ class Node:
             node = node.parent
         return node
 
-    def child_index(self, child: "Node") -> int:
-        """Index of ``child`` in this node's children."""
-        return self.children.index(child)
-
-    def contains(self, other: "Node") -> bool:
-        """Is ``other`` this node or a descendant of it?"""
-        node: Optional[Node] = other
-        while node is not None:
-            if node is self:
-                return True
-            node = node.parent
-        return False
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}#{self.node_id}"

@@ -12,8 +12,9 @@ The explore document's schema is
 to :class:`~repro.predict.PredictReport`:
 :func:`assemble_predict_document` emits the ``repro predict --json``
 document (schema: :data:`repro.explain.schema.PREDICT_SCHEMA`), splitting
-predictions into ``predicted+confirmed`` and ``predicted-only``, and
-:func:`render_predict_text` renders it for the terminal.
+predictions into ``filtered``, ``predicted+confirmed`` and
+``predicted-only``, and :func:`render_predict_text` renders it for the
+terminal.
 
 The module is duck-typed over the runner's result objects rather than
 importing them.
@@ -111,13 +112,15 @@ def write_explore_json(document: Dict[str, Any], path: str) -> None:
 # predict documents (``repro predict``)
 
 
-def _witness_run_dict(run) -> Dict[str, Any]:
-    """One witness schedule run's JSON block (no wall-clock fields)."""
+def _witness_run_dict(run, target: str) -> Dict[str, Any]:
+    """One witness run's JSON block (no wall-clock fields); ``target`` is
+    the fingerprint of the prediction it was directed at."""
     trace = run.trace_dict or {}
     return {
         "schedule": run.sid,
         "policy": run.policy,
         "seed": run.seed,
+        "prediction": target,
         "error": run.error,
         "fingerprints": list(run.fingerprints),
         "replay_ok": run.replay_ok,
@@ -129,16 +132,18 @@ def _witness_run_dict(run) -> Dict[str, Any]:
 def _prediction_dict(prediction, with_evidence: bool) -> Dict[str, Any]:
     """One prediction's JSON block."""
     witness = None
-    if prediction.confirmed:
+    if prediction.witness_sid is not None:
         witness = {
             "schedule": prediction.witness_sid,
             "policy": prediction.witness_policy,
-            "seed": prediction.witness_seed,
+            "flipped": prediction.flipped,
+            "raced": prediction.raced,
         }
     entry: Dict[str, Any] = {
         "fingerprint": prediction.fingerprint,
         "status": prediction.status,
         "outcome": prediction.outcome,
+        "filtered_by": prediction.filtered_by,
         "kind": prediction.kind,
         "location": prediction.location,
         "description": prediction.description,
@@ -169,6 +174,11 @@ def assemble_predict_document(
     """
     pages = []
     for report in reports:
+        targets = {
+            prediction.witness_sid: prediction.fingerprint
+            for prediction in report.predictions
+            if prediction.witness_sid is not None
+        }
         pages.append(
             {
                 "url": report.page,
@@ -184,7 +194,8 @@ def assemble_predict_document(
                     "rf_racy": report.rf_racy,
                 },
                 "witness_runs": [
-                    _witness_run_dict(run) for run in report.witness_runs
+                    _witness_run_dict(run, targets[run.sid])
+                    for run in report.witness_runs
                 ],
                 "predictions": [
                     _prediction_dict(prediction, with_evidence)
@@ -195,6 +206,7 @@ def assemble_predict_document(
         )
     first = reports[0] if reports else None
     predicted = sum(len(report.predictions) for report in reports)
+    filtered = sum(len(report.filtered()) for report in reports)
     confirmed = sum(len(report.confirmed()) for report in reports)
     return {
         "format": PREDICT_FORMAT_NAME,
@@ -209,8 +221,10 @@ def assemble_predict_document(
                 len(report.observed_fingerprints) for report in reports
             ),
             "predicted": predicted,
+            "filtered": filtered,
+            "witness_runs": sum(len(report.witness_runs) for report in reports),
             "confirmed": confirmed,
-            "predicted_only": predicted - confirmed,
+            "predicted_only": predicted - filtered - confirmed,
         },
     }
 
@@ -249,24 +263,28 @@ def render_predict_text(document: Dict[str, Any]) -> str:
             lines.append(
                 "  no additional races predicted from the recorded trace"
             )
+        removed: Dict[str, int] = {}
         for prediction in page["predictions"]:
-            suffix = ""
-            if prediction["confirmed"]:
-                witness = prediction["witness"] or {}
-                suffix = f"  witness: {witness.get('schedule', '?')}"
-                if prediction.get("replay_ok"):
-                    suffix += " [replay verified]"
-                minimized = prediction.get("minimized")
-                if minimized:
-                    suffix += (
-                        f" [minimized to "
-                        f"{minimized['minimized_divergences']} divergence(s)]"
-                    )
+            if prediction["filtered_by"] is not None:
+                name = prediction["filtered_by"]
+                removed[name] = removed.get(name, 0) + 1
+        if removed:
+            counts = ", ".join(
+                f"{name} {count}" for name, count in sorted(removed.items())
+            )
+            lines.append(
+                f"  {sum(removed.values())} filtered on the observed trace "
+                f"({counts})"
+            )
+        for prediction in page["predictions"]:
+            if prediction["filtered_by"] is not None:
+                continue
             lines.append(
                 f"  {prediction['fingerprint']}  "
                 f"{prediction['outcome']:<19s} [{prediction['status']}] "
                 f"{prediction['race_type']}"
-                f"{' harmful' if prediction.get('harmful') else ''}{suffix}"
+                f"{' harmful' if prediction.get('harmful') else ''}"
+                f"{_witness_suffix(prediction)}"
             )
             lines.append(f"    {prediction['description']}")
             if prediction["blocking_rf"]:
@@ -277,10 +295,38 @@ def render_predict_text(document: Dict[str, Any]) -> str:
                 lines.append(f"    requires flipping reads-from: {flips}")
     lines.append(
         f"\n{totals['predicted']} prediction(s): "
+        f"{totals['filtered']} filtered, "
+        f"{totals['witness_runs']} witnessed, "
         f"{totals['confirmed']} confirmed by replay, "
         f"{totals['predicted_only']} predicted-only"
     )
     return "\n".join(lines)
+
+
+def _witness_suffix(prediction: Dict[str, Any]) -> str:
+    """What a prediction's directed witness showed, for its summary line."""
+    witness = prediction["witness"]
+    if witness is None:
+        return ""
+    suffix = f"  witness: {witness['schedule']}"
+    if prediction["confirmed"]:
+        suffix += " [replay verified]"
+        minimized = prediction.get("minimized")
+        if minimized:
+            suffix += (
+                f" [minimized to "
+                f"{minimized['minimized_divergences']} divergence(s)]"
+            )
+        return suffix
+    if prediction["replay_ok"] is None:
+        return suffix + " [witness run failed]"
+    if not witness["flipped"]:
+        suffix += " [order not flipped]"
+    elif not witness["raced"]:
+        suffix += " [flipped, no race]"
+    if prediction["replay_ok"] is False:
+        suffix += " [replay FAILED]"
+    return suffix
 
 
 def render_explore_text(document: Dict[str, Any]) -> str:

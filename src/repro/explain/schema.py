@@ -185,7 +185,7 @@ REPORT_SCHEMA: Dict[str, Any] = {
 }
 
 PREDICT_FORMAT_NAME = "webracer-predict-report"
-PREDICT_FORMAT_VERSION = 1
+PREDICT_FORMAT_VERSION = 2
 
 _RF_EDGE = {
     "type": "object",
@@ -213,12 +213,17 @@ _REPLAY_OK = {
 
 _WITNESS_RUN = {
     "type": "object",
-    "required": ["schedule", "policy", "seed", "error", "fingerprints",
-                 "replay_ok"],
+    "required": ["schedule", "policy", "seed", "prediction", "error",
+                 "fingerprints", "replay_ok"],
     "properties": {
         "schedule": {"type": "string"},
         "policy": {"type": "string"},
         "seed": {"type": ["integer", "null"]},
+        "prediction": {
+            "type": "string",
+            "description": "Fingerprint of the prediction the run was "
+            "directed at.",
+        },
         "error": {"type": ["string", "null"]},
         "fingerprints": {"type": "array", "items": {"type": "string"}},
         "replay_ok": _REPLAY_OK,
@@ -245,16 +250,22 @@ _MINIMIZATION = {
 _PREDICTION = {
     "type": "object",
     "required": [
-        "fingerprint", "status", "outcome", "kind", "location",
-        "description", "op_pair", "race_type", "harmful", "blocking_rf",
-        "confirmed", "witness", "replay_ok", "minimized",
+        "fingerprint", "status", "outcome", "filtered_by", "kind",
+        "location", "description", "op_pair", "race_type", "harmful",
+        "blocking_rf", "confirmed", "witness", "replay_ok", "minimized",
     ],
     "properties": {
         "fingerprint": {"type": "string"},
         "status": {"type": "string", "enum": ["schedulable", "conditional"]},
         "outcome": {
             "type": "string",
-            "enum": ["predicted+confirmed", "predicted-only"],
+            "enum": ["predicted+confirmed", "predicted-only", "filtered"],
+        },
+        "filtered_by": {
+            "type": ["string", "null"],
+            "description": "The Section 5.3 filter that removed the "
+            "prediction on the observed trace; a filtered prediction has "
+            "no witness and no evidence.",
         },
         "kind": {"type": "string", "enum": ["read-write", "write-write"]},
         "location": {"type": "string"},
@@ -266,11 +277,24 @@ _PREDICTION = {
         "confirmed": {"type": "boolean"},
         "witness": {
             "type": ["object", "null"],
-            "required": ["schedule", "policy", "seed"],
+            "description": "The directed witness run for the prediction "
+            "(null: none ran).",
+            "required": ["schedule", "policy", "flipped", "raced"],
             "properties": {
                 "schedule": {"type": "string"},
                 "policy": {"type": "string"},
-                "seed": {"type": ["integer", "null"]},
+                "flipped": {
+                    "type": "boolean",
+                    "description": "The witness ran the pair's later "
+                    "operation before its earlier one (operations matched "
+                    "by kind, label and occurrence).",
+                },
+                "raced": {
+                    "type": ["boolean", "null"],
+                    "description": "The prediction's fingerprint is among "
+                    "the witness trace's full-history races; null when the "
+                    "order did not flip.",
+                },
             },
         },
         "replay_ok": _REPLAY_OK,
@@ -329,13 +353,15 @@ PREDICT_SCHEMA: Dict[str, Any] = {
         "totals": {
             "type": "object",
             "required": [
-                "pages", "observed", "predicted", "confirmed",
-                "predicted_only",
+                "pages", "observed", "predicted", "filtered",
+                "witness_runs", "confirmed", "predicted_only",
             ],
             "properties": {
                 "pages": {"type": "integer"},
                 "observed": {"type": "integer"},
                 "predicted": {"type": "integer"},
+                "filtered": {"type": "integer"},
+                "witness_runs": {"type": "integer"},
                 "confirmed": {"type": "integer"},
                 "predicted_only": {"type": "integer"},
             },

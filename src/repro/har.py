@@ -66,10 +66,6 @@ class HarEntry:
     def is_script(self) -> bool:
         return "javascript" in self.mime or "ecmascript" in self.mime
 
-    @property
-    def is_image(self) -> bool:
-        return self.mime.startswith("image/")
-
 
 @dataclass
 class HarWorkload:

@@ -253,10 +253,6 @@ class Instrumentation:
     # ------------------------------------------------------------------
     # introspection
 
-    def open_spans(self) -> List[Span]:
-        """Spans currently on the stack (innermost last)."""
-        return list(self._stack)
-
     def counter(self, name: str) -> int:
         """Total of one counter across all scopes."""
         return sum(

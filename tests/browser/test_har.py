@@ -100,7 +100,7 @@ class TestEntryFields:
         assert parsed.origin == "https://cdn.example"
         assert parsed.is_script
         assert not parsed.is_html
-        assert not parsed.is_image
+        assert not parsed.mime.startswith("image/")
 
     def test_body_text_passthrough(self):
         [parsed] = parse_har(

@@ -121,14 +121,39 @@ class TestHtmlHarmfulness:
 
 
 class TestFunctionHarmfulness:
-    def test_crashed_call_is_harmful(self):
+    @staticmethod
+    def judged(error):
+        """The verdict on an ``openMenu`` call racing its declaration,
+        when the calling operation crashed with ``error``."""
         location = PropLocation(1, "openMenu")
         read = Access(kind=READ, op_id=5, location=location, is_call=True)
         write = Access(kind=WRITE, op_id=6, location=location, is_function_decl=True)
         race = race_on(location, read, write)
         trace = Trace()
-        trace.record_crash(ScriptCrash(5, JSErrorValue("ReferenceError", "nope")))
-        assert HarmfulnessJudge(trace).judge(race, FUNCTION).harmful
+        trace.record_crash(ScriptCrash(5, error))
+        return HarmfulnessJudge(trace).judge(race, FUNCTION).harmful
+
+    def test_crashed_call_is_harmful(self):
+        assert self.judged(
+            JSErrorValue("ReferenceError", "openMenu is not defined")
+        )
+        assert self.judged(
+            JSErrorValue("TypeError", "openMenu is not a function")
+        )
+
+    def test_crash_of_another_name_is_benign(self):
+        """The caller ran the function, which failed for a reason of its
+        own: that is not this race's outcome."""
+        assert not self.judged(JSErrorValue("TypeError", "sort is not a function"))
+        assert not self.judged(JSErrorValue("ReferenceError", "JSON is not defined"))
+        assert not self.judged(
+            JSErrorValue("ReferenceError", "openMenuX is not defined")
+        )
+
+    def test_loaded_crash_text_is_judged_alike(self):
+        """A loaded trace's crash carries only its message text."""
+        assert self.judged("ReferenceError: openMenu is not defined")
+        assert not self.judged("TypeError: sort is not a function")
 
     def test_latent_race_is_benign(self):
         location = PropLocation(1, "openMenu")

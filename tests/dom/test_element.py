@@ -1,7 +1,22 @@
 """Tests for DOM elements: attributes, scripts, form state, handlers."""
 
+from repro.browser.page import Browser
 from repro.dom.document import Document
-from repro.dom.element import Element
+from repro.dom.element import FORM_FIELD_TAGS, Element
+
+
+def is_form_field(element):
+    """input/textarea/select?"""
+    return element.tag in FORM_FIELD_TAGS
+
+
+def listeners_for(element, event, capture):
+    """Listener entries for an event, filtered by capture flag."""
+    return [
+        entry
+        for entry in element.listeners.get(event, [])
+        if entry.capture == capture
+    ]
 
 
 class TestAttributes:
@@ -59,12 +74,11 @@ class TestScriptFlags:
     def test_external_sync(self):
         script = Element("script", {"src": "a.js"})
         assert script.is_external_script
-        assert script.is_sync_external_script
         assert not script.is_async and not script.is_deferred
 
     def test_async(self):
         script = Element("script", {"src": "a.js", "async": "true"})
-        assert script.is_async and not script.is_sync_external_script
+        assert script.is_async and not script.is_deferred
 
     def test_defer(self):
         script = Element("script", {"src": "a.js", "defer": "true"})
@@ -89,18 +103,28 @@ class TestFormState:
         assert not Element("input").checked
 
     def test_is_form_field(self):
-        assert Element("input").is_form_field
-        assert Element("textarea").is_form_field
-        assert Element("select").is_form_field
-        assert not Element("div").is_form_field
+        assert is_form_field(Element("input"))
+        assert is_form_field(Element("textarea"))
+        assert is_form_field(Element("select"))
+        assert not is_form_field(Element("div"))
 
 
 class TestLoadability:
     def test_loadable_tags(self):
-        assert Element("img").has_load_event
-        assert Element("script").has_load_event
-        assert Element("iframe").has_load_event
-        assert not Element("div").has_load_event
+        """img, script and iframe fire a load event once their resource
+        arrives (rule 15 candidates); a div never does."""
+        page = Browser(
+            seed=0,
+            resources={"a.png": "", "a.js": "var a = 1;", "f.html": "<p>f</p>"},
+        ).load(
+            '<img id="img" src="a.png"><script id="script" src="a.js"></script>'
+            '<iframe id="iframe" src="f.html"></iframe><div id="div">x</div>'
+        )
+        fired = {
+            tag: page.document.get_element_by_id(tag).load_fired
+            for tag in ("img", "script", "iframe", "div")
+        }
+        assert fired == {"img": True, "script": True, "iframe": True, "div": False}
 
 
 class TestHandlers:
@@ -116,8 +140,8 @@ class TestHandlers:
         element = Element("div")
         element.add_listener("click", "h1", capture=False)
         element.add_listener("click", "h2", capture=True)
-        assert len(element.listeners_for("click", capture=False)) == 1
-        assert len(element.listeners_for("click", capture=True)) == 1
+        assert len(listeners_for(element, "click", capture=False)) == 1
+        assert len(listeners_for(element, "click", capture=True)) == 1
 
     def test_remove_listener_by_identity(self):
         element = Element("div")

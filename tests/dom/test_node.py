@@ -98,15 +98,24 @@ class TestTraversal:
 
     def test_contains(self):
         root, a, b, c, _d, _e = self.make_tree()
-        assert root.contains(c)
-        assert a.contains(c)
-        assert not b.contains(c)
-        assert root.contains(root)
+        assert contains(root, c)
+        assert contains(a, c)
+        assert not contains(b, c)
+        assert contains(root, root)
 
     def test_child_index(self):
         root, a, b, *_rest = self.make_tree()
-        assert root.child_index(a) == 0
-        assert root.child_index(b) == 1
+        assert root.children.index(a) == 0
+        assert root.children.index(b) == 1
+
+
+def contains(node, other):
+    """Is ``other`` ``node`` or a descendant of it?"""
+    while other is not None:
+        if other is node:
+            return True
+        other = other.parent
+    return False
 
 
 def test_node_has_no_instance_dict():

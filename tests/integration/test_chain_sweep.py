@@ -100,7 +100,8 @@ def test_corpus_site(corpus, index):
 
 @pytest.mark.parametrize("spec", schedule_matrix(7, seed=0), ids=lambda s: s.sid)
 def test_example_pages_under_predict_schedules(spec):
-    """The observed FIFO run and predict's six witness schedules."""
+    """The observed FIFO run and six more schedules of the explore
+    matrix (adversarial and seeded randoms)."""
     config = RunConfig(seed=0)
     for page_input in load_page_inputs(str(EXAMPLES)):
         page = run_page_once(page_input, spec.build(), config)

@@ -155,6 +155,53 @@ class TestMalformedTraceIds:
         assert "HARMFUL" in result.stdout
 
 
+#: A timer calls ``go`` only once its script has declared it; ``go``
+#: itself then fails on a built-in outside the JS subset.
+GUARDED_CALL_PAGE = (
+    '<script>setTimeout(function(){ if (typeof go == "function") { go(); } }'
+    ', 500);</script><div id="x">content</div>'
+    "<script>function go(){ var a=[3,1,2]; a.sort(); }</script>"
+)
+
+
+class TestFunctionRaceVerdict:
+    """A function race is harmful only when the call of the raced name
+    itself failed, never because the called function crashed later."""
+
+    def check_and_analyze(self, tmp_path, capsys, html, *argv):
+        page = tmp_path / "page.html"
+        page.write_text(html)
+        trace = tmp_path / "trace.json"
+        checked = main(["check", str(page), "--json", str(trace), *argv])
+        checked_out = capsys.readouterr().out
+        analyzed = main(["analyze", str(trace)])
+        return checked, checked_out, analyzed, capsys.readouterr().out
+
+    def test_crash_inside_the_called_function_is_benign(self, tmp_path, capsys):
+        checked, out, analyzed, loaded = self.check_and_analyze(
+            tmp_path, capsys, GUARDED_CALL_PAGE
+        )
+        assert (checked, analyzed) == (0, 0)
+        assert "TypeError: sort is not a function" in out
+        for text in (out, loaded):
+            assert "[function/benign]" in text
+            assert "HARMFUL" not in text
+
+    def test_call_before_the_declaration_is_harmful(self, tmp_path, capsys):
+        late = tmp_path / "late.js"
+        late.write_text("function go(){ var a = 1; }")
+        checked, out, analyzed, loaded = self.check_and_analyze(
+            tmp_path, capsys,
+            '<script>setTimeout(function(){ go(); }, 1);</script>'
+            '<div id="x">content</div><script src="late.js"></script>',
+            "--resource", f"late.js={late}",
+        )
+        assert (checked, analyzed) == (1, 1)
+        assert "ReferenceError: go is not defined" in out
+        for text in (out, loaded):
+            assert "[function/HARMFUL]" in text
+
+
 class TestAnalyze:
     def test_roundtrip_through_cli(self, buggy_page, tmp_path, capsys):
         page, hint = buggy_page

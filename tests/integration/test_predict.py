@@ -23,9 +23,9 @@ from repro.explain.schedule_report import (
 from repro.explain.schema import validate_predict_report
 from repro.predict import (
     OUTCOME_CONFIRMED,
+    OUTCOME_FILTERED,
     predict_page,
     predict_pages,
-    witness_schedule_specs,
 )
 from repro.schedule_runner import PageInput, load_page_inputs
 
@@ -58,21 +58,6 @@ def poll_report():
     return predict_page(page, RunConfig(seed=0), minimize=True)
 
 
-class TestWitnessSchedules:
-    def test_adversarial_first_then_seeded_randoms(self):
-        specs = witness_schedule_specs(seed=0, budget=3)
-        assert [s.policy for s in specs] == ["adversarial", "random", "random"]
-        assert specs[0].seed is None
-        assert specs[1].seed != specs[2].seed
-
-    def test_budget_one_is_adversarial_only(self):
-        assert [s.sid for s in witness_schedule_specs(0, 1)] == ["adversarial"]
-
-    def test_rejects_zero_budget(self):
-        with pytest.raises(ValueError):
-            witness_schedule_specs(0, 0)
-
-
 class TestPredictPage:
     def test_single_trace_beats_the_observed_schedule(self, poll_report):
         """The tentpole acceptance: >= 1 predicted race that the exact
@@ -100,14 +85,20 @@ class TestPredictPage:
         assert confirmed.fingerprint not in poll_report.observed_fingerprints
 
     def test_predictions_carry_classification_and_evidence(self, poll_report):
+        """Every prediction is classified; only those the filters keep
+        carry evidence."""
+        assert poll_report.filtered()
         for prediction in poll_report.predictions:
             assert prediction.status in ("schedulable", "conditional")
             assert prediction.race_type
-            assert prediction.evidence is not None
-            assert prediction.evidence["fingerprint"] == prediction.fingerprint
             assert len(prediction.op_pair) == 2
             if prediction.status == "conditional":
                 assert prediction.blocking_rf
+            if prediction.outcome == OUTCOME_FILTERED:
+                assert prediction.evidence is None
+                continue
+            assert prediction.evidence is not None
+            assert prediction.evidence["fingerprint"] == prediction.fingerprint
 
     def test_minimized_witness_recorded(self, poll_report):
         minimized = [p for p in poll_report.confirmed() if p.minimized]
@@ -141,9 +132,11 @@ class TestPredictDocument:
         assert totals["pages"] == 1
         assert totals["predicted"] == len(poll_report.predictions)
         assert totals["confirmed"] == len(poll_report.confirmed())
+        assert totals["filtered"] == len(poll_report.filtered())
+        assert totals["witness_runs"] == len(poll_report.witness_runs)
         assert (
             totals["predicted_only"]
-            == totals["predicted"] - totals["confirmed"]
+            == totals["predicted"] - totals["filtered"] - totals["confirmed"]
         )
 
     def test_document_is_deterministic(self, poll_page):

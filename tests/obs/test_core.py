@@ -28,6 +28,11 @@ def obs(clock):
     return Instrumentation(clock=clock)
 
 
+def open_spans(obs):
+    """Spans currently on the stack (innermost last)."""
+    return list(obs._stack)
+
+
 class TestSpans:
     def test_span_duration_in_microseconds(self, obs, clock):
         with obs.span("work"):
@@ -64,9 +69,9 @@ class TestSpans:
         inner = obs.span("inner")
         with outer:
             with inner:
-                names = [span.name for span in obs.open_spans()]
+                names = [span.name for span in open_spans(obs)]
                 assert names == ["outer", "inner"]
-        assert obs.open_spans() == []
+        assert open_spans(obs) == []
 
     def test_unbalanced_exit_raises(self, obs):
         outer = obs.span("outer")
@@ -82,7 +87,7 @@ class TestSpans:
                 clock.tick(0.001)
                 raise ValueError("boom")
         assert obs.span_totals()["fails"].count == 1
-        assert obs.open_spans() == []
+        assert open_spans(obs) == []
 
     def test_events_are_retained(self, obs, clock):
         with obs.span("a"):
