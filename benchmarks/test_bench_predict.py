@@ -64,14 +64,19 @@ def explore_coverage(report):
 
 def test_predict_vs_explore():
     pages = load_page_inputs(PAGES_DIR)
+    # One untimed run of each pipeline first, so neither timed run pays the
+    # process's first imports and first calls.  Both clear the parse caches
+    # on entry (``repro.pool.fan_out``), so the warm-up leaves no parsed
+    # source behind for the timed runs.
+    predict_pages(pages, seed=SEED, budget=BUDGET)
+    explore_pages(pages, schedules=SCHEDULES, seed=SEED)
+
     started = time.perf_counter()
     predict_reports = predict_pages(pages, seed=SEED, budget=BUDGET)
     predict_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    explore_report = explore_pages(
-        load_page_inputs(PAGES_DIR), schedules=SCHEDULES, seed=SEED
-    )
+    explore_report = explore_pages(pages, schedules=SCHEDULES, seed=SEED)
     explore_s = time.perf_counter() - started
 
     predicted = sum(len(r.predictions) for r in predict_reports)

@@ -20,10 +20,11 @@ square of the accesses there.  The HB store's chains
 chain are totally ordered:
 
 * the rows on a row's own chain are all ordered with it;
-* on another chain ``c``, the rows whose operations happen before the
-  row's operation ``o`` are those at positions up to ``o``'s clock entry
-  for ``c``: a prefix, found by bisection after one clock read;
-* the rows whose operations happen *after* ``o`` are a suffix (each
+* edges point from older to newer operations, so ids rise along a chain
+  and, on another chain ``c``, only the rows with ids below the row's
+  operation ``o`` can happen before it: those at positions up to ``o``'s
+  clock entry for ``c``, a prefix found by bisection after one clock read;
+* the rows above ``o``'s id that happen *after* ``o`` are a suffix (each
   position's clock covers the one below it), found by bisection over
   their clocks.  In a trace recorded in execution order it is empty.
 
@@ -69,7 +70,7 @@ class FullHistoryDetector:
         #: HB lookups: one clock read per other chain holding conflicting
         #: rows, plus one per probe for rows that happen after.  Never
         #: more than the pairwise sweep's one CHC query per earlier
-        #: conflicting access on a forward graph.
+        #: conflicting access.
         self.chc_queries = 0
 
     def _place(self, op_id: int) -> Tuple[int, int, Dict[int, int]]:
@@ -123,20 +124,17 @@ class FullHistoryDetector:
         """``(start, end)``: the rows on chain ``other`` whose operations
         are concurrent with ``op_id`` (at ``position`` on ``chain``)."""
         ops = self.trace.ops
-        forward = self.hb.assert_forward
-        split = len(rows)
-        if forward:
-            # Edges point from lower to higher ids, so ids rise along a
-            # chain: a lower id cannot happen after op_id, a higher one
-            # cannot happen before it.
-            split = _first_above(rows, ops, op_id)
+        # Edges point from lower to higher ids, so ids rise along a
+        # chain: a lower id cannot happen after op_id, a higher one
+        # cannot happen before it.
+        split = _first_above(rows, ops, op_id)
         start = 0
         if split:
             self.chc_queries += 1
             start = _first_above(
                 rows, self._positions, clock.get(other, -1), 0, split
             )
-        low, high = (split if forward else start), len(rows)
+        low, high = split, len(rows)
         while low < high:
             middle = (low + high) // 2
             self.chc_queries += 1

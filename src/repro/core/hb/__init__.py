@@ -4,7 +4,6 @@ from .backend import HB_STORE, make_backend
 from .graph import Edge, HBGraph
 from .rules import ALL_RULES
 from .shb import (
-    SHB_RF_RULE,
     ReadsFromEdge,
     ShbAnalysis,
     ShbPrediction,
@@ -16,7 +15,6 @@ from .witness import (
     RaceWitness,
     WitnessStep,
     hb_path,
-    nearest_common_ancestor,
     race_witness,
 )
 
@@ -27,14 +25,12 @@ __all__ = [
     "HB_STORE",
     "RaceWitness",
     "ReadsFromEdge",
-    "SHB_RF_RULE",
     "ShbAnalysis",
     "ShbPrediction",
     "WitnessStep",
     "build_shb",
     "hb_path",
     "make_backend",
-    "nearest_common_ancestor",
     "predict_races",
     "race_witness",
     "reads_from_edges",

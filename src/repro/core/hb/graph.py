@@ -12,8 +12,10 @@ performs its first access** (edges go from older to newer operations — all
 17 rules order an existing operation before one being created or about to
 run).  An operation's chain position and clock are therefore *finalized*
 lazily, the first time a query needs them (which recursively finalizes its
-happens-before cone).  An edge arriving into an already-finalized
-operation would silently corrupt reachability answers, so it raises.
+happens-before cone).  A backward edge raises, and so does an edge
+arriving into an already-finalized operation, which would silently
+corrupt reachability answers.  Forward edges also make the ids rise along
+every chain, and a newer operation never happens before an older one.
 
 Chain assignment is greedy: an operation extends the chain of a
 predecessor that is still that chain's tail, otherwise it starts a fresh
@@ -37,14 +39,15 @@ the predecessors with their rules (one flat ``(src, rule, src, rule, …)``
 tuple per operation, ``None`` for an id never registered), the chain and
 the position on it (``-1`` and ``0`` until finalized), and the stored
 clock.  The chain tails are a list indexed by chain, and the edges are
-one insertion-ordered ``[src, dst, rule, …]`` log.  Successor lists are
-derived from the log when first asked for (only the SHB path search asks,
-on a finished graph).
+one insertion-ordered ``[src, dst, rule, …]`` log.
+
+A loaded trace (:func:`repro.core.serialize.trace_from_dict`) builds this
+same store, so a reversed edge in a trace file is refused as it would be
+in a run, and the loaded store finalizes in the order its queries come.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -60,49 +63,10 @@ class Edge:
     rule: str = ""
 
 
-class _FinalizedView(Mapping):
-    """A read-only ``op -> value`` view over an :class:`HBGraph`'s
-    finalized operations, in id order."""
-
-    def __init__(self, graph: HBGraph):
-        self._graph = graph
-
-    def __iter__(self) -> Iterator[int]:
-        return (op for op, chain in enumerate(self._graph._chain) if chain >= 0)
-
-    def __len__(self) -> int:
-        return sum(1 for chain in self._graph._chain if chain >= 0)
-
-    def _chain_of(self, op_id: int) -> int:
-        chains = self._graph._chain
-        if not 0 <= op_id < len(chains) or chains[op_id] < 0:
-            raise KeyError(op_id)
-        return chains[op_id]
-
-
-class _Positions(_FinalizedView):
-    """``op -> (chain index, position within chain)``."""
-
-    def __getitem__(self, op_id: int) -> Tuple[int, int]:
-        return self._chain_of(op_id), self._graph._pos[op_id]
-
-
-class _FullClocks(_FinalizedView):
-    """``op -> full clock``: each lookup copies the stored clock and adds
-    the op's own chain entry."""
-
-    def __getitem__(self, op_id: int) -> Dict[int, int]:
-        chain = self._chain_of(op_id)
-        clock = dict(self._graph._clocks[op_id])
-        clock[chain] = self._graph._pos[op_id]
-        return clock
-
-
 class HBGraph:
     """Rule-labeled HB edges over operation ids, queried by chain clocks."""
 
-    def __init__(self, assert_forward: bool = True, obs=None):
-        self.assert_forward = assert_forward
+    def __init__(self, obs=None):
         self.obs = obs if obs is not None else NULL
         #: op -> flat ``(src, rule, …)`` of its incoming edges in insertion
         #: order; ``None`` for an id that was never registered.
@@ -118,27 +82,11 @@ class HBGraph:
         self._chain_tail: List[int] = []
         #: Every edge as ``src, dst, rule``, flat, in insertion order.
         self._log: List = []
-        #: src -> successors, built from ``_log`` on first use.
-        self._succ: Optional[Dict[int, List[int]]] = None
 
     @property
     def chain_count(self) -> int:
         """Number of chains opened so far."""
         return len(self._chain_tail)
-
-    @property
-    def position(self) -> Mapping[int, Tuple[int, int]]:
-        """op -> (chain index, position within chain), finalized ops only
-        (read-only).  A fresh view, so the graph does not reference
-        itself."""
-        return _Positions(self)
-
-    @property
-    def clock(self) -> Mapping[int, Dict[int, int]]:
-        """op -> full clock {chain index -> max covered position}, own
-        chain included (finalized ops only; read-only).  A fresh view, so
-        the graph does not reference itself."""
-        return _FullClocks(self)
 
     # ------------------------------------------------------------------
     # construction
@@ -167,7 +115,7 @@ class HBGraph:
         """
         if src == dst:
             return False
-        if self.assert_forward and src > dst:
+        if src > dst:
             raise ValueError(
                 f"backward happens-before edge {src} -> {dst} (rule {rule!r}); "
                 "edges must point from older to newer operations"
@@ -187,7 +135,6 @@ class HBGraph:
             return False
         preds[dst] = entries + (src, rule)
         self._log += (src, dst, rule)
-        self._succ = None
         if self.obs.enabled:
             self.obs.count("hb.edge")
         return True
@@ -197,31 +144,23 @@ class HBGraph:
 
     def _finalize(self, op_id: int) -> None:
         """Assign chain positions and clocks to ``op_id``'s unfinalized
-        cone, predecessors first; raises ``ValueError`` on a cycle."""
+        cone, predecessors first."""
         chains = self._chain
         if chains[op_id] >= 0:
             return
         preds = self._preds
         path = [op_id]
-        on_path = {op_id}
         pending = [iter(preds[op_id][::2])]
         while path:
             for pred in pending[-1]:
                 if chains[pred] >= 0:
                     continue
-                if pred in on_path:
-                    raise ValueError(
-                        f"happens-before cycle through operation {pred}"
-                    )
                 path.append(pred)
-                on_path.add(pred)
                 pending.append(iter(preds[pred][::2]))
                 break
             else:
                 pending.pop()
-                op = path.pop()
-                on_path.discard(op)
-                self._assign(op)
+                self._assign(path.pop())
 
     def _assign(self, op_id: int) -> None:
         predecessors = self._preds[op_id][::2]
@@ -265,22 +204,16 @@ class HBGraph:
             clock = clocks[extended]
         clocks[op_id] = clock
 
-    def finalize_all(self) -> None:
-        """Finalize every registered operation, in id order.
-
-        Loaders call this once the graph is complete: it settles every
-        clock up front and rejects a cyclic edge set.
-        """
-        for op_id, entries in enumerate(self._preds):
-            if entries is not None:
-                self._finalize(op_id)
-
     # ------------------------------------------------------------------
     # queries
 
     def happens_before(self, a: int, b: int) -> bool:
-        """True iff ``a ≺ b``; finalizes both operations' cones."""
-        if a == b:
+        """True iff ``a ≺ b``; finalizes both operations' cones.
+
+        Edges point from older to newer operations, so only an older
+        ``a`` can precede ``b``: for a newer one the answer is False, and
+        nothing is finalized."""
+        if a >= b:
             return False
         chains = self._chain
         try:
@@ -295,16 +228,10 @@ class HBGraph:
             preds = self._preds
             if preds[a] is None or preds[b] is None:
                 return False
-            if self.assert_forward and a > b:
-                # Forward discipline: an older id can never be reached from
-                # a newer one, so b ≺ a would require a backward edge.
-                return False
             self._finalize(a)
             self._finalize(b)
             chain_a = chains[a]
             chain_b = chains[b]
-        elif self.assert_forward and a > b:
-            return False
         position = self._pos[a]
         if chain_a == chain_b:
             return self._pos[b] >= position
@@ -326,16 +253,15 @@ class HBGraph:
         return self._chain[op_id], self._pos[op_id], self._clocks[op_id]
 
     def concurrent(self, a: int, b: int) -> bool:
-        """True iff neither ``a ≺ b`` nor ``b ≺ a`` (and ``a != b``)."""
+        """True iff neither ``a ≺ b`` nor ``b ≺ a`` (and ``a != b``).
+
+        The newer operation can never precede the older one, so a single
+        directed query settles concurrency."""
         if a == b:
             return False
-        if self.assert_forward:
-            # Forward discipline: the newer op can never precede the older
-            # one, so a single directed query settles concurrency.
-            if a > b:
-                a, b = b, a
-            return not self.happens_before(a, b)
-        return not self.happens_before(a, b) and not self.happens_before(b, a)
+        if a > b:
+            a, b = b, a
+        return not self.happens_before(a, b)
 
     def chc(self, a: int, b: int) -> bool:
         """Can-Happen-Concurrently (paper, Section 5.1).
@@ -407,16 +333,6 @@ class HBGraph:
     def operation_ids(self) -> List[int]:
         """All registered operation ids, sorted."""
         return [op for op, entries in enumerate(self._preds) if entries is not None]
-
-    def successors(self, op_id: int) -> List[int]:
-        """Direct HB successors of an operation, in edge insertion order."""
-        succ = self._succ
-        if succ is None:
-            succ = self._succ = {}
-            log = self._log
-            for src, dst in zip(log[0::3], log[1::3]):
-                succ.setdefault(src, []).append(dst)
-        return list(succ.get(op_id, ()))
 
     def predecessors(self, op_id: int) -> List[int]:
         """Direct HB predecessors of an operation."""

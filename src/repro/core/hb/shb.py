@@ -21,6 +21,11 @@ schedule order and *stronger* than the paper's rule relation alone:
   reordered schedule is no longer guaranteed to replay the recorded
   control flow.
 
+The relation is a plain successor index (:func:`build_shb`), not an
+:class:`~repro.core.hb.graph.HBGraph`: a reads-from edge may point from a
+newer operation to an older one, which the HB store refuses, and
+classification only path-searches the relation.
+
 Candidate pairs come from a full-history sweep over the trace (every
 conflicting, rule-concurrent pair), minus what the constant-memory
 detector already reported in the observed run.  Each prediction is
@@ -52,10 +57,6 @@ from ..detector import Race
 from ..full_detector import FullHistoryDetector
 from ..trace import Trace
 from .graph import HBGraph
-
-#: Rule label carried by reads-from edges in the SHB graph, so witness
-#: paths and serialized edges distinguish data flow from paper rules.
-SHB_RF_RULE = "shb-rf"
 
 #: Prediction tiers (plus "observed" for races the exact detector saw).
 STATUS_OBSERVED = "observed"
@@ -110,8 +111,6 @@ class ShbAnalysis:
     observed: List[Race]
     #: Conflicting rule-concurrent pairs the exact detector missed.
     predictions: List[ShbPrediction]
-    #: The SHB graph (rule edges + reads-from edges).
-    shb: HBGraph
     #: Every reads-from edge, racy or not.
     rf_edges: List[ReadsFromEdge] = field(default_factory=list)
     #: Full-history candidate pairs considered (observed + predicted).
@@ -171,29 +170,30 @@ def reads_from_edges(trace: Trace, hb: HBGraph) -> List[ReadsFromEdge]:
 
 def build_shb(
     trace: Trace, hb: HBGraph
-) -> Tuple[HBGraph, List[ReadsFromEdge]]:
-    """Build the SHB graph for one trace.
+) -> Tuple[Dict[int, List[int]], List[ReadsFromEdge]]:
+    """Build the SHB relation for one trace: a successor index
+    ``op -> [direct successors]``, and the reads-from edges.
 
-    Rule edges come straight from the online graph; reads-from edges are
-    derived from the trace.  Reads-from edges may point from a higher op
-    id to a lower one (creation order is not execution order), so the
-    graph is built with ``assert_forward=False`` and **fully constructed
-    before any query** — :class:`HBGraph` refuses edges into an operation
-    whose clock is already finalized.
+    Each operation lists its successors by the online graph's rule edges
+    in insertion order, then by each reads-from edge whose target it does
+    not already list.  Reads-from edges may point from a higher op id to
+    a lower one (creation order is not execution order), which the HB
+    store refuses; prediction only path-searches the relation
+    (:func:`classify_pair`), so a plain index is all it needs.
     """
-    shb = HBGraph(assert_forward=False)
-    for op in trace.operations:
-        shb.add_operation(op.op_id)
-    for edge in hb.edges:
-        shb.add_edge(edge.src, edge.dst, edge.rule)
+    successors: Dict[int, List[int]] = {}
+    for (src, dst), _rule in hb.rule_edges():
+        successors.setdefault(src, []).append(dst)
     rf_edges = reads_from_edges(trace, hb)
     for rf in rf_edges:
-        shb.add_edge(rf.src, rf.dst, SHB_RF_RULE)
-    return shb, rf_edges
+        listed = successors.setdefault(rf.src, [])
+        if rf.dst not in listed:
+            listed.append(rf.dst)
+    return successors, rf_edges
 
 
 def _shb_path(
-    shb: HBGraph, a: int, b: int, skip: Set[Tuple[int, int]]
+    shb: Dict[int, List[int]], a: int, b: int, skip: Set[Tuple[int, int]]
 ) -> Optional[List[int]]:
     """A directed SHB path ``a -> ... -> b`` avoiding the edges in
     ``skip``, or ``None``.  Plain DFS with parent pointers — the
@@ -206,7 +206,7 @@ def _shb_path(
     seen = {a}
     while stack:
         node = stack.pop()
-        for succ in shb.successors(node):
+        for succ in shb.get(node, ()):
             if (node, succ) in skip or succ in seen:
                 continue
             parents[succ] = node
@@ -230,14 +230,15 @@ def racy_reads_from(
 
 
 def classify_pair(
-    shb: HBGraph,
+    shb: Dict[int, List[int]],
     racy: Dict[Tuple[int, int], ReadsFromEdge],
     a: int,
     b: int,
 ) -> Tuple[str, Tuple[ReadsFromEdge, ...]]:
     """Classify one conflicting rule-concurrent pair against SHB.
 
-    ``racy`` is :func:`racy_reads_from` of the graph's reads-from edges.
+    ``shb`` is :func:`build_shb`'s successor index and ``racy``
+    :func:`racy_reads_from` of its reads-from edges.
     The direct edges between the pair (in either direction) are excluded:
     they express the conflict under prediction, not a constraint on it.
     Returns ``(status, blocking reads-from edges)``.
@@ -288,7 +289,6 @@ def predict_races(
     return ShbAnalysis(
         observed=list(observed),
         predictions=predictions,
-        shb=shb,
         rf_edges=rf_edges,
         candidates=len(candidates),
         sweep_queries=sweep_queries,

@@ -6,14 +6,13 @@ happens-before structure into checkable evidence, in the spirit of
 race-prediction work that ships a certificate with every report:
 
 * :func:`ancestor_closure` — the full HB cone above one operation;
-* :func:`nearest_common_ancestor` — the latest operation ordered before
-  *both* racing operations (the point where their orderings diverge);
 * :func:`hb_path` — a shortest chain of direct edges from an ancestor down
   to a descendant, each step labeled with the paper rule (Section 3.3 /
   Appendix A) that introduced it;
-* :func:`race_witness` — the nearest common ancestor plus one
-  rule-labeled path to each racing operation, and the verdict that *no*
-  chain connects the pair;
+* :func:`race_witness` — the nearest common ancestor (the latest
+  operation ordered before *both* racing operations, the point where
+  their orderings diverge) plus one rule-labeled path to each racing
+  operation, and the verdict that *no* chain connects the pair;
 * :class:`ChainAncestry` — the same nearest common ancestor and common
   ancestor count of a concurrent pair, read off the chain clocks.
 
@@ -29,7 +28,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Dict, List, Optional, Set, Tuple
 
 
@@ -88,18 +86,6 @@ def ancestor_closure(hb, op_id: int) -> Set[int]:
     return seen
 
 
-def nearest_common_ancestor(hb, a: int, b: int) -> Optional[int]:
-    """The highest-id common HB ancestor of ``a`` and ``b``.
-
-    Under the forward edge discipline (edges point old → new) the max-id
-    common ancestor is HB-maximal among common ancestors: any other common
-    ancestor has a smaller id and therefore cannot be *after* it.  Returns
-    ``None`` when the cones are disjoint.
-    """
-    common = ancestor_closure(hb, a) & ancestor_closure(hb, b)
-    return max(common) if common else None
-
-
 def hb_path(hb, src: int, dst: int) -> Optional[List[WitnessStep]]:
     """A shortest direct-edge chain ``src ≺ ... ≺ dst``, rule-labeled.
 
@@ -133,7 +119,12 @@ def hb_path(hb, src: int, dst: int) -> Optional[List[WitnessStep]]:
 
 
 def race_witness(hb, a: int, b: int) -> RaceWitness:
-    """The full witness bundle for an (allegedly racing) operation pair."""
+    """The full witness bundle for an (allegedly racing) operation pair.
+
+    The nearest common ancestor is the highest-id common HB ancestor:
+    edges point old → new, so every other common ancestor has a smaller
+    id and cannot come after it.
+    """
     cone_a = ancestor_closure(hb, a)
     cone_b = ancestor_closure(hb, b)
     ordered = a in cone_b or b in cone_a
@@ -160,9 +151,10 @@ class ChainAncestry:
     the positions up to ``x``'s clock entry for that chain: a prefix.  For
     a concurrent pair the common ancestors are therefore, per chain, the
     positions up to the smaller of the two entries, so their count is a
-    sum over a clock, and the highest id among them is a running maximum
-    of ids along the chain.  That is :func:`race_witness`'s nearest common
-    ancestor and count without a predecessor walk.
+    sum over a clock, and, since ids rise along a chain, the highest id
+    among them is the chain's member at the top position.  That is
+    :func:`race_witness`'s nearest common ancestor and count without a
+    predecessor walk.
 
     The per-chain operation lists are built from the finalized operations
     on first use, after the run; the live store keeps none.  An operation
@@ -171,8 +163,8 @@ class ChainAncestry:
 
     def __init__(self, hb):
         self.hb = hb
-        #: chain -> running maximum of operation ids by position.
-        self._top: List[List[int]] = []
+        #: chain -> its operations by position.
+        self._members: List[List[int]] = []
 
     def common(self, a: int, b: int) -> Optional[Tuple[Optional[int], int]]:
         """``(nearest common ancestor, common ancestor count)`` of a
@@ -196,7 +188,7 @@ class ChainAncestry:
         try:
             return self._read(tops)
         except IndexError:
-            self._top = _running_maxima(self.hb.chain_members())
+            self._members = self.hb.chain_members()
             return self._read(tops)
 
     def _read(self, tops: List[Tuple[int, int]]) -> Tuple[Optional[int], int]:
@@ -206,11 +198,8 @@ class ChainAncestry:
             if top < 0:
                 continue
             count += top + 1
-            highest = self._top[chain][top]
+            highest = self._members[chain][top]
             if nca is None or highest > nca:
                 nca = highest
         return nca, count
 
-
-def _running_maxima(chains: List[List[int]]) -> List[List[int]]:
-    return [list(accumulate(members, max)) for members in chains]

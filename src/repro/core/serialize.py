@@ -99,11 +99,6 @@ def _location_key_from_json(data: Dict[str, Any]) -> LocationKey:
     raise ValueError(f"unknown location type {kind!r}")
 
 
-def _location_from_json(data: Dict[str, Any]) -> Location:
-    key = _location_key_from_json(data)
-    return key[0](*key[1:])
-
-
 def trace_to_dict(trace: Trace, graph: HBGraph) -> Dict[str, Any]:
     """Serialize a trace + happens-before graph to a JSON-able dict."""
     return {
@@ -209,11 +204,14 @@ class LoadedTrace:
 def trace_from_dict(data: Dict[str, Any]) -> LoadedTrace:
     """Reconstruct a :class:`LoadedTrace` from :func:`trace_to_dict` output.
 
-    Raises ``ValueError`` when the operations are not numbered 1..n in
-    order, when an edge or an access names an operation the trace does not
-    hold, or when the edges form a happens-before cycle.  The checks come
-    before the graph is built, because the HB store and the detector index
-    lists by those ids.
+    The graph is the store a live run builds, fed the same edges in the
+    same order, so it finalizes lazily in the order the offline queries
+    come, as the live run's did.  Raises ``ValueError`` when the
+    operations are not numbered 1..n in order, when an edge or an access
+    names an operation the trace does not hold (checked before the store
+    sees it, because the store and the detector index lists by those
+    ids), or when an edge points backward, from a newer operation to an
+    older one.
     """
     version = data.get("version")
     if version != FORMAT_VERSION:
@@ -222,7 +220,7 @@ def trace_from_dict(data: Dict[str, Any]) -> LoadedTrace:
     for op_data in data["operations"]:
         trace.operations.add(_make_operation(op_data))
     count = len(trace.operations)
-    graph = HBGraph(assert_forward=False)
+    graph = HBGraph()
     for op_id in range(1, count + 1):
         graph.add_operation(op_id)
     for edge in data["edges"]:
@@ -231,7 +229,6 @@ def trace_from_dict(data: Dict[str, Any]) -> LoadedTrace:
             _held(edge["dst"], count, "an edge"),
             edge["rule"],
         )
-    graph.finalize_all()
     for access_data in data["accesses"]:
         trace.record(
             _held(access_data["op_id"], count, "an access"),

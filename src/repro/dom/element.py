@@ -164,11 +164,6 @@ class Element(Node):
         return self.tag == SCRIPT_TAG
 
     @property
-    def is_external_script(self) -> bool:
-        """Script with a src attribute?"""
-        return self.is_script and bool(self.attributes.get("src"))
-
-    @property
     def is_inline_script(self) -> bool:
         """Script whose code is its body?"""
         return self.is_script and not self.attributes.get("src")

@@ -14,6 +14,11 @@ from repro.core.hb.witness import ancestor_closure
 from .hb_oracle import ReachabilityOracle
 
 
+def finalized(graph):
+    """The operations whose chain positions are assigned, sorted."""
+    return sorted(op for chain in graph.chain_members() for op in chain)
+
+
 @pytest.fixture
 def store():
     """A fresh store, built the way every run builds it."""
@@ -54,7 +59,9 @@ class TestIncrementalInvariants:
         assert store.predecessors(2) == [1]
         assert store.edge_rule(1, 2) == "a"
         assert store.happens_before(1, 2) and single.happens_before(1, 2)
-        assert store.clock == single.clock
+        assert [store.place(op) for op in (1, 2)] == [
+            single.place(op) for op in (1, 2)
+        ]
         assert store.memory_cells() == single.memory_cells()
 
     def test_edge_into_finalized_operation_raises(self, store):
@@ -73,9 +80,9 @@ class TestIncrementalInvariants:
         for src, dst in [(1, 2), (3, 4)]:
             graph.add_edge(src, dst)
         graph.happens_before(1, 2)
-        assert sorted(graph.position) == [1, 2]  # 3 and 4 untouched
-        graph.finalize_all()
-        assert sorted(graph.position) == [1, 2, 3, 4]
+        assert finalized(graph) == [1, 2]  # 3 and 4 untouched
+        graph.happens_before(3, 4)
+        assert finalized(graph) == [1, 2, 3, 4]
 
     def test_memory_cells_counts_clock_entries(self, store):
         for src, dst in [(1, 2), (1, 3), (2, 4), (3, 4)]:
@@ -83,11 +90,11 @@ class TestIncrementalInvariants:
         assert store.memory_cells() == 0  # nothing finalized yet
         assert store.happens_before(1, 2)
         assert store.memory_cells() == 2  # {c0: 0} and {c0: 1}
-        store.finalize_all()
+        places = [store.place(op) for op in store.operation_ids()]
         # 3 opens a second chain; 3 and 4 each cover both chains.
         assert store.chain_count == 2
         assert store.memory_cells() == 1 + 1 + 2 + 2
-        assert store.memory_cells() == sum(len(c) for c in store.clock.values())
+        assert store.memory_cells() == sum(len(clock) + 1 for *_, clock in places)
 
     def test_self_edge_rejected(self, store):
         assert not store.add_edge(4, 4)

@@ -12,8 +12,8 @@ from repro.core.hb.graph import Edge, HBGraph
 from .hb_oracle import ReachabilityOracle
 
 
-def make_graph(edges, nodes=(), assert_forward=True):
-    graph = HBGraph(assert_forward=assert_forward)
+def make_graph(edges, nodes=()):
+    graph = HBGraph()
     for node in nodes:
         graph.add_operation(node)
     for src, dst in edges:
@@ -62,13 +62,6 @@ class TestBasics:
         with pytest.raises(ValueError, match="backward"):
             graph.add_edge(5, 3)
 
-    def test_backward_edge_allowed_when_unchecked(self):
-        graph = HBGraph(assert_forward=False)
-        graph.add_edge(5, 3)
-        assert 5 in graph.predecessors(3)
-        assert graph.happens_before(5, 3)
-        assert not graph.happens_before(3, 5)
-
     def test_edge_rules_recorded(self):
         graph = HBGraph()
         graph.add_edge(1, 2, rule="16:settimeout-before-cb")
@@ -98,7 +91,7 @@ class TestBasics:
 
     def test_negative_ids_rejected(self):
         """Ids index the store's lists, where -1 would name the last one."""
-        graph = HBGraph(assert_forward=False)
+        graph = HBGraph()
         graph.add_operation(3)
         with pytest.raises(ValueError, match="non-negative"):
             graph.add_operation(-1)
@@ -107,9 +100,12 @@ class TestBasics:
         assert graph.operation_ids() == [3] and graph.edge_count() == 0
 
     def test_cycle_is_rejected(self):
-        graph = make_graph([(1, 2), (2, 3), (3, 1)], assert_forward=False)
-        with pytest.raises(ValueError, match="happens-before cycle"):
-            graph.finalize_all()
+        """A cycle needs an edge from a newer operation to an older one,
+        which the store refuses before it can close the cycle."""
+        graph = make_graph([(1, 2), (2, 3)])
+        with pytest.raises(ValueError, match="backward happens-before edge 3 -> 1"):
+            graph.add_edge(3, 1)
+        assert graph.predecessors(1) == [] and graph.edge_count() == 2
 
 
 class TestChc:
@@ -139,23 +135,6 @@ forward_edges = st.lists(
 )
 
 
-@st.composite
-def unordered_dags(draw):
-    """A random DAG whose topological order is a random permutation of
-    the ids, so edges point from higher to lower ids as often as not."""
-    n = draw(st.integers(2, 20))
-    order = draw(st.permutations(range(1, n + 1)))
-    pairs = draw(
-        st.lists(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-                lambda pair: pair[0] < pair[1]
-            ),
-            max_size=40,
-        )
-    )
-    return order, [(order[i], order[j]) for i, j in pairs]
-
-
 def assert_matches_oracle(graph, oracle, nodes):
     for a in nodes:
         for b in nodes:
@@ -172,14 +151,6 @@ def test_matches_oracle_on_forward_dags(edges):
     assert_matches_oracle(graph, oracle, graph.operation_ids() + [99])
 
 
-@given(unordered_dags())
-@settings(max_examples=150, deadline=None)
-def test_matches_oracle_without_forward_discipline(dag):
-    nodes, edges = dag
-    graph = make_graph(edges, nodes=nodes, assert_forward=False)
-    assert_matches_oracle(graph, ReachabilityOracle(edges, nodes), nodes)
-
-
 @given(
     st.lists(
         st.tuples(st.integers(1, 8), st.integers(1, 8)).filter(
@@ -190,15 +161,23 @@ def test_matches_oracle_without_forward_discipline(dag):
 )
 @settings(max_examples=150, deadline=None)
 def test_cycles_rejected_exactly(edges):
-    """``finalize_all`` raises iff some operation reaches itself."""
-    graph = make_graph(edges, assert_forward=False)
-    oracle = ReachabilityOracle(edges)
-    cyclic = any(op in oracle.ancestors(op) for op in graph.operation_ids())
-    if cyclic:
-        with pytest.raises(ValueError, match="happens-before cycle"):
-            graph.finalize_all()
-    else:
-        graph.finalize_all()
+    """``add_edge`` raises iff the edge points from a newer operation to
+    an older one, and a refused edge leaves the graph as it was.  So the
+    store holds exactly the forward edges of any edge list, cyclic or
+    not, and never a cycle."""
+    graph = HBGraph()
+    forward = []
+    for src, dst in edges:
+        if src > dst:
+            with pytest.raises(ValueError, match="backward happens-before edge"):
+                graph.add_edge(src, dst)
+        elif graph.add_edge(src, dst):
+            forward.append((src, dst))
+    assert graph.rule_edges() == [(pair, "") for pair in forward]
+    assert graph.operation_ids() == sorted({op for pair in forward for op in pair})
+    oracle = ReachabilityOracle(forward)
+    assert_matches_oracle(graph, oracle, graph.operation_ids())
+    assert not any(op in oracle.ancestors(op) for op in graph.operation_ids())
 
 
 def reaches_by_dfs(graph, a, b):
@@ -226,7 +205,7 @@ def test_cached_reachability_matches_plain_dfs(edges, rng):
     for _pass in ("cold", "cached"):
         for a, b in pairs:
             assert graph.happens_before(a, b) == (a != b and reaches_by_dfs(graph, a, b))
-    assert sorted(graph.position) == nodes
+    assert sorted(op for chain in graph.chain_members() for op in chain) == nodes
 
 
 @given(forward_edges)
@@ -273,31 +252,25 @@ edge_stream = st.lists(
 )
 
 
-@given(edge_stream, st.booleans())
+@given(edge_stream)
 @settings(max_examples=200, deadline=None)
-def test_edge_views_equal_a_first_seen_dict(stream, forward):
+def test_edge_views_equal_a_first_seen_dict(stream):
     """The flat store's edge views equal an insertion-ordered
     ``(src, dst) -> rule`` dict that keeps each pair's first rule and skips
-    self-edges, for a stream with duplicates (in either direction when
-    the forward discipline is off).  ``successors`` is checked as the
-    stream grows, so an index derived before an edge arrives is not
-    served after it."""
-    graph = HBGraph(assert_forward=forward)
+    self-edges, for a stream with duplicates."""
+    graph = HBGraph()
     expected = {}
     for src, dst, rule in stream:
-        if forward:
-            src, dst = min(src, dst), max(src, dst)
+        src, dst = min(src, dst), max(src, dst)
         fresh = src != dst and (src, dst) not in expected
         assert graph.add_edge(src, dst, rule) == fresh
         if fresh:
             expected[(src, dst)] = rule
-        assert graph.successors(src) == [d for s, d in expected if s == src]
     assert graph.rule_edges() == list(expected.items())
     assert graph.edges == [Edge(s, d, rule) for (s, d), rule in expected.items()]
     assert graph.edge_count() == len(expected)
     assert graph.operation_ids() == sorted({op for pair in expected for op in pair})
     for op in range(-1, 15):
         assert graph.predecessors(op) == [s for s, d in expected if d == op]
-        assert graph.successors(op) == [d for s, d in expected if s == op]
         for other in range(-1, 15):
             assert graph.edge_rule(other, op) == expected.get((other, op))

@@ -1,7 +1,7 @@
 """Tests for schedulable happens-before (SHB) race prediction.
 
 Covers that ``shb`` names no store, reads-from extraction, the SHB
-graph construction (which must tolerate backward reads-from edges), pair
+successor index (which holds backward reads-from edges), pair
 classification into ``schedulable``/``conditional``, and the soundness
 property the predict pipeline relies on: predictions never overlap the
 exact detector's observed races, and every observed race is covered by
@@ -15,7 +15,6 @@ from repro.core.access import READ, WRITE, Access
 from repro.core.detector import RaceDetector
 from repro.core.full_detector import FullHistoryDetector
 from repro.core.hb import (
-    SHB_RF_RULE,
     build_shb,
     predict_races,
     reads_from_edges,
@@ -106,24 +105,37 @@ class TestReadsFromEdges:
 
 
 class TestBuildShb:
-    def test_keeps_rule_edges_and_labels(self):
+    def test_keeps_rule_edges(self):
         trace, graph = make_trace(3, [(1, 2), (1, 3)], [])
         shb, rf = build_shb(trace, graph)
-        assert shb.edge_rule(1, 2) == "1a:static-order"
+        assert shb == {1: [2, 3]}
         assert rf == []
 
-    def test_reads_from_edges_labeled(self):
+    def test_reads_from_edges_listed_after_rule_edges(self):
         trace, graph = make_trace(
-            3, [(1, 2), (1, 3)], [(WRITE, 2, LOC), (READ, 3, LOC)]
+            4,
+            [(1, 2), (1, 3), (2, 4)],
+            [(WRITE, 2, LOC), (READ, 3, LOC)],
         )
         shb, rf = build_shb(trace, graph)
-        assert shb.edge_rule(2, 3) == SHB_RF_RULE
+        assert shb == {1: [2, 3], 2: [4, 3]}
         assert len(rf) == 1
+
+    def test_reads_from_edge_on_a_rule_edge_listed_once(self):
+        trace, graph = make_trace(
+            3,
+            [(1, 2), (2, 3)],
+            [(WRITE, 2, LOC), (WRITE, 2, LOC2), (READ, 3, LOC), (READ, 3, LOC2)],
+        )
+        shb, rf = build_shb(trace, graph)
+        assert [(e.src, e.dst) for e in rf] == [(2, 3), (2, 3)]
+        assert shb == {1: [2], 2: [3]}
 
     def test_backward_reads_from_edge_accepted(self):
         """Creation order is not execution order: a read in a lower-id
         operation can observe a write from a higher-id one.  The SHB
-        graph must accept the resulting backward edge."""
+        index holds the resulting backward edge, which the HB store
+        refuses."""
         trace, graph = make_trace(
             3,
             [(1, 2), (1, 3)],
@@ -131,7 +143,7 @@ class TestBuildShb:
         )
         shb, rf = build_shb(trace, graph)
         assert [(e.src, e.dst) for e in rf] == [(3, 2)]
-        assert shb.edge_rule(3, 2) == SHB_RF_RULE
+        assert shb == {1: [2, 3], 3: [2]}
 
 
 class TestClassifyPair:

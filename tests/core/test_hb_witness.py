@@ -8,7 +8,6 @@ from repro.core.hb.witness import (
     ChainAncestry,
     ancestor_closure,
     hb_path,
-    nearest_common_ancestor,
     race_witness,
 )
 
@@ -44,7 +43,7 @@ class TestAncestorClosure:
 
 class TestNearestCommonAncestor:
     def test_diamond_sides_share_the_root(self, hb):
-        assert nearest_common_ancestor(hb, 3, 4) == 1
+        assert race_witness(hb, 3, 4).nca == 1
 
     def test_max_id_common_ancestor_wins(self):
         graph = HBGraph()
@@ -52,13 +51,13 @@ class TestNearestCommonAncestor:
             graph.add_edge(src, dst)
         # 1, 2 and 3 all precede both 5 and 6; 3 is the nearest (highest
         # id, hence HB-maximal under the forward discipline).
-        assert nearest_common_ancestor(graph, 5, 6) == 3
+        assert race_witness(graph, 5, 6).nca == 3
 
     def test_disjoint_cones(self):
         graph = HBGraph()
         graph.add_edge(1, 2)
         graph.add_edge(3, 4)
-        assert nearest_common_ancestor(graph, 2, 4) is None
+        assert race_witness(graph, 2, 4).nca is None
 
 
 class TestHbPath:
@@ -153,16 +152,6 @@ class TestChainAncestry:
         assert ancestry.common(2, 4) is None
         assert ancestry.common(2, 99) is None
 
-    def test_highest_id_off_a_chain_whose_ids_fall(self):
-        """A backward edge puts op 3 below op 1 on one chain: the
-        nearest common ancestor is still the highest id, 3."""
-        graph = HBGraph(assert_forward=False)
-        for src, dst in [(3, 1), (1, 2), (1, 4)]:
-            graph.add_edge(src, dst)
-        graph.finalize_all()
-        assert race_witness(graph, 2, 4).nca == 3
-        assert ChainAncestry(graph).common(2, 4) == (3, 2)
-
     def test_operations_finalized_after_the_first_read(self):
         graph = HBGraph()
         for src, dst in [(1, 2), (1, 3)]:
@@ -186,7 +175,8 @@ class TestEdgeRuleProvenance:
     def test_chains_retain_edge_rules(self):
         """Building the chain clocks leaves every edge's rule in place."""
         graph = build(HBGraph())
-        graph.finalize_all()
+        for op in graph.operation_ids():
+            graph.place(op)
         assert graph.chain_count >= 2
         for src, dst, rule in EDGES:
             assert graph.edge_rule(src, dst) == rule

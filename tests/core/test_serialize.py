@@ -24,9 +24,10 @@ from repro.core.serialize import (
     loads_trace,
     trace_from_dict,
     trace_to_dict,
-    _location_from_json,
+    _location_key_from_json,
     _location_to_json,
 )
+from repro.core.trace import Trace
 
 PAGE = """
 <input type="text" id="depart" />
@@ -63,13 +64,15 @@ class TestLocationRoundtrip:
         ],
     )
     def test_roundtrip_preserves_identity(self, location):
-        restored = _location_from_json(_location_to_json(location))
+        trace = Trace()
+        key = _location_key_from_json(_location_to_json(location))
+        restored = trace.location(trace.intern(key))
         assert restored == location
         assert hash(restored) == hash(location)
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
-            _location_from_json({"t": "mystery"})
+            _location_key_from_json({"t": "mystery"})
 
 
 class TestTraceRoundtrip:

@@ -11,33 +11,46 @@ from .hb_oracle import ReachabilityOracle
 
 
 def make_graph(edges, nodes=()):
+    """The graph with every operation finalized, in id order."""
     graph = HBGraph()
     for node in nodes:
         graph.add_operation(node)
     for src, dst in edges:
         graph.add_edge(src, dst)
-    graph.finalize_all()
+    for op in graph.operation_ids():
+        graph.place(op)
     return graph
+
+
+def position(graph, op):
+    """``(chain, position on it)`` of a finalized operation."""
+    return graph.place(op)[:2]
+
+
+def full_clock(graph, op):
+    """``op``'s clock with its own chain's entry, its position, added."""
+    chain, pos, clock = graph.place(op)
+    return {**clock, chain: pos}
 
 
 def clock_leq(graph, a, b):
     """``a``'s clock is pointwise at most ``b``'s."""
-    clock_b = graph.clock[b]
-    return all(clock_b.get(chain, -1) >= pos for chain, pos in graph.clock[a].items())
+    clock_a, clock_b = full_clock(graph, a), full_clock(graph, b)
+    return all(clock_b.get(chain, -1) >= pos for chain, pos in clock_a.items())
 
 
 class TestChains:
     def test_linear_graph_is_one_chain(self):
         graph = make_graph([(1, 2), (2, 3), (3, 4)])
         assert graph.chain_count == 1
-        assert [graph.position[op] for op in (1, 2, 3, 4)] == [
+        assert [position(graph, op) for op in (1, 2, 3, 4)] == [
             (0, 0), (0, 1), (0, 2), (0, 3),
         ]
 
     def test_disjoint_nodes_get_own_chains(self):
         graph = make_graph([], nodes=[1, 2, 3])
         assert graph.chain_count == 3
-        assert {graph.position[op][0] for op in (1, 2, 3)} == {0, 1, 2}
+        assert {position(graph, op)[0] for op in (1, 2, 3)} == {0, 1, 2}
 
     def test_fork_join(self):
         graph = make_graph([(1, 2), (1, 3), (2, 4), (3, 4)])
@@ -52,8 +65,9 @@ class TestChains:
         graph = make_graph([(1, 2), (1, 3)], nodes=[4])
         # Every finalized operation holds at least its own chain's entry.
         assert graph.memory_cells() >= len(graph.operation_ids()) > 0
-        assert all(graph.clock[op][graph.position[op][0]] == graph.position[op][1]
-                   for op in graph.operation_ids())
+        for op in graph.operation_ids():
+            chain, pos = position(graph, op)
+            assert full_clock(graph, op)[chain] == pos
 
 
 class TestQueries:
@@ -69,7 +83,7 @@ class TestQueries:
         # Every known clock is finalized; the unknown id has none.
         assert not graph.happens_before(1, 42)
         assert not graph.happens_before(42, 2)
-        assert 42 not in graph.clock
+        assert graph.place(42) is None
 
 
 forward_edges = st.lists(
@@ -104,16 +118,16 @@ def test_vector_clocks_equivalent_to_graph(edges):
     for op in graph.operation_ids():
         expected = {}
         for member in oracle.ancestors(op) | {op}:
-            chain, pos = graph.position[member]
+            chain, pos = position(graph, member)
             expected[chain] = max(expected.get(chain, -1), pos)
-        assert graph.clock[op] == expected, op
+        assert full_clock(graph, op) == expected, op
 
 
 def test_single_chain_shares_one_stored_clock():
     graph = make_graph([(1, 2), (2, 3), (1, 3), (3, 4)])
     assert graph.chain_count == 1
     assert graph.stored_clocks() == 1
-    assert graph.clock[3] == {0: 2}
+    assert full_clock(graph, 3) == {0: 2}
     assert graph.memory_cells() == 4
 
 
@@ -123,4 +137,4 @@ def test_clock_shared_only_when_nothing_new_is_learned():
     clocks = graph._clocks
     assert clocks[3] is not clocks[1]
     assert clocks[4] is clocks[3]
-    assert graph.clock[4] == {graph.position[1][0]: 2, graph.position[2][0]: 0}
+    assert full_clock(graph, 4) == {position(graph, 1)[0]: 2, position(graph, 2)[0]: 0}

@@ -69,11 +69,10 @@ class TestScriptFlags:
     def test_inline_script(self):
         script = Element("script")
         assert script.is_script and script.is_inline_script
-        assert not script.is_external_script
 
     def test_external_sync(self):
         script = Element("script", {"src": "a.js"})
-        assert script.is_external_script
+        assert script.is_script and not script.is_inline_script
         assert not script.is_async and not script.is_deferred
 
     def test_async(self):

@@ -71,8 +71,10 @@ class TestAnalyzeExplainErrors:
         [["analyze"], ["analyze", "--predict"], ["explain"]],
     )
     def test_happens_before_cycle_rejected(self, argv, tmp_path, capsys):
-        """A trace whose edges form a cycle exits 2 (it used to hang or
-        report races over the cyclic relation)."""
+        """A trace with its first edge reversed, or with that edge's
+        reverse appended to close a cycle, exits 2: either holds an edge
+        from a newer operation to an older one, which no run records (a
+        cycle used to hang or report races over the cyclic relation)."""
         import json
 
         from repro import WebRacer
@@ -80,18 +82,18 @@ class TestAnalyzeExplainErrors:
 
         report = WebRacer(seed=0).check_page(PAGE_HTML)
         data = json.loads(dumps_trace(report.trace, report.page.monitor.graph))
-        first = data["edges"][0]
-        data["edges"].append(
-            {"src": first["dst"], "dst": first["src"], "rule": first["rule"]}
-        )
-        trace = tmp_path / "cycle.json"
-        trace.write_text(json.dumps(data))
-        assert main([argv[0], str(trace), *argv[1:]]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(
-            f"error: corrupt trace '{trace}': happens-before cycle"
-        )
-        assert len(err.strip().splitlines()) == 1
+        first, *rest = data["edges"]
+        reverse = {"src": first["dst"], "dst": first["src"], "rule": first["rule"]}
+        cases = {"reversed": [reverse, *rest], "cycle": [first, *rest, reverse]}
+        for name, edges in cases.items():
+            trace = tmp_path / f"{name}.json"
+            trace.write_text(json.dumps({**data, "edges": edges}))
+            assert main([argv[0], str(trace), *argv[1:]]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(
+                f"error: corrupt trace '{trace}': backward happens-before edge"
+            )
+            assert len(err.strip().splitlines()) == 1
 
 
 class TestOutputPathValidation:
